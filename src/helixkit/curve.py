@@ -1,10 +1,11 @@
 """Curves in E^n and their derivative jets.
 
 Two representations: analytic (one closed-form expression per coordinate,
-differentiated symbolically) and sampled (ordered points with strictly
-increasing parameter values, differentiated by finite-difference stencils on
-the sample nodes).  Both expose the same `jet` interface feeding the frame
-computation, which needs derivatives up to order n.
+whose jets come from truncated Taylor arithmetic, `expr.taylor`) and sampled
+(ordered points with strictly increasing parameter values, differentiated by
+finite-difference stencils on the sample nodes).  Both expose the same `jet`
+interface feeding the frame computation, which needs derivatives up to
+order n.
 
 A curve carries a measured `unit_speed` flag: it is established on a
 1000-point verification grid at construction, never taken from input
@@ -34,6 +35,11 @@ UNIT_SPEED_TOL_SAMPLED = 1e-4
 EPS_REGULAR = 1e-10
 
 _VERIFY_GRID = 1000
+
+# Gauss-Legendre panels for arc length: 8 nodes per panel integrate the
+# smooth speed to roundoff at this panel count
+_PANELS = 4096
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def finite_difference_weights(x0, nodes, maxorder):
@@ -79,17 +85,13 @@ class DerivativeJet:
     s: float
     derivatives: np.ndarray
 
-    @property
-    def order(self):
-        return self.derivatives.shape[0]
-
     def __post_init__(self):
         if not np.all(np.isfinite(self.derivatives)):
             raise CurveError(f"non-finite derivative at s={self.s}")
 
 
 class Curve:
-    """Common interface: dim, domain, unit_speed, point/jet evaluation."""
+    """Common interface; a subclass overrides `jet_grid`, `jet` or both."""
 
     dim: int
     domain: tuple
@@ -100,7 +102,12 @@ class Curve:
         raise NotImplementedError
 
     def jet(self, s, order):
-        raise NotImplementedError
+        """Derivatives 1..order at s: a one-row slice of `jet_grid`."""
+        self._check_domain(s)
+        if order < 1:
+            raise CurveError("jet order must be >= 1")
+        return DerivativeJet(s, self.jet_grid(np.array([s], dtype=float),
+                                              order)[0])
 
     def jet_grid(self, svals, order):
         """Derivatives 1..order at each of svals; shape (m, order, dim)."""
@@ -133,7 +140,11 @@ class Curve:
 
 
 class AnalyticCurve(Curve):
-    """Curve given by closed-form coordinate expressions in one parameter."""
+    """Curve given by closed-form coordinate expressions in one parameter.
+
+    `velocity` holds the expressions of the first derivative and `speed`
+    evaluates |alpha'(t)| over an array of parameter values.
+    """
 
     def __init__(self, components, domain, parameter="s"):
         comps = []
@@ -149,63 +160,59 @@ class AnalyticCurve(Curve):
         self.dim = len(comps)
         self.domain = (a, b)
         self.parameter = parameter
-        self._deriv_exprs = [self.components]   # order 0
-        self._compiled = {}
+        self.velocity = tuple(expr.differentiate(e, parameter) for e in comps)
+        self.speed = expr.compile_array(self.speed_expression(), (parameter,))
         self._measure_unit_speed(UNIT_SPEED_TOL_ANALYTIC)
-
-    def derivative_expressions(self, order):
-        """Tuple of coordinate expressions for the order-th derivative."""
-        while len(self._deriv_exprs) <= order:
-            prev = self._deriv_exprs[-1]
-            self._deriv_exprs.append(tuple(
-                expr.differentiate(e, self.parameter) for e in prev))
-        return self._deriv_exprs[order]
-
-    def _fns(self, order):
-        if order not in self._compiled:
-            self._compiled[order] = tuple(
-                expr.compile_array(e, (self.parameter,))
-                for e in self.derivative_expressions(order))
-        return self._compiled[order]
 
     def point(self, s):
         self._check_domain(s)
         return np.array([expr.evaluate(e, {self.parameter: s})
                          for e in self.components])
 
-    def jet(self, s, order):
-        self._check_domain(s)
-        if order < 1:
-            raise CurveError("jet order must be >= 1")
-        rows = [[expr.evaluate(e, {self.parameter: s})
-                 for e in self.derivative_expressions(k)]
-                for k in range(1, order + 1)]
-        return DerivativeJet(s, np.array(rows, dtype=float))
+    def _coefficients(self, series, order):
+        """Taylor coefficients 0..order of the coordinates, (order+1, m, dim).
+
+        `series` holds the normalized Taylor coefficients of the parameter
+        along the path of evaluation, as `expr.taylor` takes them.
+        """
+        env = {self.parameter: series}
+        return np.stack([expr.taylor(e, env, order) for e in self.components],
+                        axis=-1)
 
     def jet_grid(self, svals, order):
         svals = np.asarray(svals, dtype=float)
-        out = np.empty((svals.size, order, self.dim))
-        for k in range(1, order + 1):
-            for j, f in enumerate(self._fns(k)):
-                out[:, k - 1, j] = f(svals)
-        if not np.all(np.isfinite(out)):
-            raise CurveError("non-finite derivative on grid")
-        return out
+        return _jets(self._coefficients([svals, 1.0], order))
 
     def point_grid(self, svals):
-        svals = np.asarray(svals, dtype=float)
-        return np.stack([f(svals) for f in self._fns(0)], axis=1)
+        return self._coefficients([np.asarray(svals, dtype=float)], 0)[0]
 
     def speed_expression(self):
         total = None
-        for e in self.derivative_expressions(1):
+        for e in self.velocity:
             p = expr.Pow(e, 2.0)
             total = p if total is None else expr.Add(total, p)
         return expr.Call("sqrt", total)
 
     def length(self):
-        f = expr.compile_scalar(self.speed_expression(), (self.parameter,))
-        return _adaptive_simpson(f, *self.domain, 1e-10)
+        return float(_panel_integrals(
+            self.speed, np.linspace(*self.domain, _PANELS + 1)).sum())
+
+
+def _jets(coeffs):
+    """Derivatives 1..order, (m, order, dim), from Taylor coefficients."""
+    order = coeffs.shape[0] - 1
+    factorials = np.cumprod(np.arange(1.0, order + 1.0))
+    out = np.moveaxis(coeffs[1:] * factorials[:, None, None], 0, 1)
+    if not np.all(np.isfinite(out)):
+        raise CurveError("non-finite derivative on grid")
+    return out
+
+
+def _panel_integrals(f, t):
+    """Integral of the vectorized f over each panel [t[i], t[i+1]]."""
+    half = 0.5 * np.diff(t)
+    x = (t[:-1] + half)[:, None] + half[:, None] * _GL_NODES
+    return half * (f(x) @ _GL_WEIGHTS)
 
 
 # windows for sampled-curve stencils: 5 nodes covers d1/d2, 7 covers d3/d4
@@ -286,79 +293,30 @@ class SampledCurve(Curve):
         return float(np.trapezoid(speeds, self.params))
 
 
-def _adaptive_simpson(f, a, b, tol):
-    """Adaptive Simpson quadrature of a scalar function."""
-    def simp(a, fa, m, fm, b, fb):
-        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, fa, m, fm, b, fb, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = f(lm)
-        frm = f(rm)
-        left = simp(a, fa, lm, flm, m, fm)
-        right = simp(m, fm, rm, frm, b, fb)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(a, fa, lm, flm, m, fm, left, 0.5 * tol, depth - 1)
-                + recurse(m, fm, rm, frm, b, fb, right, 0.5 * tol, depth - 1))
-
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    return recurse(a, fa, m, fm, b, fb, simp(a, fa, m, fm, b, fb), tol, 48)
-
-
-# inverse-function derivatives of t(s) given speed v = ds/dt and its
-# t-derivatives, evaluated at t; primes are d/dt
-#   t'    = 1/v
-#   t''   = -v'/v^3
-#   t'''  = -v''/v^4 + 3 v'^2/v^5
-#   t'''' = -v'''/v^5 + 10 v'v''/v^6 - 15 v'^3/v^7
-def _inverse_derivs(v, v1, v2, v3):
-    g1 = 1.0 / v
-    g2 = -v1 / v ** 3
-    g3 = -v2 / v ** 4 + 3.0 * v1 ** 2 / v ** 5
-    g4 = -v3 / v ** 5 + 10.0 * v1 * v2 / v ** 6 - 15.0 * v1 ** 3 / v ** 7
-    return g1, g2, g3, g4
-
-
 class ReparametrizedCurve(Curve):
     """Arc-length reparametrization of an analytic curve.
 
-    Keeps the source curve and composes its t-jets with the derivatives of
-    the inverse arc-length function t(s).  Supports jets up to order 4, which
-    covers frames in dimensions up to 4.
+    Keeps the source curve and evaluates it along the Taylor series of the
+    inverse arc-length function t(s), built order by order from
+    t' = 1/v(t), so jets of any order are exact to roundoff.
     """
-
-    _TABLE = 4096
 
     def __init__(self, source: AnalyticCurve):
         self.source = source
         self.dim = source.dim
         self.parameter = source.parameter
-
-        v_expr = source.speed_expression()
-        var = source.parameter
-        v1_expr = expr.differentiate(v_expr, var)
-        v2_expr = expr.differentiate(v1_expr, var)
-        v3_expr = expr.differentiate(v2_expr, var)
-        self._speed_fns = tuple(expr.compile_array(e, (var,))
-                                for e in (v_expr, v1_expr, v2_expr, v3_expr))
+        self._inverse_speed = expr.Div(expr.Const(1.0),
+                                       source.speed_expression())
 
         a, b = source.domain
-        t = np.linspace(a, b, self._TABLE + 1)
-        v = self._speed_fns[0](t)
+        t = np.linspace(a, b, _PANELS + 1)
+        v = source.speed(t)
         if not np.all(np.isfinite(v)) or np.min(v) < EPS_REGULAR:
             i = int(np.argmin(v))
             raise NonRegularCurveError(
                 f"speed {v[i]:.3e} at t={t[i]:.6g} below {EPS_REGULAR}")
-        # cumulative arc length at the table nodes, each panel to 1e-12
-        fscalar = expr.compile_scalar(v_expr, (var,))
-        panels = [_adaptive_simpson(fscalar, t[i], t[i + 1], 1e-12 / self._TABLE)
-                  for i in range(self._TABLE)]
-        svals = np.concatenate([[0.0], np.cumsum(panels)])
-        self._t_nodes = t
-        self._s_nodes = svals
+        svals = np.concatenate(
+            [[0.0], np.cumsum(_panel_integrals(source.speed, t))])
         self._forward = PchipInterpolator(t, svals)
         self._inverse = PchipInterpolator(svals, t)
         self.total_length = float(svals[-1])
@@ -369,7 +327,7 @@ class ReparametrizedCurve(Curve):
         """Source parameter t at arc length s (interpolated + one Newton step)."""
         s = np.asarray(s, dtype=float)
         t = self._inverse(s)
-        t = t - (self._forward(t) - s) / self._speed_fns[0](t)
+        t = t - (self._forward(t) - s) / self.source.speed(t)
         a, b = self.source.domain
         return np.clip(t, a, b)
 
@@ -378,41 +336,13 @@ class ReparametrizedCurve(Curve):
         t = float(self.parameter_of_arclength(s))
         return self.source.point(t)
 
-    def jet(self, s, order):
-        self._check_domain(s)
-        ders = self.jet_grid(np.array([s]), order)[0]
-        return DerivativeJet(s, ders)
-
     def jet_grid(self, svals, order):
-        if order < 1:
-            raise CurveError("jet order must be >= 1")
-        if order > 4:
-            raise CurveError(
-                "arc-length reparametrization supports derivatives up to "
-                "order 4; supply a unit-speed analytic curve for higher order")
-        svals = np.asarray(svals, dtype=float)
-        t = self.parameter_of_arclength(svals)
-        f = self.source.jet_grid(t, order)          # (m, order, dim) in t
-        v = [fn(t) for fn in self._speed_fns]
-        g1, g2, g3, g4 = _inverse_derivs(*v)
-        out = np.empty((svals.size, order, self.dim))
-        # chain rule for derivatives of alpha(t(s)) through order 4
-        out[:, 0, :] = f[:, 0, :] * g1[:, None]
-        if order >= 2:
-            out[:, 1, :] = (f[:, 1, :] * (g1 ** 2)[:, None]
-                            + f[:, 0, :] * g2[:, None])
-        if order >= 3:
-            out[:, 2, :] = (f[:, 2, :] * (g1 ** 3)[:, None]
-                            + 3.0 * f[:, 1, :] * (g1 * g2)[:, None]
-                            + f[:, 0, :] * g3[:, None])
-        if order >= 4:
-            out[:, 3, :] = (f[:, 3, :] * (g1 ** 4)[:, None]
-                            + 6.0 * f[:, 2, :] * (g1 ** 2 * g2)[:, None]
-                            + f[:, 1, :] * (3.0 * g2 ** 2 + 4.0 * g1 * g3)[:, None]
-                            + f[:, 0, :] * g4[:, None])
-        if not np.all(np.isfinite(out)):
-            raise CurveError("non-finite derivative on grid")
-        return out
+        t = [self.parameter_of_arclength(np.asarray(svals, dtype=float))]
+        for k in range(1, order + 1):
+            # the k-th coefficient of t(s) needs only t_0..t_{k-1}
+            t.append(expr.taylor(self._inverse_speed, {self.parameter: t},
+                                 k - 1)[k - 1] / k)
+        return _jets(self.source._coefficients(t, order))
 
     def point_grid(self, svals):
         t = self.parameter_of_arclength(np.asarray(svals, dtype=float))

@@ -3,7 +3,9 @@
 The expression language covers what a curve or surface component needs:
 constants, the parameter(s), the four arithmetic operators, powers with a
 constant exponent, unary negation, and sin/cos/tan/exp/log/sqrt.  Expressions
-are immutable trees; differentiation is symbolic and exact.
+are immutable trees.  `taylor` evaluates all derivatives of a tree up to a
+given order in one pass of truncated Taylor arithmetic; `differentiate`
+builds the exact first derivative as a new tree.
 
 Operator precedence is ``^`` over unary minus over ``*``/``/`` over ``+``/``-``,
 everything left-associative except ``^`` which is right-associative, so
@@ -26,7 +28,7 @@ from .errors import ExprDomainError, ExprParseError
 __all__ = [
     "Expression", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
     "Call", "parse", "differentiate", "evaluate", "to_source",
-    "compile_scalar", "compile_array", "FUNCTIONS",
+    "compile_scalar", "compile_array", "taylor", "FUNCTIONS",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
@@ -235,11 +237,11 @@ class _Parser:
         kind, text, offset = self.peek()
         if kind == "op" and text == "^":
             self.advance()
+            # folding has already reduced any valid constant exponent
             exponent = self.unary()
-            value = _constant_value(exponent)
-            if value is None:
+            if not isinstance(exponent, Const):
                 raise ExprParseError("non-constant exponent", offset)
-            return _pow(base, value)
+            return _pow(base, exponent.value)
         return base
 
     def atom(self):
@@ -262,31 +264,6 @@ class _Parser:
         if kind == "end":
             raise ExprParseError("unexpected end of input", offset)
         raise ExprParseError(f"unexpected token {text!r}", offset)
-
-
-def _constant_value(e):
-    """Fold a variable-free subtree to a float, or None if it has a variable."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return None
-    if isinstance(e, Neg):
-        v = _constant_value(e.arg)
-        return None if v is None else -v
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        a = _constant_value(e.left)
-        b = _constant_value(e.right)
-        if a is None or b is None:
-            return None
-        return {Add: lambda: a + b, Sub: lambda: a - b,
-                Mul: lambda: a * b, Div: lambda: a / b}[type(e)]()
-    if isinstance(e, Pow):
-        v = _constant_value(e.base)
-        return None if v is None else _checked_pow(v, e.exponent, e)
-    if isinstance(e, Call):
-        v = _constant_value(e.arg)
-        return None if v is None else _apply_fn(e.fn, v, e)
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 def parse(source: str, variables=("s",)) -> Expression:
@@ -483,6 +460,116 @@ def to_source(e: Expression) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+# ------------------------------------------------------------------ taylor
+
+def taylor(e: Expression, env, order: int) -> np.ndarray:
+    """Normalized Taylor coefficients c_0..c_order of `e`, c_k = f^(k)/k!.
+
+    `env` binds each variable to the normalized Taylor coefficients of the
+    path it follows, e.g. ``{"s": [svals, 1.0]}`` for s itself; missing
+    trailing coefficients are zero, and coefficients are floats or arrays.
+    Every node is visited once and carries all orders through the O(order^2)
+    recurrences of truncated Taylor arithmetic (Griewank & Walther,
+    *Evaluating Derivatives*, ch. 13), so nothing is differentiated
+    symbolically.  The result has shape (order + 1, *broadcast shape).
+    Unchecked like `compile_array`: singular points give inf or nan.
+    """
+    n = order + 1
+    series = {}
+    for name, coeffs in env.items():
+        c = [np.asarray(x, dtype=float) for x in list(coeffs)[:n]]
+        series[name] = c + [_ZERO] * (n - len(c))
+    shape = np.broadcast_shapes(*(x.shape for c in series.values() for x in c))
+    out = np.empty((n, *shape))
+    for k, x in enumerate(_series(e, series, n)):
+        out[k] = x
+    return out
+
+
+_ZERO = np.float64(0.0)
+
+
+def _series(e, env, n):
+    if isinstance(e, Const):
+        return [np.float64(e.value)] + [_ZERO] * (n - 1)
+    if isinstance(e, Var):
+        try:
+            return env[e.name]
+        except KeyError:
+            raise ExprDomainError(f"unbound variable {e.name!r}", e) from None
+    if isinstance(e, Neg):
+        return [-x for x in _series(e.arg, env, n)]
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        u = _series(e.left, env, n)
+        v = _series(e.right, env, n)
+        if isinstance(e, Add):
+            return [a + b for a, b in zip(u, v)]
+        if isinstance(e, Sub):
+            return [a - b for a, b in zip(u, v)]
+        return _mul_series(u, v) if isinstance(e, Mul) else _div_series(u, v)
+    if isinstance(e, Pow):
+        u = _series(e.base, env, n)
+        c = e.exponent
+        if c < 0.0 or not float(c).is_integer():
+            return _pow_series(u, c)
+        # square-and-multiply products stay finite where the base vanishes;
+        # the power recurrence divides by the base
+        w = [np.float64(1.0)] + [_ZERO] * (n - 1)
+        for bit in bin(int(c))[2:]:
+            w = _mul_series(w, w)
+            if bit == "1":
+                w = _mul_series(w, u)
+        return w
+    if isinstance(e, Call):
+        u = _series(e.arg, env, n)
+        if e.fn == "exp":
+            w = [np.exp(u[0])]
+            for k in range(1, n):
+                w.append(_chain(u, w, k))
+            return w
+        if e.fn == "log":
+            inverse = _div_series([np.float64(1.0)] + [_ZERO] * (n - 1), u)
+            return [np.log(u[0])] + [_chain(u, inverse, k) for k in range(1, n)]
+        if e.fn == "sqrt":
+            return _pow_series(u, 0.5)
+        sin, cos = [np.sin(u[0])], [np.cos(u[0])]
+        for k in range(1, n):
+            sin.append(_chain(u, cos, k))
+            cos.append(-_chain(u, sin, k))
+        if e.fn == "sin":
+            return sin
+        if e.fn == "cos":
+            return cos
+        if e.fn == "tan":
+            return _div_series(sin, cos)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _chain(u, g, k):
+    # k-th coefficient of w with w' = g u', from coefficients of g below k
+    return sum(j * u[j] * g[k - j] for j in range(1, k + 1)) / k
+
+
+def _mul_series(u, v):
+    return [sum(u[j] * v[k - j] for j in range(k + 1)) for k in range(len(u))]
+
+
+def _div_series(u, v):
+    w = []
+    for k in range(len(u)):
+        w.append((u[k] - sum(v[j] * w[k - j] for j in range(1, k + 1))) / v[0])
+    return w
+
+
+def _pow_series(u, c):
+    # w = u^c satisfies u w' = c u' w
+    w = [np.power(u[0], c)]
+    for k in range(1, len(u)):
+        w.append(sum((c * j - (k - j)) * u[j] * w[k - j]
+                     for j in range(1, k + 1)) / (k * u[0]))
+    return w
+
+
 # ----------------------------------------------------------------- compile
 
 def _emit(e, consts):
@@ -506,11 +593,11 @@ def _emit(e, consts):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _compile(e, variables, funcs):
+def _compile(e, variables):
     consts = {}
     body = _emit(e, consts)
     args = ", ".join(variables)
-    namespace = {f"_{fn}": funcs[fn] for fn in FUNCTIONS}
+    namespace = {f"_{fn}": getattr(math, fn) for fn in FUNCTIONS}
     namespace.update(consts)
     code = f"lambda {args}: {body}"
     return eval(code, namespace)  # noqa: S307 - generated from our own AST
@@ -522,18 +609,12 @@ def compile_scalar(e: Expression, variables=("s",)):
     No domain checking happens in the compiled function; use `evaluate` when
     errors must be caught and attributed.
     """
-    return _compile(e, variables, {fn: getattr(math, fn) for fn in FUNCTIONS})
+    return _compile(e, variables)
 
 
 def compile_array(e: Expression, variables=("s",)):
-    """Compile to a vectorized callable over numpy arrays (unchecked)."""
-    funcs = {fn: getattr(np, fn) for fn in FUNCTIONS}
-    f = _compile(e, variables, funcs)
+    """Vectorized callable over numpy arrays (unchecked): order-0 `taylor`."""
+    def f(*args):
+        return taylor(e, {name: [a] for name, a in zip(variables, args)}, 0)[0]
 
-    def wrapped(*args):
-        out = f(*(np.asarray(a, dtype=float) for a in args))
-        # a constant expression must still broadcast to the input shape
-        return np.broadcast_to(out, np.broadcast(*args).shape).astype(float) \
-            if np.ndim(out) == 0 and args else out
-
-    return wrapped
+    return f

@@ -28,9 +28,6 @@ __all__ = [
 
 EPS_CURV = 1e-9
 
-ORTHONORMALITY_TOL = 1e-8
-DET_TOL = 1e-6
-
 
 def generalized_cross(vectors):
     """Vector orthogonal to n-1 given vectors in E^n, batched.

@@ -397,11 +397,6 @@ class HelixReport:
         return self._primary.cos_theta
 
     @property
-    def theta(self):
-        c = self._primary.cos_theta
-        return None if c is None else math.acos(max(-1.0, min(1.0, c)))
-
-    @property
     def C(self):
         return self._primary.C
 
@@ -506,7 +501,6 @@ def classify(c: Curve, axis_hint=None, grid_size: int = 512, domain=None,
     """
     uc = curvemod.arclength_reparametrize(c)
     grid = frenet_grid(uc, grid_size, domain=domain, margin=margin)
-    n = grid.dim
 
     mask = recursion_mask(grid)
     masked_fraction = 1.0 - float(np.mean(mask))
@@ -566,14 +560,12 @@ def tangent_indicatrix(c: Curve, domain=None, margin: float = 0.0) -> Curve:
 
     try:
         if isinstance(uc, AnalyticCurve):
-            beta = AnalyticCurve(uc.derivative_expressions(1), (a, b),
-                                 uc.parameter)
+            beta = AnalyticCurve(uc.velocity, (a, b), uc.parameter)
             return curvemod.arclength_reparametrize(beta)
         if isinstance(uc, ReparametrizedCurve):
             src = uc.source
             v = src.speed_expression()
-            comps = tuple(expr.Div(e, v)
-                          for e in src.derivative_expressions(1))
+            comps = tuple(expr.Div(e, v) for e in src.velocity)
             t0 = float(uc.parameter_of_arclength(a))
             t1 = float(uc.parameter_of_arclength(b))
             beta = AnalyticCurve(comps, (t0, t1), src.parameter)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import expr
 from .curve import SampledCurve, _load_json
-from .errors import CurveFormatError, SurfaceError
+from .errors import CurveFormatError, HelixkitError, SurfaceError
 from .frenet import generalized_cross
 from .helix import classify, tangent_indicatrix
 
@@ -38,10 +38,6 @@ GEODESIC_STEP = 1e-3
 HELIX_SURFACE_TOL = 1e-6
 PROJECTION_TOL = 1e-10
 _IMMERSION_GRID = 8
-
-# parameter offset for directional derivatives of the normal: the normal is
-# exact to machine precision, so the classic cube-root-of-eps balance applies
-_FD_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
 def _fmt(u):
@@ -216,11 +212,11 @@ def _geodesic_rhs(h: Hypersurface, p, v):
     jac = h.jacobian(p)
     pdot = _parameter_velocity(jac, v)
     xi = h._unit_normal(jac, p)
-    step = _FD_EPS / max(1.0, float(np.linalg.norm(pdot)))
-    xi_fwd = h.normal(p + step * pdot)
-    xi_bwd = h.normal(p - step * pdot)
-    dxi = (xi_fwd - xi_bwd) / (2.0 * step)
-    lam = -float(v @ dxi)
+    # lambda = <d^2X(pdot, pdot), xi>: twice the order-2 coefficient of
+    # X(p + eps pdot); the tangential part of alpha'' drops out against xi
+    env = {name: (x, dx) for name, x, dx in zip(h.parameters, p, pdot)}
+    c2 = np.array([expr.taylor(comp, env, 2)[2] for comp in h.components])
+    lam = 2.0 * float(c2 @ xi)
     return pdot, lam * xi, lam
 
 
@@ -392,7 +388,7 @@ def verify_geodesic_theorems(h: Hypersurface, geodesics) -> SurfaceGeodesicRepor
         try:
             curve = samples_to_curve(samples)
             rep = classify(curve, axis_hint=h.direction, margin=0.02)
-        except Exception as exc:
+        except HelixkitError as exc:
             check.error = f"classification failed: {exc}"
             continue
         check.classification = rep.classification
@@ -406,7 +402,7 @@ def verify_geodesic_theorems(h: Hypersurface, geodesics) -> SurfaceGeodesicRepor
         try:
             beta = tangent_indicatrix(curve, margin=0.02)
             rep_b = classify(beta, margin=0.02)
-        except Exception as exc:
+        except HelixkitError as exc:
             check.error = f"indicatrix failed: {exc}"
             continue
         grid = np.linspace(beta.domain[0], beta.domain[1], 64)

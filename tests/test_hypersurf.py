@@ -15,7 +15,9 @@ from conftest import (
 )
 from helixkit import hypersurf
 from helixkit.curve import arclength_reparametrize
-from helixkit.errors import CurveFormatError, SurfaceError
+from helixkit.errors import (
+    CurveFormatError, DegenerateCurveError, SurfaceError,
+)
 from helixkit.frenet import frenet_grid
 
 EZ = np.array([0.0, 0.0, 1.0])
@@ -71,19 +73,28 @@ def test_constant_angle_verdicts(plane, sphere):
 
 # ---------------------------------------------------------------- geodesics
 
-def test_cylinder_geodesic_matches_circular_helix():
-    # start (1, 0, 0) with tangent (0, 4/5, 3/5): the 3-4-5 helix
-    samples = hypersurf.geodesic(cylinder_surface(), [0.0, 0.0],
-                                 [0.0, 0.8, 0.6], 2.0, steps=1000)
-    assert len(samples) == 1001
-    svals = np.array([smp.s for smp in samples])
-    pts = np.stack([smp.position for smp in samples])
-    exact = np.stack([np.cos(0.8 * svals), np.sin(0.8 * svals),
-                      0.6 * svals], axis=1)
-    assert np.abs(pts - exact).max() <= 1e-6
-    lam = np.array([smp.normal_accel for smp in samples])
-    assert np.abs(lam + 16.0 / 25.0).max() <= 1e-8
-    assert samples[0].parameters.shape == (2,)
+def test_cylinder_geodesic_matches_circular_helix(sphere):
+    # start (1, 0, 0) with tangent (0, 4/5, 3/5): on the cylinder the 3-4-5
+    # helix with lambda = -16/25, on the sphere a great circle with
+    # lambda = -1; lambda is exact, so only roundoff separates it from these
+    tangent = np.array([0.0, 0.8, 0.6])
+    cases = [
+        (cylinder_surface(), [0.0, 0.0], -16.0 / 25.0,
+         lambda s: np.stack([np.cos(0.8 * s), np.sin(0.8 * s), 0.6 * s],
+                            axis=1)),
+        (sphere, [math.pi / 2.0, 0.0], -1.0,
+         lambda s: (np.cos(s)[:, None] * np.array([1.0, 0.0, 0.0])
+                    + np.sin(s)[:, None] * tangent)),
+    ]
+    for surface, start, lam_exact, exact in cases:
+        samples = hypersurf.geodesic(surface, start, tangent, 2.0, steps=1000)
+        assert len(samples) == 1001
+        svals = np.array([smp.s for smp in samples])
+        pts = np.stack([smp.position for smp in samples])
+        assert np.abs(pts - exact(svals)).max() <= 1e-6
+        lam = np.array([smp.normal_accel for smp in samples])
+        assert np.abs(lam - lam_exact).max() <= 1e-13
+        assert samples[0].parameters.shape == (2,)
 
 
 def test_cone_geodesic_matches_unrolled_line():
@@ -203,6 +214,24 @@ def test_sphere_fails_the_surface_gate(sphere):
     rep = hypersurf.verify_geodesic_theorems(sphere, [samples])
     assert not rep.surface["constant"]
     assert not rep.passed
+
+
+def test_verification_records_only_helixkit_errors(monkeypatch):
+    samples = cylinder_geodesics()[0]
+
+    def degenerate(*args, **kwargs):
+        raise DegenerateCurveError("straight segment")
+
+    monkeypatch.setattr(hypersurf, "classify", degenerate)
+    rep = hypersurf.verify_geodesic_theorems(cylinder_surface(), [samples])
+    assert rep.checks[0].error == "classification failed: straight segment"
+
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a degenerate curve")
+
+    monkeypatch.setattr(hypersurf, "classify", broken)
+    with pytest.raises(TypeError):
+        hypersurf.verify_geodesic_theorems(cylinder_surface(), [samples])
 
 
 def test_report_serializes_to_json():

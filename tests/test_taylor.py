@@ -1,0 +1,138 @@
+"""Taylor-series jets checked against independent oracles.
+
+sympy differentiates the same expressions symbolically and mpmath integrates
+arc length to 40 digits; neither shares code with helixkit, so these tests
+pin `expr.taylor` and everything routed through it (analytic and
+reparametrized curve jets, arc-length tables) to outside references.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+import sympy as sp
+
+from helixkit import expr
+from helixkit.curve import AnalyticCurve, arclength_reparametrize
+
+ORDER = 6
+
+# one case per node type; sources use the helixkit grammar, sympy reads the
+# same text with ** for ^.  Each case names an interval where it is smooth.
+CASES = [
+    ("3", (-2.0, 2.0)),                                  # Const
+    ("s", (-2.0, 2.0)),                                  # Var
+    ("-s^2", (-2.0, 2.0)),                               # Neg, integer Pow
+    ("s + cos(s)", (-2.0, 2.0)),                         # Add, cos
+    ("exp(s/2) - s^3", (-2.0, 2.0)),                     # Sub, exp
+    ("s*sin(3*s)", (-2.0, 2.0)),                         # Mul, sin
+    ("sin(s)/(2 + s^2)", (-2.0, 2.0)),                   # Div
+    ("(1 + s^2)^-2", (-2.0, 2.0)),                       # negative Pow
+    ("s^-1", (0.5, 2.0)),
+    ("(2 + sin(s))^1.5", (-2.0, 2.0)),                   # fractional Pow
+    ("tan(s/2)", (-2.0, 2.0)),                           # tan
+    ("log(2 + cos(s))", (-2.0, 2.0)),                    # log
+    ("sqrt(1 + s^2)", (-2.0, 2.0)),                      # sqrt
+    ("log(s)*sqrt(s)*exp(-s^2)", (0.3, 2.0)),
+]
+
+
+def _sympy(source, names=("s",)):
+    symbols = {n: sp.Symbol(n) for n in names}
+    return sp.sympify(source.replace("^", "**"), locals=symbols), symbols
+
+
+def _close(got, want, what):
+    # order-6 recurrences accumulate roundoff; the worst case seen is 1.5e-14
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), what
+
+
+@pytest.mark.parametrize("source, interval", CASES)
+def test_taylor_matches_sympy_derivatives(source, interval):
+    e = expr.parse(source)
+    f, symbols = _sympy(source)
+    s = symbols["s"]
+    derivs = [f]
+    for _ in range(ORDER):
+        derivs.append(sp.diff(derivs[-1], s))
+    rng = np.random.default_rng(7)
+    points = np.sort(rng.uniform(*interval, size=5))
+    coeffs = expr.taylor(e, {"s": [points, 1.0]}, ORDER)
+    assert coeffs.shape == (ORDER + 1, points.size)
+    for k in range(ORDER + 1):
+        for i, x in enumerate(points):
+            want = float(derivs[k].subs(s, float(x)))
+            _close(coeffs[k, i] * math.factorial(k), want, (source, k, x))
+
+
+def test_taylor_along_a_direction_matches_sympy():
+    # X(p + eps d) in two variables: the form the geodesic lambda uses
+    source = "u*w + sin(u*w) - w^2/u"
+    e = expr.parse(source, variables=("u", "w"))
+    f, symbols = _sympy(source, ("u", "w"))
+    eps = sp.Symbol("eps")
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        p = rng.uniform(0.5, 2.0, size=2)
+        d = rng.uniform(-1.0, 1.0, size=2)
+        path = f.subs({symbols["u"]: p[0] + d[0] * eps,
+                       symbols["w"]: p[1] + d[1] * eps})
+        coeffs = expr.taylor(e, {"u": [p[0], d[0]], "w": [p[1], d[1]]},
+                             ORDER)
+        for k in range(ORDER + 1):
+            want = float(sp.diff(path, eps, k).subs(eps, 0))
+            _close(coeffs[k] * math.factorial(k), want, k)
+
+
+def test_integer_powers_are_exact_products():
+    # finite where the base vanishes, unlike the power recurrence
+    coeffs = expr.taylor(expr.parse("s^3 - 2*s^2"), {"s": [0.0, 1.0]}, ORDER)
+    assert list(coeffs) == [0.0, 0.0, -2.0, 1.0, 0.0, 0.0, 0.0]
+    # square-and-multiply: a huge exponent costs ~50 products, not 1e15
+    coeffs = expr.taylor(expr.parse("s^1e15"), {"s": [1.0, 1.0]}, 1)
+    assert list(coeffs) == [1.0, 1e15]
+
+
+def test_compile_array_is_order_zero_taylor():
+    e = expr.parse("sqrt(s^2 + 4) / (1 + exp(-s))")
+    grid = np.linspace(-1.2, 1.2, 9)
+    assert np.array_equal(expr.compile_array(e)(grid),
+                          expr.taylor(e, {"s": [grid]}, 0)[0])
+
+
+def test_reparametrized_jets_match_sympy_to_order_6():
+    # tilted spiral, speed sqrt(1 + t^2): d/ds = (1/v) d/dt
+    comps = ["cos(s)", "sin(s)", "s^2/2"]
+    curve = AnalyticCurve(comps, (0.2, 1.5))
+    uc = arclength_reparametrize(curve)
+    t = sp.Symbol("s")
+    alpha = [sp.sympify(c.replace("^", "**"), locals={"s": t}) for c in comps]
+    v = sp.sqrt(sum(sp.diff(a, t) ** 2 for a in alpha))
+    svals = np.linspace(uc.domain[0], uc.domain[1], 7)
+    tvals = uc.parameter_of_arclength(svals)
+    jets = uc.jet_grid(svals, ORDER)
+    assert jets.shape == (svals.size, ORDER, 3)
+    rows = alpha
+    for k in range(1, ORDER + 1):
+        rows = [sp.diff(r, t) / v for r in rows]
+        fns = [sp.lambdify(t, r, "math") for r in rows]
+        for i, tt in enumerate(tvals):
+            want = [fn(float(tt)) for fn in fns]
+            for j in range(3):
+                _close(jets[i, k - 1, j], want[j], (k, float(tt), j))
+
+
+@pytest.mark.parametrize("comps, domain, speed", [
+    (["cos(s)", "sin(s)", "s^2/2"], (0.2, 1.5),
+     lambda t: mpmath.sqrt(1 + t ** 2)),
+    (["cos(9*s)", "sin(9*s)", "exp(s)"], (0.0, 2.0),
+     lambda t: mpmath.sqrt(81 + mpmath.exp(2 * t))),
+])
+def test_arc_length_matches_mpmath(comps, domain, speed):
+    with mpmath.workdps(40):
+        exact = float(mpmath.quad(speed, list(domain)))
+    curve = AnalyticCurve(comps, domain)
+    assert abs(curve.length() - exact) <= 2e-15 * exact
+    assert abs(arclength_reparametrize(curve).total_length - exact) \
+        <= 2e-15 * exact
