@@ -183,7 +183,8 @@ def cmd_indicatrix(args) -> int:
     same_axis_error = None
     try:
         same_axis = helix.verify_same_axis(c, grid_size=args.grid,
-                                           margin=args.margin).to_dict()
+                                           margin=args.margin,
+                                           indicatrix=beta).to_dict()
     except (ClassificationError, UnreliableResultError) as exc:
         same_axis_error = str(exc)
     _emit_json({

@@ -3,9 +3,9 @@
 Two representations: analytic (one closed-form expression per coordinate,
 whose jets come from truncated Taylor arithmetic, `expr.taylor`) and sampled
 (ordered points with strictly increasing parameter values, differentiated by
-finite-difference stencils on the sample nodes).  Both expose the same `jet`
-interface feeding the frame computation, which needs derivatives up to
-order n.
+finite-difference stencils on the sample nodes).  The primitive is
+`jet_grid`, derivatives 1..order on an array of parameter values, which feeds
+the frame computation; `jet` and `point` are one-row slices of the grids.
 
 A curve carries a measured `unit_speed` flag: it is established on a
 1000-point verification grid at construction, never taken from input
@@ -15,7 +15,6 @@ speed and is a no-op on curves that already are.
 
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,33 +44,41 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 def finite_difference_weights(x0, nodes, maxorder):
     """Weights for derivatives 0..maxorder at x0 from values on `nodes`.
 
-    Classic recursive construction on arbitrary (distinct) nodes.  Returns an
-    array of shape (maxorder+1, len(nodes)); row k dotted with the function
-    values gives the k-th derivative approximation at x0.
+    Fornberg's recursive construction on arbitrary (distinct) nodes; row k
+    dotted with the function values gives the k-th derivative at x0.  It
+    broadcasts over leading axes: x0 (...) and nodes (..., w) give weights
+    (..., maxorder+1, w), bit for bit those of one point at a time.
     """
     x = np.asarray(nodes, dtype=float)
-    n = x.size
+    x0 = np.asarray(x0, dtype=float)
+    n = x.shape[-1]
     if maxorder >= n:
         raise ValueError("need more nodes than derivative order")
-    w = np.zeros((maxorder + 1, n))
-    w[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0] - x0
+    lead = np.broadcast_shapes(x0.shape, x.shape[:-1])
+    x = np.broadcast_to(x, lead + (n,))
+    w = np.zeros(lead + (maxorder + 1, n))
+    w[..., 0, 0] = 1.0
+    c1 = np.ones(lead)
+    c4 = x[..., 0] - x0
     for i in range(1, n):
         mn = min(i, maxorder)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - x0
+        k = np.arange(1.0, mn + 1.0)
+        c3 = x[..., i, None] - x[..., :i]
+        c2 = np.ones(lead)
         for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    w[k, i] = c1 * (k * w[k - 1, i - 1] - c5 * w[k, i - 1]) / c2
-                w[0, i] = -c1 * c5 * w[0, i - 1] / c2
-            for k in range(mn, 0, -1):
-                w[k, j] = (c4 * w[k, j] - k * w[k - 1, j]) / c3
-            w[0, j] = c4 * w[0, j] / c3
+            c2 = c2 * c3[..., j]
+        c5 = c4
+        c4 = x[..., i] - x0
+        # column i comes from column i-1 before that column is updated
+        prev = w[..., i - 1]
+        w[..., 1:mn + 1, i] = (c1[..., None] * (k * prev[..., :mn]
+                               - c5[..., None] * prev[..., 1:mn + 1])
+                               / c2[..., None])
+        w[..., 0, i] = -c1 * c5 * prev[..., 0] / c2
+        w[..., 1:mn + 1, :i] = ((c4[..., None, None] * w[..., 1:mn + 1, :i]
+                                 - k[:, None] * w[..., :mn, :i])
+                                / c3[..., None, :])
+        w[..., 0, :i] = c4[..., None] * w[..., 0, :i] / c3
         c1 = c2
     return w
 
@@ -91,7 +98,7 @@ class DerivativeJet:
 
 
 class Curve:
-    """Common interface; a subclass overrides `jet_grid`, `jet` or both."""
+    """Common interface; a subclass overrides the grids or `_derivative`."""
 
     dim: int
     domain: tuple
@@ -99,36 +106,43 @@ class Curve:
     unit_speed_error: float
 
     def point(self, s):
-        raise NotImplementedError
+        """The point at s: a one-row slice of `point_grid`."""
+        return self.point_grid([s])[0]
 
     def jet(self, s, order):
         """Derivatives 1..order at s: a one-row slice of `jet_grid`."""
-        self._check_domain(s)
         if order < 1:
             raise CurveError("jet order must be >= 1")
-        return DerivativeJet(s, self.jet_grid(np.array([s], dtype=float),
-                                              order)[0])
+        return DerivativeJet(s, self.jet_grid([s], order)[0])
 
     def jet_grid(self, svals, order):
         """Derivatives 1..order at each of svals; shape (m, order, dim)."""
-        svals = np.asarray(svals, dtype=float)
-        out = np.empty((svals.size, order, self.dim))
-        for i, s in enumerate(svals):
-            out[i] = self.jet(float(s), order).derivatives
-        return out
+        svals = self._grid(svals)
+        if order < 1:
+            raise CurveError("jet order must be >= 1")
+        return np.stack([self._derivative(svals, k)
+                         for k in range(1, order + 1)], axis=1)
 
     def point_grid(self, svals):
-        svals = np.asarray(svals, dtype=float)
-        return np.array([self.point(float(s)) for s in svals])
+        """Points at each of svals; shape (m, dim)."""
+        return self._derivative(self._grid(svals), 0)
+
+    def _derivative(self, svals, k):
+        """k-th derivative (k = 0: the point) at each of svals, (m, dim)."""
+        raise NotImplementedError
 
     def length(self):
         raise NotImplementedError
 
-    def _check_domain(self, s):
+    def _grid(self, svals):
+        """svals as a float array; raises unless every value is in the domain."""
+        svals = np.asarray(svals, dtype=float)
         a, b = self.domain
         tol = 1e-9 * max(1.0, abs(a), abs(b))
-        if s < a - tol or s > b + tol:
-            raise CurveError(f"parameter {s} outside domain [{a}, {b}]")
+        bad = svals[~((svals >= a - tol) & (svals <= b + tol))]  # NaN too
+        if bad.size:
+            raise CurveError(f"parameter {bad[0]} outside domain [{a}, {b}]")
+        return svals
 
     def _measure_unit_speed(self, tol):
         a, b = self.domain
@@ -165,7 +179,7 @@ class AnalyticCurve(Curve):
         self._measure_unit_speed(UNIT_SPEED_TOL_ANALYTIC)
 
     def point(self, s):
-        self._check_domain(s)
+        self._grid(s)
         return np.array([expr.evaluate(e, {self.parameter: s})
                          for e in self.components])
 
@@ -180,11 +194,10 @@ class AnalyticCurve(Curve):
                         axis=-1)
 
     def jet_grid(self, svals, order):
-        svals = np.asarray(svals, dtype=float)
-        return _jets(self._coefficients([svals, 1.0], order))
+        return _jets(self._coefficients([self._grid(svals), 1.0], order))
 
     def point_grid(self, svals):
-        return self._coefficients([np.asarray(svals, dtype=float)], 0)[0]
+        return self._coefficients([self._grid(svals)], 0)[0]
 
     def speed_expression(self):
         total = None
@@ -251,42 +264,27 @@ class SampledCurve(Curve):
         self._h_med = float(np.median(np.diff(params)))
         self._measure_unit_speed(UNIT_SPEED_TOL_SAMPLED)
 
-    def _stencil(self, s, k):
-        """Node indices for the order-k stencil at s."""
-        m = len(self.params)
-        w = _WINDOW[k]
-        if k == 0:
-            stride = 1
-        else:
-            h_target = np.finfo(float).eps ** (1.0 / (k + 4))
-            stride = int(round(h_target / self._h_med))
-            stride = max(1, min(stride, (m - 1) // (w - 1)))
-        center = bisect_left(self.params, s)
-        first = center - (w // 2) * stride
-        span = (w - 1) * stride
-        first = max(0, min(first, m - 1 - span))
-        return np.arange(first, first + span + 1, stride)
-
-    def point(self, s):
-        self._check_domain(s)
-        idx = self._stencil(s, 0)
-        w = finite_difference_weights(s, self.params[idx], 0)
-        return w[0] @ self.points[idx]
-
-    def jet(self, s, order):
-        self._check_domain(s)
-        if order < 1:
-            raise CurveError("jet order must be >= 1")
-        if order > 4:
+    def _derivative(self, svals, k):
+        if k not in _WINDOW:
             raise CurveError(
                 "sampled curves support derivatives up to order 4; "
                 "use an analytic curve for higher order")
-        rows = np.empty((order, self.dim))
-        for k in range(1, order + 1):
-            idx = self._stencil(s, k)
-            w = finite_difference_weights(s, self.params[idx], k)
-            rows[k - 1] = w[k] @ self.points[idx]
-        return DerivativeJet(s, rows)
+        m = len(self.params)
+        w = _WINDOW[k]
+        stride = 1
+        if k:
+            h_target = np.finfo(float).eps ** (1.0 / (k + 4))
+            stride = max(1, min(int(round(h_target / self._h_med)),
+                                (m - 1) // (w - 1)))
+        # every point's stencil at once, shifted inwards at the ends
+        span = (w - 1) * stride
+        first = (np.searchsorted(self.params, svals, side="left")
+                 - (w // 2) * stride)
+        first = np.maximum(np.minimum(first, m - 1 - span), 0)
+        idx = first[..., None] + stride * np.arange(w)
+        weights = finite_difference_weights(svals, self.params[idx], k)
+        # matmul adds up each row as a one-point dot does; einsum does not
+        return np.matmul(weights[..., k, None, :], self.points[idx])[..., 0, :]
 
     def length(self):
         speeds = np.linalg.norm(self.jet_grid(self.params, 1)[:, 0, :], axis=1)
@@ -332,12 +330,11 @@ class ReparametrizedCurve(Curve):
         return np.clip(t, a, b)
 
     def point(self, s):
-        self._check_domain(s)
-        t = float(self.parameter_of_arclength(s))
-        return self.source.point(t)
+        t = self.parameter_of_arclength(self._grid(s))
+        return self.source.point(float(t))
 
     def jet_grid(self, svals, order):
-        t = [self.parameter_of_arclength(np.asarray(svals, dtype=float))]
+        t = [self.parameter_of_arclength(self._grid(svals))]
         for k in range(1, order + 1):
             # the k-th coefficient of t(s) needs only t_0..t_{k-1}
             t.append(expr.taylor(self._inverse_speed, {self.parameter: t},
@@ -345,7 +342,7 @@ class ReparametrizedCurve(Curve):
         return _jets(self.source._coefficients(t, order))
 
     def point_grid(self, svals):
-        t = self.parameter_of_arclength(np.asarray(svals, dtype=float))
+        t = self.parameter_of_arclength(self._grid(svals))
         return self.source.point_grid(t)
 
     def length(self):

@@ -260,12 +260,10 @@ def _dds(values, s):
     m = len(s)
     if m < 5:
         return np.gradient(values, s, edge_order=2 if m >= 3 else 1)
-    out = np.empty_like(values, dtype=float)
-    for i in range(m):
-        j = min(max(i - 2, 0), m - 5)
-        w = curvemod.finite_difference_weights(s[i], s[j:j + 5], 1)
-        out[i] = w[1] @ values[j:j + 5]
-    return out
+    # the five nodes nearest each sample, shifted inwards at the ends
+    idx = np.clip(np.arange(m) - 2, 0, m - 5)[:, None] + np.arange(5)
+    w = curvemod.finite_difference_weights(s, s[idx], 1)[:, 1]
+    return np.matmul(w[:, None, :], values[idx][:, :, None])[:, 0, 0]
 
 
 def slant_invariant_3d(grid: FrenetGrid):
@@ -603,13 +601,15 @@ class AxisComparison:
 
 def verify_same_axis(c: Curve, grid_size: int = 512, domain=None,
                      margin: float = 0.0, tol_axis: float = TOL_AXIS,
-                     tol_const: float = TOL_CONST) -> AxisComparison:
+                     tol_const: float = TOL_CONST,
+                     indicatrix: Optional[Curve] = None) -> AxisComparison:
     """Compare the slant axis of a curve with its indicatrix's general axis.
 
     The curve must classify as a slant helix; its tangent indicatrix is then
     classified as a general helix and the two ambient directions are
     compared.  A failed precondition raises with the offending report
-    attached.
+    attached.  `indicatrix` passes in the tangent indicatrix on the same
+    domain and margin when the caller has built it already.
     """
     report = classify(c, grid_size=grid_size, domain=domain, margin=margin,
                       tol_axis=tol_axis, tol_const=tol_const)
@@ -618,7 +618,9 @@ def verify_same_axis(c: Curve, grid_size: int = 512, domain=None,
             f"curve classifies as {report.classification}, not slant-helix",
             report=report)
 
-    beta = tangent_indicatrix(c, domain=domain, margin=margin)
+    beta = indicatrix
+    if beta is None:
+        beta = tangent_indicatrix(c, domain=domain, margin=margin)
     beta_report = classify(beta, grid_size=grid_size, margin=0.02,
                            tol_axis=tol_axis, tol_const=tol_const)
     if beta_report.general.axis is None:

@@ -3,9 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from helixkit import hypersurf
 from helixkit.curve import AnalyticCurve, SampledCurve, arclength_reparametrize
+
+# Property tests draw the same examples on every run and have no per-example
+# deadline, which a loaded machine would miss.
+settings.register_profile("helixkit", derandomize=True, deadline=None)
+settings.load_profile("helixkit")
 
 # Unit-speed curve in E^3 whose principal normal keeps a constant angle with
 # a fixed direction; curvature -4 sin 3s, torsion 4 cos 3s on (pi/3, 2pi/3).

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from helixkit import helix
 from helixkit.cli import main
 from conftest import CYLINDER_SPEC, SPHERE_SPEC, WAVE, WAVE_TRIMMED
 
@@ -147,6 +148,21 @@ def test_indicatrix_wave_carries_same_axis_report(files, capsys):
     payload = json.loads(out)
     assert payload["same_axis_error"] is None
     assert payload["same_axis"]["angle_between"] <= 1e-3
+
+
+def test_indicatrix_is_built_once(files, capsys, monkeypatch):
+    builds = []
+    build = helix.tangent_indicatrix
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(helix, "tangent_indicatrix", counted)
+    code, out, _ = run(capsys, "indicatrix", files["wave"], "--grid", "64")
+    assert code == 0
+    assert json.loads(out)["same_axis_error"] is None
+    assert len(builds) == 1
 
 
 def test_indicatrix_of_plane_circle_is_unit_circle(files, capsys):

@@ -1,8 +1,10 @@
 import json
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from helixkit.curve import (
     AnalyticCurve, DerivativeJet, ReparametrizedCurve, SampledCurve,
@@ -41,6 +43,16 @@ def test_weights_exact_on_polynomials():
             want = p.deriv(k)(x0) if k else p(x0)
             got = w[k] @ p(nodes)
             assert got == pytest.approx(want, rel=1e-7, abs=1e-7)
+
+    # batched: every point's rows are those of a call for that point alone
+    nodes = np.sort(rng.uniform(-1, 1, size=(4, 3, 7)), axis=-1)
+    x0 = rng.uniform(-1, 1, size=(4, 3))
+    w = finite_difference_weights(x0, nodes, 4)
+    assert w.shape == (4, 3, 5, 7)
+    for i in range(4):
+        for j in range(3):
+            one = finite_difference_weights(float(x0[i, j]), nodes[i, j], 4)
+            assert np.array_equal(w[i, j], one)
 
 
 # ------------------------------------------------------- analytic curves
@@ -263,6 +275,87 @@ def test_load_rejects_bad_file(tmp_path):
         load_curve(str(p))
     with pytest.raises(CurveFormatError):
         load_curve(str(tmp_path / "missing.json"))
+
+
+# ------------------------------------------------------- grid domain checks
+
+def _grid_curves():
+    analytic = AnalyticCurve(["s", "s^2", "s^3"], (0.0, 3.0))
+    return {
+        "analytic": analytic,
+        "sampled": _sampled_helix(201),
+        "reparametrized": arclength_reparametrize(
+            AnalyticCurve(["3*cos(s)", "3*sin(s)", "4*s"], (0.0, 1.0))),
+    }
+
+
+@pytest.mark.parametrize("kind", ["analytic", "sampled", "reparametrized"])
+def test_grids_reject_nonfinite_and_out_of_domain(kind):
+    c = _grid_curves()[kind]
+    a, b = c.domain
+    inside = np.linspace(a, b, 9)
+    for bad in (b + 1e3, a - 1.0, np.nan, np.inf):
+        svals = np.append(inside, bad)
+        with pytest.raises(CurveError):
+            c.jet_grid(svals, 2)
+        with pytest.raises(CurveError):
+            c.point_grid(svals)
+    with pytest.raises(CurveError):
+        c.point(np.nan)
+    with pytest.raises(CurveError):
+        c.jet(np.nan, 1)
+    # the domain tolerance still admits roundoff at the ends
+    tol = 1e-10 * max(1.0, abs(a), abs(b))
+    assert c.jet_grid([a - tol, b + tol], 1).shape == (2, 1, 3)
+    assert c.jet_grid([], 2).shape == (0, 2, 3)
+    assert c.point_grid(np.array([])).shape == (0, 3)
+
+
+# ------------------------------------------- batched stencils, per point
+
+def _reference_derivative(c, s, k):
+    """The per-point stencil: nearest nodes by bisection, 1-D weights."""
+    m = len(c.params)
+    w = 5 if k <= 2 else 7
+    stride = 1
+    if k:
+        stride = int(round(np.finfo(float).eps ** (1.0 / (k + 4)) / c._h_med))
+        stride = max(1, min(stride, (m - 1) // (w - 1)))
+    span = (w - 1) * stride
+    first = bisect_left(c.params, s) - (w // 2) * stride
+    first = max(0, min(first, m - 1 - span))
+    idx = np.arange(first, first + span + 1, stride)
+    return finite_difference_weights(s, c.params[idx], k)[k] @ c.points[idx]
+
+
+@st.composite
+def _sampled_curves(draw):
+    dim = draw(st.sampled_from([3, 4]))
+    m = draw(st.integers(2 * (dim + 2), 400))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    steps = rng.uniform(0.1, 1.0, m) * draw(st.sampled_from([1e-3, 1e-2]))
+    t = draw(st.floats(-5.0, 5.0)) + np.cumsum(steps)
+    pts = (np.cumsum(rng.normal(scale=0.01, size=(m, dim)), axis=0)
+           + np.sin(t)[:, None])
+    svals = np.concatenate([t[::17], rng.uniform(t[0], t[-1], 10),
+                            t[[0, -1]]])
+    return SampledCurve(t, pts), svals
+
+
+@given(_sampled_curves())
+def test_sampled_grids_equal_per_point_stencils(case):
+    c, svals = case
+    jets = c.jet_grid(svals, 4)
+    points = c.point_grid(svals)
+    for i, s in enumerate(svals):
+        s = float(s)
+        assert np.array_equal(points[i], _reference_derivative(c, s, 0))
+        for k in range(1, 5):
+            assert np.array_equal(jets[i, k - 1],
+                                  _reference_derivative(c, s, k))
+    for order in range(1, 4):
+        assert np.array_equal(c.jet_grid(svals, order), jets[:, :order])
 
 
 def test_jet_rejects_nonfinite():
