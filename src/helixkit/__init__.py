@@ -2,10 +2,10 @@
 
 from .curve import (AnalyticCurve, Curve, DerivativeJet, SampledCurve,
                     arclength_reparametrize, jet, load_curve)
-from .errors import (ClassificationError, CurveError, CurveFormatError,
-                     DegenerateCurveError, ExprDomainError, ExprParseError,
-                     HelixkitError, NonRegularCurveError, NotUnitSpeedError,
-                     SurfaceError, UnreliableResultError)
+from .errors import (AxisHintError, ClassificationError, CurveError,
+                     CurveFormatError, DegenerateCurveError, ExprDomainError,
+                     ExprParseError, HelixkitError, NonRegularCurveError,
+                     NotUnitSpeedError, SurfaceError, UnreliableResultError)
 from .frenet import (FrenetApparatus, FrenetGrid, frenet_at, frenet_grid,
                      frenet_ode_residual, generalized_cross)
 from .helix import (AxisComparison, HelixFunctions, HelixReport, axis_field,
@@ -21,11 +21,11 @@ from .hypersurf import (GeodesicCheck, GeodesicSample, Hypersurface,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticCurve", "AxisComparison", "ClassificationError", "Curve",
-    "CurveError", "CurveFormatError", "DegenerateCurveError", "DerivativeJet",
-    "ExprDomainError", "ExprParseError", "FrenetApparatus", "FrenetGrid",
-    "GeodesicCheck", "GeodesicSample", "HelixFunctions", "HelixReport",
-    "HelixkitError", "Hypersurface", "NonRegularCurveError",
+    "AnalyticCurve", "AxisComparison", "AxisHintError", "ClassificationError",
+    "Curve", "CurveError", "CurveFormatError", "DegenerateCurveError",
+    "DerivativeJet", "ExprDomainError", "ExprParseError", "FrenetApparatus",
+    "FrenetGrid", "GeodesicCheck", "GeodesicSample", "HelixFunctions",
+    "HelixReport", "HelixkitError", "Hypersurface", "NonRegularCurveError",
     "NotUnitSpeedError", "SampledCurve", "SurfaceError",
     "SurfaceGeodesicReport", "UnreliableResultError",
     "arclength_reparametrize", "axis_field", "classify", "frenet_at",

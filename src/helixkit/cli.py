@@ -12,6 +12,7 @@ significant digits, lines end with LF.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -19,8 +20,8 @@ import numpy as np
 from . import helix, hypersurf
 from .curve import load_curve, _load_json
 from .errors import (
-    ClassificationError, CurveError, CurveFormatError, DegenerateCurveError,
-    ExprDomainError, SurfaceError, UnreliableResultError,
+    AxisHintError, ClassificationError, CurveError, CurveFormatError,
+    DegenerateCurveError, ExprDomainError, SurfaceError, UnreliableResultError,
 )
 
 _MATH_ERRORS = (ClassificationError, CurveError, DegenerateCurveError,
@@ -126,8 +127,9 @@ def _check_config(parser, args):
     if not 0.0 <= args.margin < 0.5:
         parser.error("--margin must lie in [0, 0.5)")
     for name in ("tol_axis", "tol_const"):
-        if getattr(args, name, 1.0) <= 0.0:
-            parser.error(f"--{name.replace('_', '-')} must be positive")
+        if not 0.0 < getattr(args, name, 1.0) < math.inf:
+            parser.error(f"--{name.replace('_', '-')} must be positive "
+                         "and finite")
 
 
 def cmd_analyze(args) -> int:
@@ -214,16 +216,20 @@ def _scenario_geodesics(h, entries):
         if not isinstance(g, dict):
             raise CurveFormatError(f"geodesic {i} must be an object")
         try:
-            start = g["start"]
-            tangent = g["tangent"]
+            start = np.asarray(g["start"], dtype=float)
+            tangent = np.asarray(g["tangent"], dtype=float)
             length = float(g["length"])
-        except (KeyError, TypeError, ValueError):
+            steps = g.get("steps")
+            if steps is not None:
+                steps = int(steps)
+            # a JSON null converts to nan
+            numeric = np.isfinite(start).all() and np.isfinite(tangent).all()
+        except (KeyError, TypeError, ValueError, OverflowError):
+            numeric = False
+        if not numeric:
             raise CurveFormatError(
-                f'geodesic {i} needs "start", "tangent" and "length"') \
-                from None
-        steps = g.get("steps")
-        if steps is not None:
-            steps = int(steps)
+                f'geodesic {i} needs numeric "start", "tangent" and '
+                f'"length", and an integer "steps" if any')
         out.append(hypersurf.geodesic(h, start, tangent, length, steps=steps))
     return out
 
@@ -274,7 +280,7 @@ def main(argv=None) -> int:
     _check_config(parser, args)
     try:
         return _COMMANDS[args.subcommand](args)
-    except CurveFormatError as exc:
+    except (CurveFormatError, AxisHintError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _MATH_ERRORS as exc:

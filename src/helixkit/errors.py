@@ -52,6 +52,10 @@ class UnreliableResultError(HelixkitError):
         self.masked_fraction = masked_fraction
 
 
+class AxisHintError(HelixkitError):
+    """Axis hint that is not a finite non-zero vector of the curve's size."""
+
+
 class ClassificationError(HelixkitError):
     """A verification step needed a classification the curve does not have.
 

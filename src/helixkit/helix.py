@@ -33,8 +33,8 @@ import numpy as np
 from . import curve as curvemod
 from .curve import AnalyticCurve, Curve, ReparametrizedCurve, SampledCurve
 from .errors import (
-    ClassificationError, DegenerateCurveError, NonRegularCurveError,
-    UnreliableResultError,
+    AxisHintError, ClassificationError, DegenerateCurveError,
+    NonRegularCurveError, UnreliableResultError,
 )
 from .frenet import EPS_CURV, FrenetGrid, frenet_grid
 from . import expr
@@ -87,138 +87,88 @@ def recursion_mask(grid: FrenetGrid, eps: float = EPS_MASK):
     return mask
 
 
-def _check_reliability(mask, what):
+def _reliable_mask(grid, what):
+    """recursion_mask, raising when it leaves out more than half the grid."""
+    mask = recursion_mask(grid)
     frac = 1.0 - float(np.mean(mask))
     if frac > 0.5:
         raise UnreliableResultError(
             f"{what}: {frac:.0%} of samples masked by near-zero curvatures",
             masked_fraction=frac)
+    return mask
 
 
-def _slant_components(grid: FrenetGrid):
-    """Affine decomposition G_i(c) = P_i + c Q_i, plus the mask.
+def _recursion(grid: FrenetGrid, g1, g2):
+    """G_1..G_n of G_{i+1} = (k_{i-1} G_{i-1} + G'_i) / k_i from (G_1, G_2).
 
-    G_1 = I + c with I the zero-mean cumulative trapezoid of k_1 (anchoring
-    the integral at zero mean makes the variance-minimizing constant land at
-    the natural one); every later G_i is affine in c as well, so the search
-    for c only recombines these two precomputed parts.
+    g1 and g2 have shape (m,), or (p, m) to run p recursions at once; the
+    result appends an axis of length n.  Where k_i vanishes the division
+    gives 0; recursion_mask excludes those samples.
     """
     s = grid.svals
     k = grid.curvatures
-    m, n = len(s), grid.dim
-    mask = recursion_mask(grid)
-    _check_reliability(mask, "slant recursion")
-
-    I = np.concatenate([[0.0], np.cumsum(
-        0.5 * (k[1:, 0] + k[:-1, 0]) * np.diff(s))])
-    I -= np.mean(I[mask])
-
-    P = np.zeros((m, n))
-    Q = np.zeros((m, n))
-    P[:, 0] = I
-    Q[:, 0] = 1.0
-    P[:, 1] = 1.0          # G_2 = 1 exactly; carries no c
-    if n >= 3:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(np.abs(k[:, 1]) > 0, k[:, 0] / k[:, 1], 0.0)
-        ratio[~np.isfinite(ratio)] = 0.0
-        P[:, 2] = ratio * P[:, 0]
-        Q[:, 2] = ratio * Q[:, 0]
-    for i in range(3, n):
-        # G_{i+1} = (k_{i-1} G_{i-1} + G'_i) / k_i   (1-based i+1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.where(np.abs(k[:, i - 1]) > 0, 1.0 / k[:, i - 1], 0.0)
-        inv[~np.isfinite(inv)] = 0.0
-        P[:, i] = inv * (k[:, i - 2] * P[:, i - 2] + np.gradient(P[:, i - 1], s, edge_order=2))
-        Q[:, i] = inv * (k[:, i - 2] * Q[:, i - 2] + np.gradient(Q[:, i - 1], s, edge_order=2))
-    return P, Q, mask
-
-
-def _golden_min(f, a, b, tol=1e-10):
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / k
+    inv[~np.isfinite(inv)] = 0.0
+    G = [g1, g2]
+    for i in range(1, grid.dim - 1):
+        G.append(inv[:, i] * (k[:, i - 1] * G[i - 1]
+                              + np.gradient(G[i], s, axis=-1, edge_order=2)))
+    return np.stack(G, axis=-1)
 
 
 def slant_functions(grid: FrenetGrid) -> HelixFunctions:
     """Slant-helix recursion functions with the fitted integration constant.
 
-    The constant c in G_1 is chosen to minimize the variance of sum G_i^2
-    over the unmasked samples: a coarse scan over the bracket (the variance
-    need not be unimodal globally) followed by a golden-section refinement
-    to 1e-10.
+    G_1 = I + c with I the zero-mean cumulative trapezoid of k_1, so every
+    G_i = P_i + c Q_i, P running the recursion from (I, 1) and Q from
+    (1, 0).  Per sample sum G_i^2 = a + 2bc + qc^2 with a = sum P_i^2,
+    b = sum P_i Q_i, q = sum Q_i^2, and its variance over the unmasked
+    samples is the quartic u S u^T in u = (1, c, c^2), S the covariance of
+    (a, 2b, q).  c is the root of the cubic derivative with the least
+    variance (the real part of each root is tried, so a double root split
+    by rounding still counts); c = 0 when the derivative vanishes
+    identically.
     """
-    P, Q, mask = _slant_components(grid)
+    mask = _reliable_mask(grid, "slant recursion")
+    s = grid.svals
+    k1 = grid.curvatures[:, 0]
+    I = np.concatenate([[0.0],
+                        np.cumsum(0.5 * (k1[1:] + k1[:-1]) * np.diff(s))])
+    I -= np.mean(I[mask])
+    ones = np.ones_like(I)
+    P, Q = _recursion(grid, np.stack([I, ones]), np.stack([ones, 0.0 * ones]))
     Pm, Qm = P[mask], Q[mask]
-
-    def variance(c):
-        tot = np.sum((Pm + c * Qm) ** 2, axis=1)
-        return float(np.var(tot))
-
-    span = 10.0 * float(np.max(np.abs(P[mask, 0]))) if np.any(mask) else 1.0
-    span = max(span, 1e-6)
-    scan = np.linspace(-span, span, 201)
-    best = int(np.argmin([variance(c) for c in scan]))
-    lo = scan[max(best - 1, 0)]
-    hi = scan[min(best + 1, len(scan) - 1)]
-    c_star = _golden_min(variance, float(lo), float(hi))
-
-    values = P + c_star * Q
-    values[:, 1] = 1.0
-    return HelixFunctions("slant", grid.svals, values, mask,
-                          integration_constant=float(c_star))
+    x = np.stack([np.sum(Pm * Pm, axis=1), 2.0 * np.sum(Pm * Qm, axis=1),
+                  np.sum(Qm * Qm, axis=1)])
+    S = np.cov(x, bias=True)
+    roots = np.roots([4.0 * S[2, 2], 6.0 * S[1, 2],
+                      2.0 * S[1, 1] + 4.0 * S[0, 2], 2.0 * S[0, 1]]).real
+    c_star = 0.0
+    if roots.size:
+        u = roots[:, None]
+        c_star = float(roots[np.argmin(np.var(x[0] + u * x[1] + u * u * x[2],
+                                              axis=1))])
+    return HelixFunctions("slant", s, P + c_star * Q, mask,
+                          integration_constant=c_star)
 
 
 def general_functions(grid: FrenetGrid) -> HelixFunctions:
-    """General-helix recursion functions (no integration constant)."""
-    s = grid.svals
-    k = grid.curvatures
-    m, n = len(s), grid.dim
-    mask = recursion_mask(grid)
-    _check_reliability(mask, "general recursion")
-
-    G = np.zeros((m, n))
-    G[:, 0] = 1.0
-    for i in range(2, n):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.where(np.abs(k[:, i - 1]) > 0, 1.0 / k[:, i - 1], 0.0)
-        inv[~np.isfinite(inv)] = 0.0
-        G[:, i] = inv * (k[:, i - 2] * G[:, i - 2] + np.gradient(G[:, i - 1], s, edge_order=2))
-    return HelixFunctions("general", s, G, mask)
+    """General-helix recursion functions: the recursion from (1, 0)."""
+    mask = _reliable_mask(grid, "general recursion")
+    ones = np.ones(len(grid.svals))
+    return HelixFunctions("general", grid.svals,
+                          _recursion(grid, ones, 0.0 * ones), mask)
 
 
 def harmonic_curvatures(grid: FrenetGrid) -> HelixFunctions:
-    """Harmonic curvature functions H_0..H_{n-2}."""
-    s = grid.svals
-    k = grid.curvatures
-    m, n = len(s), grid.dim
-    if n < 3:
+    """Harmonic curvature functions H_0..H_{n-2}, which are G*_2..G*_n."""
+    if grid.dim < 3:
         raise DegenerateCurveError("harmonic curvatures need dimension >= 3")
-    mask = recursion_mask(grid)
-    _check_reliability(mask, "harmonic recursion")
-
-    H = np.zeros((m, n - 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        H1 = np.where(np.abs(k[:, 1]) > 0, k[:, 0] / k[:, 1], 0.0)
-    H1[~np.isfinite(H1)] = 0.0
-    H[:, 1] = H1
-    for i in range(2, n - 1):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.where(np.abs(k[:, i]) > 0, 1.0 / k[:, i], 0.0)
-        inv[~np.isfinite(inv)] = 0.0
-        H[:, i] = inv * (np.gradient(H[:, i - 1], s, edge_order=2) + H[:, i - 2] * k[:, i - 1])
-    return HelixFunctions("harmonic", s, H, mask)
+    mask = _reliable_mask(grid, "harmonic recursion")
+    ones = np.ones(len(grid.svals))
+    return HelixFunctions("harmonic", grid.svals,
+                          _recursion(grid, ones, 0.0 * ones)[:, 1:], mask)
 
 
 def axis_field(funcs: HelixFunctions, grid: FrenetGrid):
@@ -494,9 +444,18 @@ def classify(c: Curve, axis_hint=None, grid_size: int = 512, domain=None,
     The curve is reparametrized by arc length first if needed.  When an
     axis_hint direction is given, the report additionally carries the
     constancy statistics of the frame angles against that direction, which
-    is the only way to see the cos(theta) = 0 degenerate helices.
-    Heavy masking or degeneracy is reported in the result, not raised.
+    is the only way to see the cos(theta) = 0 degenerate helices; a hint
+    that is not a finite non-zero vector of the curve's dimension raises
+    AxisHintError.  Heavy masking or degeneracy is reported in the result,
+    not raised.
     """
+    if axis_hint is not None:
+        d = np.asarray(axis_hint, dtype=float)
+        if d.shape != (c.dim,) or not np.all(np.isfinite(d)) or not np.any(d):
+            raise AxisHintError(f"axis hint must be a finite non-zero "
+                                f"vector of length {c.dim}")
+        d = d / np.abs(d).max()         # keeps the norm from over/underflowing
+        d = d / np.linalg.norm(d)
     uc = curvemod.arclength_reparametrize(c)
     grid = frenet_grid(uc, grid_size, domain=domain, margin=margin)
 
@@ -519,8 +478,6 @@ def classify(c: Curve, axis_hint=None, grid_size: int = 512, domain=None,
 
     hint = None
     if axis_hint is not None:
-        d = np.asarray(axis_hint, dtype=float)
-        d = d / np.linalg.norm(d)
         ranks = grid.degenerate_ranks
         v1 = grid.frames[:, 0, :] @ d       # V_1 defined at every sample
         ok2 = (ranks == 0) | (ranks >= 2)   # V_2 needs rank at least 2

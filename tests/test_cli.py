@@ -116,6 +116,24 @@ def test_grid_minimum_is_enforced(files, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("hint", ["0,1", "0,0,1,0", "0,0,0", "nan,0,1",
+                                  "0,inf,0"])
+def test_analyze_rejects_unusable_axis_hint(files, capsys, hint):
+    code, out, err = run(capsys, "analyze", files["wave"], "--axis-hint", hint)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: axis hint") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--tol-axis", "--tol-const"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-3"])
+def test_tolerances_must_be_positive_and_finite(files, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", files["wave"], f"{flag}={value}"])
+    assert exc.value.code == 1
+    assert "positive and finite" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------- indicatrix
 
 def test_indicatrix_rows_lie_on_unit_sphere(files, capsys):
@@ -239,6 +257,25 @@ def test_geodesic_scenario_validation(files, capsys, tmp_path):
     }))
     code, _, err = run(capsys, "geodesic", str(bad3))
     assert code == 2 and "unit" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("steps", "abc"), ("steps", [400]), ("start", ["a", 0]),
+    ("start", [[0, 1], [2]]), ("start", [None, 0]), ("tangent", {"x": 1}),
+    ("tangent", ["0", "y", 1]), ("tangent", None)])
+def test_geodesic_scenario_rejects_non_numeric_entries(capsys, tmp_path,
+                                                       field, value):
+    good = {"start": [0.0, 0.0], "tangent": [0.0, 0.6, 0.8],
+            "length": 0.5, "steps": 100}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "surface": CYLINDER_SPEC,
+        "geodesics": [good, dict(good, **{field: value})],
+    }))
+    code, out, err = run(capsys, "geodesic", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: geodesic 1 ") and err.count("\n") == 1
 
 
 # ------------------------------------------------------------- plotdata

@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (WAVE_TRIMMED, equivalence_corpus,
                       unit_speed_circular_helix)
 from helixkit.curve import AnalyticCurve
 from helixkit.errors import (ClassificationError, DegenerateCurveError,
                              UnreliableResultError)
-from helixkit.frenet import frenet_grid
+from helixkit.frenet import FrenetGrid, frenet_grid
 from helixkit.helix import (axis_field, classify, general_functions,
                             harmonic_curvatures, helix_axis_field_3d,
                             indicatrix_curvatures_3d, slant_functions,
@@ -132,14 +133,67 @@ def test_harmonic_circular_helix(helix34_grid):
     assert np.abs(hf.values[:, 1] - 0.75).max() <= 1e-8
 
 
+def paper_harmonic_curvatures(grid):
+    """H_0 = 0, H_1 = k_1/k_2, H_i = (H'_{i-1} + H_{i-2} k_i)/k_{i+1}."""
+    s, k = grid.svals, grid.curvatures
+    H = [np.zeros(len(s)), k[:, 0] / k[:, 1]]
+    for i in range(2, grid.dim - 1):
+        H.append((np.gradient(H[i - 1], s, edge_order=2)
+                  + H[i - 2] * k[:, i - 1]) / k[:, i])
+    return np.stack(H, axis=1)
+
+
 def test_general_functions_extend_harmonic_ones(helix34_grid, slant4_grid):
     # the starred functions reproduce the harmonic ones shifted by two:
     # G*_{i+2} = H_i, starting from G*_2 = H_0 = 0
     for grid in (helix34_grid, slant4_grid):
+        want = paper_harmonic_curvatures(grid)
         gf = general_functions(grid)
         hf = harmonic_curvatures(grid)
-        m = gf.mask & hf.mask
-        assert np.abs(gf.values[m, 1:] - hf.values[m]).max() <= 1e-12
+        assert np.abs(gf.values[gf.mask, 1:] - want[gf.mask]).max() <= 1e-12
+        assert np.abs(hf.values[hf.mask] - want[hf.mask]).max() <= 1e-12
+
+
+@st.composite
+def curvature_grids(draw):
+    """FrenetGrids of smooth curvature profiles; k_1 may be tiny or cross 0.
+
+    Frames are the identity: the slant fit reads only the curvatures.
+    """
+    n = draw(st.integers(3, 5))
+    m = draw(st.integers(32, 160))
+    s = np.linspace(0.0, draw(st.floats(0.5, 6.0)), m)
+
+    def wave(lo, hi):
+        mean = draw(st.floats(lo, hi))
+        amp = draw(st.floats(0.0, 1.0))
+        return mean + amp * np.sin(draw(st.floats(0.2, 3.0)) * s
+                                   + draw(st.floats(0.0, 6.3)))
+
+    scale = draw(st.sampled_from([1e-6, 1e-3, 0.1, 1.0, 5.0]))
+    k = [scale * wave(-1.0, 1.0)]
+    k += [draw(st.sampled_from([-1.0, 1.0])) * wave(1.2, 4.0)
+          for _ in range(n - 2)]
+    frames = np.broadcast_to(np.eye(n), (m, n, n))
+    return FrenetGrid(s, frames, np.stack(k, axis=1), np.zeros(m, dtype=int))
+
+
+@settings(max_examples=60)
+@given(curvature_grids())
+def test_slant_constant_minimizes_variance(grid):
+    # G(c) = G(c*) + (c - c*) G*, so the variance of sum G_i^2 is scanned
+    # directly over a window far wider than the fitted constant
+    sf = slant_functions(grid)
+    G = sf.values[sf.mask]
+    Q = general_functions(grid).values[sf.mask]
+    c_star = sf.integration_constant
+    width = 100.0 * (1.0 + abs(c_star) + np.abs(G[:, 0]).max())
+    d = np.linspace(-width, width, 4001)[:, None]
+    totals = (np.sum(G * G, axis=1) + 2.0 * d * np.sum(G * Q, axis=1)
+              + d * d * np.sum(Q * Q, axis=1))
+    best = np.var(totals, axis=1).min()
+    at_star = np.var(np.sum(G * G, axis=1))
+    assert at_star <= best + 1e-12 * np.mean(np.sum(G * G, axis=1)) ** 2
 
 
 def test_planar_curve_recursions_raise(planar_circle):
@@ -282,6 +336,13 @@ def test_axis_hint_statistics(helix34):
     assert hint.v2_std <= 1e-8
 
 
+def test_axis_hint_of_extreme_magnitude_is_normalized(helix34):
+    for scale in (1e200, 1e-300):
+        hint = classify(helix34, axis_hint=(0.0, 0.0, scale)).hint
+        assert np.array_equal(hint.direction, EZ)
+        assert abs(hint.v1_mean - 0.8) <= 1e-8
+
+
 # --- indicatrix axis agreement ---
 
 def test_verify_same_axis_wave(wave_curve):
@@ -324,6 +385,16 @@ def test_dim4_recursion_columns(slant4, slant4_grid):
     assert err[1] == 0.0
     assert err[2] <= 1e-5
     assert err[3] <= 1e-4
+
+
+def test_classify_dim4_slant_on_short_window(slant4):
+    # on a tenth of the domain the integral I of k_1 spans little, and the
+    # fitted constant is about 27 max|I|
+    curve, info = slant4
+    a, b = curve.domain
+    rep = classify(curve, domain=(a + 0.3 * (b - a), a + 0.4 * (b - a)))
+    assert rep.classification == "slant-helix"
+    assert abs(rep.C - info["C"]) / info["C"] <= 1e-3
 
 
 def test_verify_same_axis_dim4(slant4):
