@@ -13,6 +13,7 @@ significant digits, lines end with LF.
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -258,10 +259,9 @@ def cmd_plotdata(args) -> int:
         beta = helix.tangent_indicatrix(c, margin=args.margin)
         bvals = np.linspace(beta.domain[0], beta.domain[1], args.grid)
         bpts = beta.point_grid(bvals)
-        stem, dot, suffix = args.output.rpartition(".")
-        out = f"{stem}_indicatrix.{suffix}" if dot else \
-            f"{args.output}_indicatrix"
-        _write(_csv_text(columns, np.column_stack([bvals, bpts])), out)
+        stem, suffix = os.path.splitext(args.output)
+        _write(_csv_text(columns, np.column_stack([bvals, bpts])),
+               f"{stem}_indicatrix{suffix}")
     return 0
 
 

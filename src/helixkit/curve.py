@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import expr
 from .errors import CurveError, CurveFormatError, NonRegularCurveError
@@ -294,9 +293,11 @@ class SampledCurve(Curve):
 class ReparametrizedCurve(Curve):
     """Arc-length reparametrization of an analytic curve.
 
-    Keeps the source curve and evaluates it along the Taylor series of the
-    inverse arc-length function t(s), built order by order from
-    t' = 1/v(t), so jets of any order are exact to roundoff.
+    Keeps the source curve and a Gauss-Legendre table of node arc lengths
+    S_i at parameters t_i.  The inverse t(s) is the cubic Hermite
+    interpolant of that table with the exact slopes t'(S_i) = 1/v(t_i);
+    jets evaluate the source along the Taylor series of t(s), built order
+    by order from t' = 1/v(t), so jets of any order are exact to roundoff.
     """
 
     def __init__(self, source: AnalyticCurve):
@@ -313,19 +314,27 @@ class ReparametrizedCurve(Curve):
             i = int(np.argmin(v))
             raise NonRegularCurveError(
                 f"speed {v[i]:.3e} at t={t[i]:.6g} below {EPS_REGULAR}")
-        svals = np.concatenate(
+        self._s_nodes = np.concatenate(
             [[0.0], np.cumsum(_panel_integrals(source.speed, t))])
-        self._forward = PchipInterpolator(t, svals)
-        self._inverse = PchipInterpolator(svals, t)
-        self.total_length = float(svals[-1])
+        self._t_nodes = t
+        self._slopes = 1.0 / v
+        self.total_length = float(self._s_nodes[-1])
         self.domain = (0.0, self.total_length)
         self._measure_unit_speed(UNIT_SPEED_TOL_ANALYTIC)
 
     def parameter_of_arclength(self, s):
-        """Source parameter t at arc length s (interpolated + one Newton step)."""
+        """Source parameter t at arc length s, clipped to the source domain.
+
+        On the table panel [S_i, S_{i+1}] holding s, the cubic Hermite
+        interpolant of t_i, t_{i+1} with slopes 1/v_i, 1/v_{i+1}.
+        """
         s = np.asarray(s, dtype=float)
-        t = self._inverse(s)
-        t = t - (self._forward(t) - s) / self.source.speed(t)
+        S, tn, slope = self._s_nodes, self._t_nodes, self._slopes
+        i = np.clip(np.searchsorted(S, s) - 1, 0, len(S) - 2)
+        h = S[i + 1] - S[i]
+        u = (s - S[i]) / h
+        t = ((1 - u) ** 2 * ((1 + 2 * u) * tn[i] + u * h * slope[i])
+             + u ** 2 * ((3 - 2 * u) * tn[i + 1] + (u - 1) * h * slope[i + 1]))
         a, b = self.source.domain
         return np.clip(t, a, b)
 
@@ -357,7 +366,7 @@ def jet(c: Curve, s: float, order: int) -> DerivativeJet:
 def arclength_reparametrize(c: Curve) -> Curve:
     """Return a unit-speed version of the curve (the curve itself if already).
 
-    Analytic curves get an exact quadrature table with interpolated inverse;
+    Analytic curves get an exact quadrature table with a Hermite inverse;
     sampled curves get their parameter values replaced by cumulative arc
     length.  Raises NonRegularCurveError where the speed drops below 1e-10.
     """
@@ -396,10 +405,12 @@ def load_curve(source) -> Curve:
     if "components" in data:
         comps = data["components"]
         domain = data.get("domain")
-        if not isinstance(comps, list) or len(comps) != dim:
+        if (not isinstance(comps, list) or len(comps) != dim
+                or not all(isinstance(c, str) for c in comps)):
             raise CurveFormatError(f'"components" must list {dim} expressions')
         if (not isinstance(domain, list)) or len(domain) != 2:
             raise CurveFormatError('"domain" must be [a, b]')
+        domain = _numbers(domain, '"domain"')
         parameter = data.get("parameter", "s")
         if not isinstance(parameter, str):
             raise CurveFormatError('"parameter" must be a string')
@@ -426,6 +437,14 @@ def load_curve(source) -> Curve:
 
     raise CurveFormatError(
         'curve spec needs either "components"/"domain" or "samples"')
+
+
+def _numbers(values, name):
+    """values as a list of floats; CurveFormatError naming them otherwise."""
+    try:
+        return [float(x) for x in values]
+    except (TypeError, ValueError):
+        raise CurveFormatError(f"{name} must hold numbers") from None
 
 
 def _load_json(source):

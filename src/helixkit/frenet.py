@@ -1,14 +1,15 @@
 """Frenet frames and generalized curvatures for unit-speed curves in E^n.
 
-The frame V_1..V_{n-1} comes from Gram-Schmidt on the derivative jet
-(d1..d^{n-1}); V_n completes the basis with positive orientation.  The first
-n-2 curvatures are ratios of consecutive Gram-Schmidt norms and are positive
-by construction; the last curvature takes its sign from the oriented V_n, so
-in E^3 it is the usual signed torsion.
+The frame V_1..V_{n-1} comes from a QR factorization of the derivative jet
+(d1..d^{n-1}), which is Gram-Schmidt on it; V_n completes the basis with
+positive orientation.  The first n-2 curvatures are ratios of consecutive
+Gram-Schmidt norms |diag R| and are positive by construction; the last
+curvature takes its sign from the oriented V_n, so in E^3 it is the usual
+signed torsion.
 
 A sample where some curvature magnitude drops below eps_curv gets a
 degenerate_rank marker: the frame vectors past that rank are not determined
-by the curve, so they are filled with an arbitrary orthonormal completion
+by the curve; the QR factor already fills them with an orthonormal completion
 (keeping the orthonormality and det=+1 invariants) and the remaining
 curvatures are reported as zero.
 """
@@ -77,7 +78,7 @@ class FrenetGrid:
     Iterating yields FrenetApparatus records.  `valid` marks samples with no
     degeneracy; `fd_curvatures` is the independent estimate obtained by
     differencing the frame across the grid (a cross-check on the primary
-    Gram-Schmidt extraction, not an input to classification).
+    QR extraction, not an input to classification).
     """
 
     def __init__(self, svals, frames, curvatures, ranks):
@@ -117,55 +118,32 @@ class FrenetGrid:
         return out
 
 
-def _orthonormal_completion(rows, n):
-    """Extend orthonormal rows (list of 1-D arrays) to a full basis of E^n."""
-    basis = [np.asarray(r, dtype=float) for r in rows]
-    for threshold in (0.25, 1e-10):
-        for col in range(n):
-            if len(basis) == n:
-                return np.array(basis)
-            cand = np.zeros(n)
-            cand[col] = 1.0
-            for b in basis:
-                cand = cand - (cand @ b) * b
-            nrm = np.linalg.norm(cand)
-            if nrm > threshold:
-                basis.append(cand / nrm)
-    return np.array(basis)
-
-
 def _frames_from_jets(svals, jets):
     """Batched frame and curvature extraction.
 
     jets: (m, n, n) with jets[i, k-1] the k-th derivative at svals[i].
+    V_1..V_{n-1} are the columns of one batched QR of (d1..d^{n-1}), signed
+    so that diag(R) >= 0: Gram-Schmidt on the jet, whose norms are |diag R|.
+    Past a degenerate rank the columns are an orthonormal completion.
     Returns (frames (m,n,n), curvatures (m,n-1), ranks (m,) with 0 = valid).
     """
     m, order, n = jets.shape
     if order != n:
         raise ValueError("need a full order-n jet per sample")
-    frames = np.zeros((m, n, n))
-    norms = np.zeros((m, n - 1))
-
-    for i in range(n - 1):
-        E = jets[:, i, :].copy()
-        for j in range(i):
-            E -= np.sum(E * frames[:, j, :], axis=1, keepdims=True) \
-                * frames[:, j, :]
-        e = np.linalg.norm(E, axis=1)
-        norms[:, i] = e
-        safe = np.maximum(e, 1e-300)
-        frames[:, i, :] = E / safe[:, None]
-
-    last = generalized_cross(frames[:, : n - 1, :])
-    frames[:, n - 1, :] = last
+    q, r = np.linalg.qr(np.swapaxes(jets[:, : n - 1, :], 1, 2))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    norms = np.abs(diag)
+    frames = np.empty((m, n, n))
+    frames[:, : n - 1, :] = np.swapaxes(q, 1, 2) * np.where(
+        diag < 0, -1.0, 1.0)[:, :, None]
+    frames[:, n - 1, :] = generalized_cross(frames[:, : n - 1, :])
     # enforce det = +1
     dets = np.linalg.det(frames)
     frames[dets < 0, n - 1, :] *= -1.0
 
     curv = np.zeros((m, n - 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(n - 2):
-            curv[:, i] = norms[:, i + 1] / norms[:, i]
+        curv[:, : n - 2] = norms[:, 1:] / norms[:, :-1]
     curv[:, n - 2] = np.sum(jets[:, n - 1, :] * frames[:, n - 1, :], axis=1) \
         / np.maximum(norms[:, n - 2], 1e-300)
     curv[~np.isfinite(curv)] = 0.0
@@ -177,15 +155,8 @@ def _frames_from_jets(svals, jets):
     hit = (ranks == 0) & (np.abs(curv[:, n - 2]) < EPS_CURV)
     ranks[hit] = n - 1
 
-    # past the degenerate rank the frame is not determined by the curve;
-    # substitute an orthonormal completion and zero curvatures
-    for idx in np.nonzero((ranks > 0) & (ranks < n - 1))[0]:
-        r = ranks[idx]
-        frames[idx] = _orthonormal_completion(list(frames[idx, :r, :]), n)
-        if np.linalg.det(frames[idx]) < 0:
-            frames[idx, n - 1, :] *= -1.0
-        curv[idx, r:] = 0.0
-
+    # past the degenerate rank the curvatures are not determined by the curve
+    curv[(ranks[:, None] > 0) & (np.arange(n - 1) >= ranks[:, None])] = 0.0
     return frames, curv, ranks
 
 

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import expr
-from .curve import SampledCurve, _load_json
+from .curve import SampledCurve, _load_json, _numbers
 from .errors import CurveFormatError, HelixkitError, SurfaceError
 from .frenet import generalized_cross
 from .helix import classify, tangent_indicatrix
@@ -160,9 +160,11 @@ def load_surface(source) -> Hypersurface:
     if (not isinstance(box, list) or len(box) != dim - 1
             or not all(isinstance(pair, list) and len(pair) == 2 for pair in box)):
         raise CurveFormatError(f'"domain" must list {dim - 1} intervals')
+    box = [_numbers(pair, '"domain" intervals') for pair in box]
     direction = data.get("direction")
     if not isinstance(direction, list) or len(direction) != dim:
         raise CurveFormatError(f'"direction" must be a vector of length {dim}')
+    direction = _numbers(direction, '"direction"')
 
     try:
         return Hypersurface(comps, params, box, direction)

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import helixkit
 from helixkit import helix
 from helixkit.cli import main
 from conftest import CYLINDER_SPEC, SPHERE_SPEC, WAVE, WAVE_TRIMMED
@@ -304,6 +309,18 @@ def test_plotdata_both_writes_matching_files(files, capsys, tmp_path):
     assert a[0] == b[0] == "s,x1,x2,x3"
 
 
+def test_plotdata_both_names_the_second_file_from_the_file_name(
+        files, capsys, tmp_path):
+    # a dot in a directory name is not the file's suffix
+    out_path = tmp_path / "x.d" / "plot"
+    out_path.parent.mkdir()
+    code, _, _ = run(capsys, "plotdata", files["wave"], "--grid", "16",
+                     "--both", "--output", str(out_path))
+    assert code == 0
+    assert out_path.exists()
+    assert (tmp_path / "x.d" / "plot_indicatrix").exists()
+
+
 def test_plotdata_both_requires_output(files, capsys):
     code, _, err = run(capsys, "plotdata", files["wave"], "--both")
     assert code == 1
@@ -316,3 +333,14 @@ def test_reports_are_byte_identical_across_runs(files, capsys, tmp_path):
     assert run(capsys, "analyze", files["wave"], "--output", str(p2))[0] == 0
     assert p1.read_bytes() == p2.read_bytes()
     assert b"\r" not in p1.read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(helixkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, helixkit.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

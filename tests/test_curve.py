@@ -257,6 +257,9 @@ def test_load_sampled():
     {"dim": 2, "components": ["s", "s"], "domain": [1, 1]},
     {"dim": 2, "components": ["s", "s"]},
     {"dim": 2, "components": ["s", "nope(s)"], "domain": [0, 1]},
+    {"dim": 2, "components": ["s", "s"], "domain": ["a", 1]},
+    {"dim": 2, "components": ["s", "s"], "domain": [None, 1]},
+    {"dim": 2, "components": [1, "s^2"], "domain": [0, 1]},
     {"dim": 2, "samples": [[0, 1], [1, 2]]},
     {"dim": 2, "samples": "text"},
     {"dim": 2, "samples": [[t, t, 2 * t] for t in range(8)]

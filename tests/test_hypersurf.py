@@ -258,6 +258,8 @@ def test_load_surface_rejects_bad_specs():
         ({**CYLINDER_SPEC, "components": ["cos(u", "sin(u)", "w"]},
          "expression"),
         ({**CYLINDER_SPEC, "components": ["u", "2*u", "3*u"]}, "rank"),
+        ({**CYLINDER_SPEC, "direction": ["a", 0.0, 1.0]}, "direction"),
+        ({**CYLINDER_SPEC, "domain": [["a", 3.0], [-1.0, 1.0]]}, "domain"),
     ]
     for spec, needle in cases:
         with pytest.raises(CurveFormatError) as exc:

@@ -134,5 +134,15 @@ def test_arc_length_matches_mpmath(comps, domain, speed):
         exact = float(mpmath.quad(speed, list(domain)))
     curve = AnalyticCurve(comps, domain)
     assert abs(curve.length() - exact) <= 2e-15 * exact
-    assert abs(arclength_reparametrize(curve).total_length - exact) \
-        <= 2e-15 * exact
+    uc = arclength_reparametrize(curve)
+    assert abs(uc.total_length - exact) <= 2e-15 * exact
+    # the inverse t(s) at interior arc lengths against mpmath's root of s(t)
+    a, b = domain
+    for j in range(1, 10):
+        target = exact * j / 10
+        with mpmath.workdps(40):
+            want = mpmath.findroot(
+                lambda t: mpmath.quad(speed, [a, t]) - target,
+                a + (b - a) * j / 10)
+        got = uc.parameter_of_arclength(target)
+        assert abs(got - float(want)) <= 2e-14, (j, got, float(want))
