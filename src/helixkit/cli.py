@@ -222,6 +222,9 @@ def _scenario_geodesics(h, entries):
             length = float(g["length"])
             steps = g.get("steps")
             if steps is not None:
+                # int() alone would truncate 1.7 and take true for 1
+                if isinstance(steps, bool) or int(steps) != steps or steps < 1:
+                    raise ValueError(steps)
                 steps = int(steps)
             # a JSON null converts to nan
             numeric = np.isfinite(start).all() and np.isfinite(tangent).all()
@@ -230,7 +233,7 @@ def _scenario_geodesics(h, entries):
         if not numeric:
             raise CurveFormatError(
                 f'geodesic {i} needs numeric "start", "tangent" and '
-                f'"length", and an integer "steps" if any')
+                f'"length", and a positive integer "steps" if any')
         out.append(hypersurf.geodesic(h, start, tangent, length, steps=steps))
     return out
 

@@ -68,4 +68,4 @@ class ClassificationError(HelixkitError):
 
 
 class SurfaceError(HelixkitError):
-    """Invalid surface data, rank-deficient tangent map, or failed projection."""
+    """Invalid surface data or tangent map, or a geodesic leaving its box."""

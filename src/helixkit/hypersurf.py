@@ -3,9 +3,9 @@
 A hypersurface in E^n carries a candidate fixed direction d.  The surface
 keeps a constant angle when <d, xi> is constant over the parameter box, xi
 being the unit normal from the generalized cross product of the coordinate
-tangents in index order.  Geodesics integrate the ambient equation
-alpha'' = lambda * xi with a classical fourth-order scheme, projecting back
-onto the surface after every step.
+tangents in index order.  Geodesics integrate the geodesic equations in
+the parameters with a classical fourth-order scheme, so every sample X(p)
+lies on the surface by construction.
 
 Along a geodesic of such a surface the normal coincides with the curve's
 principal normal up to sign, so the geodesic is a slant helix for d and its
@@ -36,7 +36,6 @@ __all__ = [
 GEODESIC_STEP = 1e-3
 
 HELIX_SURFACE_TOL = 1e-6
-PROJECTION_TOL = 1e-10
 _IMMERSION_GRID = 8
 
 
@@ -100,15 +99,26 @@ class Hypersurface:
         return np.array([[f(*u) for f in row] for row in self._jac_fns])
 
     def normal(self, u):
-        return self._unit_normal(self.jacobian(u), u)
+        u = np.asarray(u, dtype=float)[np.newaxis]
+        return self._unit_normal(self.jacobian(u[0])[np.newaxis], u)[0]
 
-    def _unit_normal(self, jac, u):
-        w = generalized_cross(jac.T[np.newaxis])[0]
-        scale = float(np.prod(np.maximum(np.linalg.norm(jac, axis=0), 1e-300)))
-        norm = float(np.linalg.norm(w))
-        if norm <= 1e-10 * max(scale, 1e-30):
+    def _unit_normal(self, jacs, points):
+        """Unit normals of m tangent maps stacked (m, n, n-1) at m points;
+        the error names the first point with a rank-deficient map."""
+        w = generalized_cross(np.swapaxes(jacs, 1, 2))
+        scale = np.linalg.norm(jacs, axis=1).clip(1e-300).prod(axis=1)
+        norm = np.linalg.norm(w, axis=1)
+        flat = norm <= 1e-10 * np.maximum(scale, 1e-30)
+        if flat.any():
+            u = points[int(np.argmax(flat))]
             raise SurfaceError(f"rank-deficient tangent map at {_fmt(u)}")
-        return w / norm
+        return w / norm[:, np.newaxis]
+
+    def _grid_jacobians(self, size):
+        """Parameter grid in index order and its tangent maps."""
+        axes = [np.linspace(lo, hi, size) for lo, hi in self.domain]
+        points = np.array(list(itertools.product(*axes)))
+        return points, np.stack([self.jacobian(u) for u in points])
 
     def contains_parameters(self, u):
         u = np.asarray(u, dtype=float)
@@ -119,16 +129,18 @@ class Hypersurface:
         return True
 
     def _verify_immersion(self):
-        axes = [np.linspace(lo, hi, _IMMERSION_GRID) for lo, hi in self.domain]
-        for u in itertools.product(*axes):
-            jac = self.jacobian(u)
-            if not np.all(np.isfinite(jac)):
-                raise SurfaceError(f"non-finite tangent map at {_fmt(u)}")
-            sv = np.linalg.svd(jac, compute_uv=False)
-            if sv[-1] <= 1e-10 * max(1.0, sv[0]):
-                raise SurfaceError(
-                    f"rank-deficient tangent map at {_fmt(u)}; "
-                    "shrink the parameter box away from the singular set")
+        points, jacs = self._grid_jacobians(_IMMERSION_GRID)
+        finite = np.isfinite(jacs).all(axis=(1, 2))
+        sv = np.linalg.svd(np.where(finite[:, None, None], jacs, 0.0),
+                           compute_uv=False)
+        bad = ~finite | (sv[:, -1] <= 1e-10 * np.maximum(1.0, sv[:, 0]))
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not finite[i]:
+                raise SurfaceError(f"non-finite tangent map at {_fmt(points[i])}")
+            raise SurfaceError(
+                f"rank-deficient tangent map at {_fmt(points[i])}; "
+                "shrink the parameter box away from the singular set")
 
 
 def load_surface(source) -> Hypersurface:
@@ -180,11 +192,8 @@ def is_helix_surface(h: Hypersurface, grid_size: int = 64) -> dict:
     Returns mean value, absolute standard deviation, and the verdict at
     tolerance 1e-6.  The grid has grid_size points per parameter.
     """
-    axes = [np.linspace(lo, hi, grid_size) for lo, hi in h.domain]
-    dots = np.empty([grid_size] * len(axes))
-    for idx in np.ndindex(dots.shape):
-        u = np.array([axes[j][idx[j]] for j in range(len(axes))])
-        dots[idx] = float(h.normal(u) @ h.direction)
+    points, jacs = h._grid_jacobians(grid_size)
+    dots = h._unit_normal(jacs, points) @ h.direction
     value = float(dots.mean())
     residual = float(dots.std())
     return {"constant": residual <= HELIX_SURFACE_TOL,
@@ -205,34 +214,17 @@ class GeodesicSample:
     parameters: np.ndarray
 
 
-def _parameter_velocity(jac, v):
-    # least-squares pullback of an ambient tangent vector to parameter space
-    return np.linalg.solve(jac.T @ jac, jac.T @ v)
+def _geodesic_accel(h: Hypersurface, p, pdot):
+    """Parameter acceleration pdd of the geodesic through p at velocity pdot.
 
-
-def _geodesic_rhs(h: Hypersurface, p, v):
+    X(p + eps pdot) has order-2 coefficient c2, so the curve's acceleration
+    J pdd + 2 c2 is normal when pdd = -2 (J^T J)^-1 J^T c2 (do Carmo,
+    *Differential Geometry of Curves and Surfaces*, 4-4).  Returns pdd, J, c2.
+    """
     jac = h.jacobian(p)
-    pdot = _parameter_velocity(jac, v)
-    xi = h._unit_normal(jac, p)
-    # lambda = <d^2X(pdot, pdot), xi>: twice the order-2 coefficient of
-    # X(p + eps pdot); the tangential part of alpha'' drops out against xi
     env = {name: (x, dx) for name, x, dx in zip(h.parameters, p, pdot)}
     c2 = np.array([expr.taylor(comp, env, 2)[2] for comp in h.components])
-    lam = 2.0 * float(c2 @ xi)
-    return pdot, lam * xi, lam
-
-
-def _project(h: Hypersurface, p, x):
-    """Newton steps in parameter space toward the closest surface point."""
-    for _ in range(12):
-        r = h.point(p) - x
-        if np.linalg.norm(r) <= 1e-13:
-            break
-        jac = h.jacobian(p)
-        p = p - np.linalg.solve(jac.T @ jac, jac.T @ r)
-    if np.linalg.norm(h.point(p) - x) > PROJECTION_TOL:
-        raise SurfaceError("surface projection diverged")
-    return p
+    return -2.0 * np.linalg.solve(jac.T @ jac, jac.T @ c2), jac, c2
 
 
 def geodesic(h: Hypersurface, start, tangent, length: float,
@@ -240,9 +232,11 @@ def geodesic(h: Hypersurface, start, tangent, length: float,
     """Integrate a unit-speed geodesic; returns a list of GeodesicSample.
 
     start is a parameter point, tangent a unit ambient vector orthogonal to
-    the normal there.  The default step count keeps the step at most
-    GEODESIC_STEP.  Raises if the path leaves the parameter box or the
-    on-surface projection stops converging.
+    the normal there.  Classical RK4 runs on the geodesic equations in the
+    parameters, so every sample X(p) lies on the surface by construction;
+    at each sample the parameter velocity is rescaled to unit ambient
+    speed.  The default step count keeps the step at most GEODESIC_STEP.
+    Raises if the path leaves the parameter box.
     """
     p = np.asarray(start, dtype=float)
     if p.shape != (h.dim - 1,):
@@ -254,8 +248,7 @@ def geodesic(h: Hypersurface, start, tangent, length: float,
         raise SurfaceError(f"tangent must be an ambient vector of length {h.dim}")
     if abs(np.linalg.norm(v) - 1.0) > 1e-8:
         raise SurfaceError("tangent must be a unit vector")
-    xi = h.normal(p)
-    if abs(float(v @ xi)) > 1e-10:
+    if abs(float(v @ h.normal(p))) > 1e-10:
         raise SurfaceError("tangent is not orthogonal to the surface normal")
     if not (length > 0.0 and math.isfinite(length)):
         raise SurfaceError("length must be positive")
@@ -265,30 +258,33 @@ def geodesic(h: Hypersurface, start, tangent, length: float,
         raise SurfaceError("steps must be positive")
     dt = length / steps
 
-    x = h.point(p)
+    # least-squares pullback of the ambient tangent to parameter space
+    jac = h.jacobian(p)
+    pd = np.linalg.solve(jac.T @ jac, jac.T @ v)
     samples = []
-    for i in range(steps):
-        pd1, a1, lam = _geodesic_rhs(h, p, v)
-        samples.append(GeodesicSample(i * dt, x.copy(), v.copy(), lam, p.copy()))
+    for i in range(steps + 1):
+        a1, jac, c2 = _geodesic_accel(h, p, pd)
+        # a1 and c2 are quadratic in pd
+        speed = float(np.linalg.norm(jac @ pd))
+        pd, a1, c2 = pd / speed, a1 / speed ** 2, c2 / speed ** 2
+        # lambda = <alpha'', xi> = 2 <c2, xi>, since J pdd is tangent
+        xi = h._unit_normal(jac[np.newaxis], p[np.newaxis])[0]
+        samples.append(GeodesicSample(length if i == steps else i * dt,
+                                      h.point(p), jac @ pd,
+                                      2.0 * float(c2 @ xi), p.copy()))
+        if i == steps:
+            break
 
-        pd2, a2, _ = _geodesic_rhs(h, p + 0.5 * dt * pd1, v + 0.5 * dt * a1)
-        pd3, a3, _ = _geodesic_rhs(h, p + 0.5 * dt * pd2, v + 0.5 * dt * a2)
-        pd4, a4, _ = _geodesic_rhs(h, p + dt * pd3, v + dt * a3)
-        p_new = p + (dt / 6.0) * (pd1 + 2.0 * pd2 + 2.0 * pd3 + pd4)
-        x_new = x + dt * v + (dt * dt / 6.0) * (a1 + a2 + a3)
-        v_new = v + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-
-        p = _project(h, p_new, x_new)
+        a2, _, _ = _geodesic_accel(h, p + 0.5 * dt * pd, pd + 0.5 * dt * a1)
+        a3, _, _ = _geodesic_accel(h, p + 0.5 * dt * pd + 0.25 * dt * dt * a1,
+                                   pd + 0.5 * dt * a2)
+        a4, _, _ = _geodesic_accel(h, p + dt * pd + 0.5 * dt * dt * a2,
+                                   pd + dt * a3)
+        p = p + dt * pd + (dt * dt / 6.0) * (a1 + a2 + a3)
+        pd = pd + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         if not h.contains_parameters(p):
             raise SurfaceError(
                 f"geodesic left the parameter box near s={(i + 1) * dt:.6g}")
-        x = h.point(p)
-        xi = h.normal(p)
-        v = v_new - float(v_new @ xi) * xi
-        v = v / np.linalg.norm(v)
-
-    _, _, lam = _geodesic_rhs(h, p, v)
-    samples.append(GeodesicSample(length, x.copy(), v.copy(), lam, p.copy()))
     return samples
 
 

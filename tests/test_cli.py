@@ -267,7 +267,8 @@ def test_geodesic_scenario_validation(files, capsys, tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("steps", "abc"), ("steps", [400]), ("start", ["a", 0]),
     ("start", [[0, 1], [2]]), ("start", [None, 0]), ("tangent", {"x": 1}),
-    ("tangent", ["0", "y", 1]), ("tangent", None)])
+    ("tangent", ["0", "y", 1]), ("tangent", None), ("steps", 1.7),
+    ("steps", True), ("steps", 0)])
 def test_geodesic_scenario_rejects_non_numeric_entries(capsys, tmp_path,
                                                        field, value):
     good = {"start": [0.0, 0.0], "tangent": [0.0, 0.6, 0.8],

@@ -97,23 +97,41 @@ def test_cylinder_geodesic_matches_circular_helix(sphere):
         assert samples[0].parameters.shape == (2,)
 
 
+def test_cylinder_geodesic_is_exact_at_any_step_count():
+    # in (u, w) the cylinder geodesic is a straight line, which RK4 follows
+    # exactly however long the step
+    pitch = 0.6
+    tangent = [0.0, math.cos(pitch), math.sin(pitch)]
+    for steps in (1, 4, 16):
+        samples = hypersurf.geodesic(cylinder_surface(), [0.0, 0.0], tangent,
+                                     1.6, steps=steps)
+        assert len(samples) == steps + 1
+        svals = np.array([smp.s for smp in samples])
+        pts = np.stack([smp.position for smp in samples])
+        exact = np.stack([np.cos(math.cos(pitch) * svals),
+                          np.sin(math.cos(pitch) * svals),
+                          math.sin(pitch) * svals], axis=1)
+        assert np.abs(pts - exact).max() <= 1e-14
+        lam = np.array([smp.normal_accel for smp in samples])
+        assert np.abs(lam + math.cos(pitch) ** 2).max() <= 1e-15
+
+
 def test_cone_geodesic_matches_unrolled_line():
     # unrolling the cone is an isometry onto a plane sector; geodesics of
     # the cone map to straight lines P0 + s e in polar coordinates
     # (ell, phi) = (w sqrt(2), u / sqrt(2))
-    degrees = CONE_HEADING_DEGREES[0]
-    samples = cone_geodesics()[0]
-    svals = np.array([smp.s for smp in samples])
-    pts = np.stack([smp.position for smp in samples])
-    psi = math.radians(degrees)
-    radial = 1.5 * math.sqrt(2.0) + svals * math.sin(psi)
-    tangential = svals * math.cos(psi)
-    ell = np.hypot(radial, tangential)
-    phi = np.arctan2(tangential, radial)
-    u = math.sqrt(2.0) * phi
-    w = ell / math.sqrt(2.0)
-    exact = np.stack([w * np.cos(u), w * np.sin(u), w], axis=1)
-    assert np.abs(pts - exact).max() <= 1e-5
+    for degrees, samples in zip(CONE_HEADING_DEGREES, cone_geodesics()):
+        svals = np.array([smp.s for smp in samples])
+        pts = np.stack([smp.position for smp in samples])
+        psi = math.radians(degrees)
+        radial = 1.5 * math.sqrt(2.0) + svals * math.sin(psi)
+        tangential = svals * math.cos(psi)
+        ell = np.hypot(radial, tangential)
+        phi = np.arctan2(tangential, radial)
+        u = math.sqrt(2.0) * phi
+        w = ell / math.sqrt(2.0)
+        exact = np.stack([w * np.cos(u), w * np.sin(u), w], axis=1)
+        assert np.abs(pts - exact).max() <= 1e-12
 
 
 def test_geodesics_stay_unit_speed_and_on_surface():
@@ -265,6 +283,17 @@ def test_load_surface_rejects_bad_specs():
         with pytest.raises(CurveFormatError) as exc:
             hypersurf.load_surface(spec)
         assert needle in str(exc.value)
+
+
+def test_rank_deficient_point_is_named():
+    # the cone's apex w = 0 is a point of the 8-per-axis immersion grid on
+    # [-1, 6], and on [-1, 62] only of the 64-per-axis constant-angle grid
+    cone = ["w*cos(u)", "w*sin(u)", "w"]
+    with pytest.raises(SurfaceError, match=r"map at \(-1, 0\); shrink"):
+        hypersurf.Hypersurface(cone, ["u", "w"], [[-1, 6], [-1, 6]], EZ)
+    surface = hypersurf.Hypersurface(cone, ["u", "w"], [[-1, 6], [-1, 62]], EZ)
+    with pytest.raises(SurfaceError, match=r"map at \(-1, 0\)$"):
+        hypersurf.is_helix_surface(surface)
 
 
 def test_load_surface_accepts_path_and_string(tmp_path):
