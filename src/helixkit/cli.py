@@ -217,13 +217,19 @@ def _scenario_geodesics(h, entries):
         if not isinstance(g, dict):
             raise CurveFormatError(f"geodesic {i} must be an object")
         try:
+            # float() and numpy would take JSON true and false for 1 and 0
+            values = [g["length"], g.get("steps")]
+            for field in (g["start"], g["tangent"]):
+                values += field if isinstance(field, list) else [field]
+            if any(isinstance(x, bool) for x in values):
+                raise ValueError("boolean")
             start = np.asarray(g["start"], dtype=float)
             tangent = np.asarray(g["tangent"], dtype=float)
             length = float(g["length"])
             steps = g.get("steps")
             if steps is not None:
-                # int() alone would truncate 1.7 and take true for 1
-                if isinstance(steps, bool) or int(steps) != steps or steps < 1:
+                # int() alone would truncate 1.7
+                if int(steps) != steps or steps < 1:
                     raise ValueError(steps)
                 steps = int(steps)
             # a JSON null converts to nan

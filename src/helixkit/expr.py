@@ -28,7 +28,8 @@ from .errors import ExprDomainError, ExprParseError
 __all__ = [
     "Expression", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
     "Call", "parse", "differentiate", "evaluate", "to_source",
-    "compile_scalar", "compile_array", "taylor", "FUNCTIONS",
+    "compile_scalar", "compile_array", "taylor", "TaylorSeries",
+    "FUNCTIONS",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
@@ -468,20 +469,17 @@ def taylor(e: Expression, env, order: int) -> np.ndarray:
     `env` binds each variable to the normalized Taylor coefficients of the
     path it follows, e.g. ``{"s": [svals, 1.0]}`` for s itself; missing
     trailing coefficients are zero, and coefficients are floats or arrays.
-    Every node is visited once and carries all orders through the O(order^2)
-    recurrences of truncated Taylor arithmetic (Griewank & Walther,
-    *Evaluating Derivatives*, ch. 13), so nothing is differentiated
-    symbolically.  The result has shape (order + 1, *broadcast shape).
-    Unchecked like `compile_array`: singular points give inf or nan.
+    The result has shape (order + 1, *broadcast shape).  Unchecked like
+    `compile_array`: singular points give inf or nan.
     """
     n = order + 1
-    series = {}
+    paths = {}
     for name, coeffs in env.items():
         c = [np.asarray(x, dtype=float) for x in list(coeffs)[:n]]
-        series[name] = c + [_ZERO] * (n - len(c))
-    shape = np.broadcast_shapes(*(x.shape for c in series.values() for x in c))
+        paths[name] = c + [_ZERO] * (n - len(c))
+    shape = np.broadcast_shapes(*(x.shape for c in paths.values() for x in c))
     out = np.empty((n, *shape))
-    for k, x in enumerate(_series(e, series, n)):
+    for k, x in enumerate(TaylorSeries([e], paths, n).coefficients[0]):
         out[k] = x
     return out
 
@@ -489,85 +487,111 @@ def taylor(e: Expression, env, order: int) -> np.ndarray:
 _ZERO = np.float64(0.0)
 
 
-def _series(e, env, n):
-    if isinstance(e, Const):
-        return [np.float64(e.value)] + [_ZERO] * (n - 1)
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise ExprDomainError(f"unbound variable {e.name!r}", e) from None
-    if isinstance(e, Neg):
-        return [-x for x in _series(e.arg, env, n)]
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        u = _series(e.left, env, n)
-        v = _series(e.right, env, n)
-        if isinstance(e, Add):
-            return [a + b for a, b in zip(u, v)]
-        if isinstance(e, Sub):
-            return [a - b for a, b in zip(u, v)]
-        return _mul_series(u, v) if isinstance(e, Mul) else _div_series(u, v)
-    if isinstance(e, Pow):
-        u = _series(e.base, env, n)
-        c = e.exponent
-        if c < 0.0 or not float(c).is_integer():
-            return _pow_series(u, c)
-        # square-and-multiply products stay finite where the base vanishes;
-        # the power recurrence divides by the base
-        w = [np.float64(1.0)] + [_ZERO] * (n - 1)
-        for bit in bin(int(c))[2:]:
-            w = _mul_series(w, w)
-            if bit == "1":
-                w = _mul_series(w, u)
+class TaylorSeries:
+    """Taylor series of expression trees along the paths of their variables.
+
+    `paths` maps each variable to its path's normalized coefficients so far;
+    `coefficients[i]` lists those of exprs[i], by truncated Taylor
+    arithmetic (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
+    Without `order`, `extend` raises every node by one order, recomputing
+    nothing; with it, each node gets `order` coefficients as it is built,
+    depth first, so subtrees are freed early.
+    """
+
+    def __init__(self, exprs, paths, order=None):
+        self._paths, self._fill, self._updates = paths, order, []
+        self.coefficients = [self._node(e) for e in exprs]
+
+    def extend(self, values):
+        """Append one order; values are the variables' next coefficients."""
+        for path, x in zip(self._paths.values(), values):
+            path.append(x)
+        for update in self._updates:
+            update(len(path) - 1)
+
+    def _series(self, step):
+        w = []
+        if self._fill is None:      # kept for extend, children before parents
+            self._updates.append(lambda k: w.append(step(k, w)))
+        for k in range(self._fill or 0):
+            w.append(step(k, w))
         return w
-    if isinstance(e, Call):
-        u = _series(e.arg, env, n)
-        if e.fn == "exp":
-            w = [np.exp(u[0])]
-            for k in range(1, n):
-                w.append(_chain(u, w, k))
+
+    def _product(self, u, v):
+        return self._series(
+            lambda k, w: sum(u[j] * v[k - j] for j in range(k + 1)))
+
+    def _quotient(self, u, v):
+        return self._series(lambda k, w: (
+            u[k] - sum(v[j] * w[k - j] for j in range(1, k + 1))) / v[0])
+
+    def _power(self, u, c):
+        # w = u^c satisfies u w' = c u' w
+        return self._series(lambda k, w: np.power(u[0], c) if k == 0 else sum(
+            (c * j - (k - j)) * u[j] * w[k - j] for j in range(1, k + 1))
+            / (k * u[0]))
+
+    def _node(self, e):
+        series = self._series
+        if isinstance(e, Const):
+            c = np.float64(e.value)
+            return series(lambda k, w: c if k == 0 else _ZERO)
+        if isinstance(e, Var):
+            try:
+                return self._paths[e.name]
+            except KeyError:
+                raise ExprDomainError(f"unbound variable {e.name!r}", e) from None
+        if isinstance(e, Neg):
+            u = self._node(e.arg)
+            return series(lambda k, w: -u[k])
+        if isinstance(e, (Add, Sub, Mul, Div)):
+            u, v = self._node(e.left), self._node(e.right)
+            if isinstance(e, Add):
+                return series(lambda k, w: u[k] + v[k])
+            if isinstance(e, Sub):
+                return series(lambda k, w: u[k] - v[k])
+            return (self._product if isinstance(e, Mul) else self._quotient)(u, v)
+        if isinstance(e, Pow):
+            u, c = self._node(e.base), e.exponent
+            if c < 0.0 or not float(c).is_integer():
+                return self._power(u, c)
+            # square-and-multiply products stay finite where the base
+            # vanishes; the power recurrence divides by the base
+            w = self._node(Const(1.0))
+            for bit in bin(int(c))[2:]:
+                w = self._product(w, w)
+                if bit == "1":
+                    w = self._product(w, u)
             return w
-        if e.fn == "log":
-            inverse = _div_series([np.float64(1.0)] + [_ZERO] * (n - 1), u)
-            return [np.log(u[0])] + [_chain(u, inverse, k) for k in range(1, n)]
-        if e.fn == "sqrt":
-            return _pow_series(u, 0.5)
-        sin, cos = [np.sin(u[0])], [np.cos(u[0])]
-        for k in range(1, n):
-            sin.append(_chain(u, cos, k))
-            cos.append(-_chain(u, sin, k))
-        if e.fn == "sin":
-            return sin
-        if e.fn == "cos":
-            return cos
-        if e.fn == "tan":
-            return _div_series(sin, cos)
-    raise TypeError(f"not an expression node: {e!r}")
+        if isinstance(e, Call):
+            u = self._node(e.arg)
+            if e.fn == "exp":
+                return series(lambda k, w: np.exp(u[0]) if k == 0
+                              else _chain(u, w, k))
+            if e.fn == "log":
+                inverse = self._quotient(self._node(Const(1.0)), u)
+                return series(lambda k, w: np.log(u[0]) if k == 0
+                              else _chain(u, inverse, k))
+            if e.fn == "sqrt":
+                return self._power(u, 0.5)
+            cos = []
+
+            def sin_step(k, w):
+                # cos rises with sin; each needs only the other's lower orders
+                cos.append(np.cos(u[0]) if k == 0 else -_chain(u, w, k))
+                return np.sin(u[0]) if k == 0 else _chain(u, cos, k)
+
+            sin = series(sin_step)
+            if e.fn in ("sin", "cos"):
+                return sin if e.fn == "sin" else cos
+            if e.fn == "tan":
+                return self._quotient(sin, cos)
+        raise TypeError(f"not an expression node: {e!r}")
 
 
 def _chain(u, g, k):
-    # k-th coefficient of w with w' = g u', from coefficients of g below k
+    # order k of w with w' = g u', from orders of g below k
     return sum(j * u[j] * g[k - j] for j in range(1, k + 1)) / k
-
-
-def _mul_series(u, v):
-    return [sum(u[j] * v[k - j] for j in range(k + 1)) for k in range(len(u))]
-
-
-def _div_series(u, v):
-    w = []
-    for k in range(len(u)):
-        w.append((u[k] - sum(v[j] * w[k - j] for j in range(1, k + 1))) / v[0])
-    return w
-
-
-def _pow_series(u, c):
-    # w = u^c satisfies u w' = c u' w
-    w = [np.power(u[0], c)]
-    for k in range(1, len(u)):
-        w.append(sum((c * j - (k - j)) * u[j] * w[k - j]
-                     for j in range(1, k + 1)) / (k * u[0]))
-    return w
 
 
 # ----------------------------------------------------------------- compile
@@ -614,7 +638,5 @@ def compile_scalar(e: Expression, variables=("s",)):
 
 def compile_array(e: Expression, variables=("s",)):
     """Vectorized callable over numpy arrays (unchecked): order-0 `taylor`."""
-    def f(*args):
-        return taylor(e, {name: [a] for name, a in zip(variables, args)}, 0)[0]
-
-    return f
+    return lambda *args: taylor(
+        e, {name: [a] for name, a in zip(variables, args)}, 0)[0]

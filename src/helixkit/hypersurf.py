@@ -3,9 +3,9 @@
 A hypersurface in E^n carries a candidate fixed direction d.  The surface
 keeps a constant angle when <d, xi> is constant over the parameter box, xi
 being the unit normal from the generalized cross product of the coordinate
-tangents in index order.  Geodesics integrate the geodesic equations in
-the parameters with a classical fourth-order scheme, so every sample X(p)
-lies on the surface by construction.
+tangents in index order.  Geodesics solve the geodesic equations in the
+parameters by Taylor series with dense output, so every sample X(p) lies on
+the surface by construction.
 
 Along a geodesic of such a surface the normal coincides with the curve's
 principal normal up to sign, so the geodesic is a slant helix for d and its
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
 from . import expr
 from .curve import SampledCurve, _load_json, _numbers
@@ -34,6 +35,9 @@ __all__ = [
 ]
 
 GEODESIC_STEP = 1e-3
+# Jorba-Zou order for a local error of _TAYLOR_TOL: ceil(-ln(tol) / 2 + 1)
+_TAYLOR_TOL = 1e-16
+_TAYLOR_ORDER = 20
 
 HELIX_SURFACE_TOL = 1e-6
 _IMMERSION_GRID = 8
@@ -84,23 +88,30 @@ class Hypersurface:
 
         self._point_fns = [expr.compile_scalar(c, self.parameters)
                            for c in self.components]
-        self._jac_fns = [[expr.compile_scalar(expr.differentiate(c, p),
-                                              self.parameters)
-                          for p in self.parameters] for c in self.components]
+        # first partials, component-major: entry i*(n-1) + j is dX_i/du_j
+        self._partials = [expr.differentiate(c, p)
+                          for c in self.components for p in self.parameters]
+        self._partial_fns = [expr.compile_array(d, self.parameters)
+                             for d in self._partials]
         self._verify_immersion()
 
     def point(self, u):
+        """X at a parameter point, or at each of a (..., n-1) stack."""
         u = np.asarray(u, dtype=float)
-        return np.array([f(*u) for f in self._point_fns])
+        rows = [[f(*q) for f in self._point_fns]
+                for q in u.reshape(-1, self.dim - 1)]
+        return np.reshape(rows, (*u.shape[:-1], self.dim))
 
     def jacobian(self, u):
-        """Matrix of coordinate tangents, component i by parameter j."""
+        """Tangent maps (..., n, n-1) at a point or (..., n-1) stack of them."""
         u = np.asarray(u, dtype=float)
-        return np.array([[f(*u) for f in row] for row in self._jac_fns])
+        with np.errstate(all="ignore"):
+            entries = [f(*np.moveaxis(u, -1, 0)) for f in self._partial_fns]
+        return np.stack(entries, axis=-1).reshape(*u.shape[:-1], self.dim, -1)
 
     def normal(self, u):
         u = np.asarray(u, dtype=float)[np.newaxis]
-        return self._unit_normal(self.jacobian(u[0])[np.newaxis], u)[0]
+        return self._unit_normal(self.jacobian(u), u)[0]
 
     def _unit_normal(self, jacs, points):
         """Unit normals of m tangent maps stacked (m, n, n-1) at m points;
@@ -118,15 +129,13 @@ class Hypersurface:
         """Parameter grid in index order and its tangent maps."""
         axes = [np.linspace(lo, hi, size) for lo, hi in self.domain]
         points = np.array(list(itertools.product(*axes)))
-        return points, np.stack([self.jacobian(u) for u in points])
+        return points, self.jacobian(points)
 
     def contains_parameters(self, u):
-        u = np.asarray(u, dtype=float)
-        for value, (lo, hi) in zip(u, self.domain):
-            tol = 1e-9 * (hi - lo)
-            if not (lo - tol <= value <= hi + tol):
-                return False
-        return True
+        """Whether a parameter point, or each of a (..., n-1) stack, is in the box."""
+        lo, hi = np.array(self.domain).T
+        tol = 1e-9 * (hi - lo)
+        return ((lo - tol <= u) & (u <= hi + tol)).all(axis=-1)
 
     def _verify_immersion(self):
         points, jacs = self._grid_jacobians(_IMMERSION_GRID)
@@ -214,17 +223,33 @@ class GeodesicSample:
     parameters: np.ndarray
 
 
-def _geodesic_accel(h: Hypersurface, p, pdot):
-    """Parameter acceleration pdd of the geodesic through p at velocity pdot.
+def _geodesic_series(h: Hypersurface, p, pdot):
+    """Rows p_0..p_K: Taylor series of the unit-speed geodesic from p along pdot.
 
-    X(p + eps pdot) has order-2 coefficient c2, so the curve's acceleration
-    J pdd + 2 c2 is normal when pdd = -2 (J^T J)^-1 J^T c2 (do Carmo,
-    *Differential Geometry of Curves and Surfaces*, 4-4).  Returns pdd, J, c2.
+    With J_j the series of the first partials along p, (X o p)' = J p' gives
+    X o p's coefficients A_m, and order m - 2 of J^T (X o p)'' = 0 gives
+    J_0^T J_0 p_m = -J_0^T A~_m - sum_{j=1}^{m-2} (m-j)(m-j-1)/(m(m-1))
+    J_j^T A_{m-j}, where A~_m = A_m - J_0 p_m needs only p below m.
     """
-    jac = h.jacobian(p)
-    env = {name: (x, dx) for name, x, dx in zip(h.parameters, p, pdot)}
-    c2 = np.array([expr.taylor(comp, env, 2)[2] for comp in h.components])
-    return -2.0 * np.linalg.solve(jac.T @ jac, jac.T @ c2), jac, c2
+    n, order = h.dim, _TAYLOR_ORDER
+    series = expr.TaylorSeries(h._partials, {x: [] for x in h.parameters})
+    jacs, accs = np.empty((order, n, n - 1)), np.empty((order + 1, n))
+    ps = np.vstack([p, np.empty((order, n - 1))])
+    for m in range(1, order + 1):
+        series.extend(ps[m - 1])
+        jacs[m - 1].flat = [c[-1] for c in series.coefficients]
+        i = np.arange(1, m)
+        free = np.einsum("i,ikl,il->k", (m - i) / m, jacs[1:m], ps[m - 1:0:-1])
+        if m == 1:
+            ps[1] = pdot / np.linalg.norm(jacs[0] @ pdot)
+            gram_inv = np.linalg.inv(jacs[0].T @ jacs[0])
+        else:
+            j = i[:-1]
+            ps[m] = -gram_inv @ (jacs[0].T @ free + np.einsum(
+                "j,jkl,jk->l", (m - j) * (m - j - 1) / (m * (m - 1)),
+                jacs[1:m - 1], accs[m - 1:1:-1]))
+        accs[m] = free + jacs[0] @ ps[m]
+    return ps
 
 
 def geodesic(h: Hypersurface, start, tangent, length: float,
@@ -232,11 +257,13 @@ def geodesic(h: Hypersurface, start, tangent, length: float,
     """Integrate a unit-speed geodesic; returns a list of GeodesicSample.
 
     start is a parameter point, tangent a unit ambient vector orthogonal to
-    the normal there.  Classical RK4 runs on the geodesic equations in the
-    parameters, so every sample X(p) lies on the surface by construction;
-    at each sample the parameter velocity is rescaled to unit ambient
-    speed.  The default step count keeps the step at most GEODESIC_STEP.
-    Raises if the path leaves the parameter box.
+    the normal there.  The Taylor method (Jorba & Zou, *Experimental Math.*
+    14, 2005) solves the geodesic equations in the parameters: each series,
+    expanded inside the box, runs while its last two terms stay below
+    _TAYLOR_TOL and gives the samples s_i = i * length / steps in reach, so
+    `steps` (default: spacing <= GEODESIC_STEP) does not move expansions.
+    Samples lie on the surface by construction, at unit ambient speed.
+    Raises if a sample or an expansion point leaves the parameter box.
     """
     p = np.asarray(start, dtype=float)
     if p.shape != (h.dim - 1,):
@@ -256,36 +283,41 @@ def geodesic(h: Hypersurface, start, tangent, length: float,
         steps = max(1, int(math.ceil(length / GEODESIC_STEP)))
     elif steps < 1:
         raise SurfaceError("steps must be positive")
-    dt = length / steps
+    svals = np.append(np.arange(steps) * (length / steps), length)
 
     # least-squares pullback of the ambient tangent to parameter space
     jac = h.jacobian(p)
     pd = np.linalg.solve(jac.T @ jac, jac.T @ v)
-    samples = []
-    for i in range(steps + 1):
-        a1, jac, c2 = _geodesic_accel(h, p, pd)
-        # a1 and c2 are quadratic in pd
-        speed = float(np.linalg.norm(jac @ pd))
-        pd, a1, c2 = pd / speed, a1 / speed ** 2, c2 / speed ** 2
-        # lambda = <alpha'', xi> = 2 <c2, xi>, since J pdd is tangent
-        xi = h._unit_normal(jac[np.newaxis], p[np.newaxis])[0]
-        samples.append(GeodesicSample(length if i == steps else i * dt,
-                                      h.point(p), jac @ pd,
-                                      2.0 * float(c2 @ xi), p.copy()))
-        if i == steps:
-            break
+    params, pdots = np.empty((2, steps + 1, h.dim - 1))
+    s0, i = 0.0, 0
+    while i <= steps:
+        ps = _geodesic_series(h, p, pd)
+        with np.errstate(divide="ignore"):
+            end = s0 + min((_TAYLOR_TOL / np.abs(ps[k]).max()) ** (1.0 / k)
+                           for k in (_TAYLOR_ORDER - 1, _TAYLOR_ORDER))
+        # a step stalled by inf or nan terms runs on to the box check
+        end = end if s0 < end < length else length
+        j = int(np.searchsorted(svals, end, "right"))
+        tau = svals[i:j] - s0
+        params[i:j], pdots[i:j] = polyval(tau, ps).T, polyval(tau, polyder(ps)).T
+        p, pd = polyval(end - s0, ps), polyval(end - s0, polyder(ps))
+        # an expansion point outside the box stands for the sample after it
+        outside = ~h.contains_parameters(np.vstack([params[i:j], p]))
+        if outside.any():
+            s = svals[i + int(np.argmax(outside))]
+            raise SurfaceError(f"geodesic left the parameter box near s={s:.6g}")
+        s0, i = end, j
 
-        a2, _, _ = _geodesic_accel(h, p + 0.5 * dt * pd, pd + 0.5 * dt * a1)
-        a3, _, _ = _geodesic_accel(h, p + 0.5 * dt * pd + 0.25 * dt * dt * a1,
-                                   pd + 0.5 * dt * a2)
-        a4, _, _ = _geodesic_accel(h, p + dt * pd + 0.5 * dt * dt * a2,
-                                   pd + dt * a3)
-        p = p + dt * pd + (dt * dt / 6.0) * (a1 + a2 + a3)
-        pd = pd + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        if not h.contains_parameters(p):
-            raise SurfaceError(
-                f"geodesic left the parameter box near s={(i + 1) * dt:.6g}")
-    return samples
+    jacs = h.jacobian(params)
+    pdots /= np.linalg.norm(jacs @ pdots[..., np.newaxis], axis=1)
+    # c2 is the order-2 coefficient of X(p + eps pdot); lambda =
+    # <alpha'', xi> = 2 <c2, xi>, since the tangential part J pdd drops out
+    env = {name: [params[:, k], pdots[:, k]] for k, name in enumerate(h.parameters)}
+    c2 = np.stack([expr.taylor(c, env, 2)[2] for c in h.components], axis=1)
+    lam = 2.0 * np.einsum("mk,mk->m", c2, h._unit_normal(jacs, params))
+    return [GeodesicSample(float(s), x, vel, float(a), q) for s, x, vel, a, q
+            in zip(svals, h.point(params),
+                   (jacs @ pdots[..., np.newaxis])[..., 0], lam, params)]
 
 
 def samples_to_curve(samples, spacing: float = 5e-3) -> SampledCurve:

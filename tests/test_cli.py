@@ -268,7 +268,8 @@ def test_geodesic_scenario_validation(files, capsys, tmp_path):
     ("steps", "abc"), ("steps", [400]), ("start", ["a", 0]),
     ("start", [[0, 1], [2]]), ("start", [None, 0]), ("tangent", {"x": 1}),
     ("tangent", ["0", "y", 1]), ("tangent", None), ("steps", 1.7),
-    ("steps", True), ("steps", 0)])
+    ("steps", True), ("steps", 0), ("length", True), ("start", [True, False]),
+    ("tangent", [False, True, False])])
 def test_geodesic_scenario_rejects_non_numeric_entries(capsys, tmp_path,
                                                        field, value):
     good = {"start": [0.0, 0.0], "tangent": [0.0, 0.6, 0.8],
@@ -282,6 +283,21 @@ def test_geodesic_scenario_rejects_non_numeric_entries(capsys, tmp_path,
     assert code == 1
     assert out == ""
     assert err.startswith("error: geodesic 1 ") and err.count("\n") == 1
+
+
+def test_geodesic_surface_with_infinite_tangent_is_rejected(capsys, tmp_path):
+    # d/dw sqrt(w) is infinite on the edge w = 0 of the box
+    path = tmp_path / "sqrt.json"
+    path.write_text(json.dumps({
+        "surface": {"dim": 3, "parameters": ["u", "w"],
+                    "components": ["u", "w", "sqrt(w)"],
+                    "domain": [[-1, 1], [0, 7]], "direction": [0, 0, 1]},
+        "geodesics": [{"start": [0, 1], "tangent": [1, 0, 0], "length": 0.5}],
+    }))
+    code, out, err = run(capsys, "geodesic", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: non-finite tangent map at (-1, 0)\n"
 
 
 # ------------------------------------------------------------- plotdata

@@ -56,6 +56,23 @@ def test_plane_normal_is_vertical(plane):
     assert np.abs(plane.normal([0.3, -0.7]) - EZ).max() <= 1e-15
 
 
+def test_surface_maps_take_stacks_of_points(sphere):
+    # stacks give what the same points give one at a time
+    grid = np.array([[[0.5, 0.1], [1.0, 2.0]], [[1.5, 3.0], [2.6, 6.2]]])
+    jacs, pts = sphere.jacobian(grid), sphere.point(grid)
+    assert jacs.shape == (2, 2, 3, 2) and pts.shape == (2, 2, 3)
+    for index in np.ndindex(2, 2):
+        assert np.array_equal(jacs[index], sphere.jacobian(grid[index]))
+        assert np.array_equal(pts[index], sphere.point(grid[index]))
+        u, w = grid[index]
+        expect = [[math.cos(u) * math.cos(w), -math.sin(u) * math.sin(w)],
+                  [math.cos(u) * math.sin(w), math.sin(u) * math.cos(w)],
+                  [-math.sin(u), 0.0]]
+        assert np.abs(jacs[index] - expect).max() <= 1e-15
+    inside = sphere.contains_parameters([[0.4, 0.0], [2.7, 6.3], [0.39, 1.0]])
+    assert inside.tolist() == [True, True, False]
+
+
 def test_constant_angle_verdicts(plane, sphere):
     cyl = hypersurf.is_helix_surface(cylinder_surface())
     assert cyl["constant"] and abs(cyl["value"]) <= 1e-12
@@ -98,8 +115,8 @@ def test_cylinder_geodesic_matches_circular_helix(sphere):
 
 
 def test_cylinder_geodesic_is_exact_at_any_step_count():
-    # in (u, w) the cylinder geodesic is a straight line, which RK4 follows
-    # exactly however long the step
+    # in (u, w) the cylinder geodesic is a straight line, which one series
+    # expansion follows exactly however few the samples
     pitch = 0.6
     tangent = [0.0, math.cos(pitch), math.sin(pitch)]
     for steps in (1, 4, 16):
@@ -132,6 +149,42 @@ def test_cone_geodesic_matches_unrolled_line():
         w = ell / math.sqrt(2.0)
         exact = np.stack([w * np.cos(u), w * np.sin(u), w], axis=1)
         assert np.abs(pts - exact).max() <= 1e-12
+
+
+def test_dense_output_does_not_depend_on_step_count():
+    # `steps` only sets where the series are read, not where they are
+    # expanded, so samples at the same s agree to roundoff
+    cone = cone_surface()
+    coarse, fine = (hypersurf.geodesic(cone, [0.0, 1.5], cone_tangent(25.0),
+                                       2.0, steps=steps) for steps in (8, 1000))
+    fine_s = np.array([smp.s for smp in fine])
+    for smp in coarse:
+        k = int(np.argmin(np.abs(fine_s - smp.s)))
+        assert abs(fine_s[k] - smp.s) <= 1e-15
+        assert np.abs(fine[k].parameters - smp.parameters).max() <= 1e-13
+        assert np.abs(fine[k].position - smp.position).max() <= 1e-13
+
+
+def test_great_circle_off_the_equator_matches_closed_form(sphere, monkeypatch):
+    # from u = 1.2 at 60 degrees to the parallel the great circle is a curved
+    # path in (u, w), so it takes several series expansions
+    start = [1.2, 0.5]
+    jac = sphere.jacobian(start)
+    e_u, e_w = (jac[:, j] / np.linalg.norm(jac[:, j]) for j in range(2))
+    tangent = 0.5 * e_u + math.sqrt(0.75) * e_w
+    expansions = []
+    series = hypersurf._geodesic_series
+    monkeypatch.setattr(hypersurf, "_geodesic_series",
+                        lambda *args: expansions.append(args) or series(*args))
+    samples = hypersurf.geodesic(sphere, start, tangent, 2.0, steps=500)
+    assert len(expansions) >= 3
+    svals = np.array([smp.s for smp in samples])
+    pts = np.stack([smp.position for smp in samples])
+    exact = (np.cos(svals)[:, None] * sphere.point(start)
+             + np.sin(svals)[:, None] * tangent)
+    assert np.abs(pts - exact).max() <= 1e-12
+    lam = np.array([smp.normal_accel for smp in samples])
+    assert np.abs(lam + 1.0).max() <= 1e-13
 
 
 def test_geodesics_stay_unit_speed_and_on_surface():
@@ -317,5 +370,5 @@ def test_geodesic_input_validation():
 
 def test_geodesic_reports_leaving_the_box():
     cyl = cylinder_surface()
-    with pytest.raises(SurfaceError, match="parameter box"):
+    with pytest.raises(SurfaceError, match=r"parameter box near s=1\.005$"):
         hypersurf.geodesic(cyl, [0.0, 5.0], [0.0, 0.0, 1.0], 2.0, steps=400)

@@ -94,6 +94,22 @@ def test_integer_powers_are_exact_products():
     assert list(coeffs) == [1.0, 1e15]
 
 
+@pytest.mark.parametrize("source, interval", CASES)
+def test_series_raised_order_by_order_matches_taylor(source, interval):
+    # extend() sees each path coefficient only when its order is reached,
+    # as the geodesic series does, and must give taylor's numbers exactly
+    e = expr.parse(source)
+    x = 0.5 * sum(interval)
+    path = [x, 0.7, -0.2, 0.05, 0.0, 0.01, 0.0]
+    trees = [e, expr.parse("s*" + source)]
+    series = expr.TaylorSeries(trees, {"s": []})
+    for c in path:
+        series.extend([c])
+    for tree, got in zip(trees, series.coefficients):
+        assert len(got) == ORDER + 1
+        assert np.array_equal(got, expr.taylor(tree, {"s": path}, ORDER))
+
+
 def test_compile_array_is_order_zero_taylor():
     e = expr.parse("sqrt(s^2 + 4) / (1 + exp(-s))")
     grid = np.linspace(-1.2, 1.2, 9)
