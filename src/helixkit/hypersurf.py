@@ -103,7 +103,7 @@ class Hypersurface:
         return np.reshape(rows, (*u.shape[:-1], self.dim))
 
     def jacobian(self, u):
-        """Tangent maps (..., n, n-1) at a point or (..., n-1) stack of them."""
+        """Coordinate tangents dX_i/du_j, (..., n, n-1), at a point or a stack."""
         u = np.asarray(u, dtype=float)
         with np.errstate(all="ignore"):
             entries = [f(*np.moveaxis(u, -1, 0)) for f in self._partial_fns]
@@ -132,7 +132,7 @@ class Hypersurface:
         return points, self.jacobian(points)
 
     def contains_parameters(self, u):
-        """Whether a parameter point, or each of a (..., n-1) stack, is in the box."""
+        """Whether a parameter point, or each of a stack, lies in the box."""
         lo, hi = np.array(self.domain).T
         tol = 1e-9 * (hi - lo)
         return ((lo - tol <= u) & (u <= hi + tol)).all(axis=-1)
