@@ -177,11 +177,6 @@ class AnalyticCurve(Curve):
         self.speed = expr.compile_array(self.speed_expression(), (parameter,))
         self._measure_unit_speed(UNIT_SPEED_TOL_ANALYTIC)
 
-    def point(self, s):
-        self._grid(s)
-        return np.array([expr.evaluate(e, {self.parameter: s})
-                         for e in self.components])
-
     def _coefficients(self, series, order):
         """Taylor coefficients 0..order of the coordinates, (order+1, m, dim).
 
@@ -196,7 +191,14 @@ class AnalyticCurve(Curve):
         return _jets(self._coefficients([self._grid(svals), 1.0], order))
 
     def point_grid(self, svals):
-        return self._coefficients([self._grid(svals)], 0)[0]
+        svals = self._grid(svals)
+        with np.errstate(all="ignore"):
+            points = self._coefficients([svals], 0)[0]
+        finite = np.isfinite(points).all(axis=-1)
+        if not finite.all():
+            s = svals[int(np.argmin(finite))]
+            raise CurveError(f"non-finite point at {self.parameter}={s:.6g}")
+        return points
 
     def speed_expression(self):
         total = None
@@ -309,8 +311,13 @@ class ReparametrizedCurve(Curve):
 
         a, b = source.domain
         t = np.linspace(a, b, _PANELS + 1)
-        v = source.speed(t)
-        if not np.all(np.isfinite(v)) or np.min(v) < EPS_REGULAR:
+        with np.errstate(all="ignore"):
+            v = source.speed(t)
+        finite = np.isfinite(v)
+        if not finite.all():
+            raise NonRegularCurveError(
+                f"non-finite speed at t={t[int(np.argmin(finite))]:.6g}")
+        if np.min(v) < EPS_REGULAR:
             i = int(np.argmin(v))
             raise NonRegularCurveError(
                 f"speed {v[i]:.3e} at t={t[i]:.6g} below {EPS_REGULAR}")
@@ -337,10 +344,6 @@ class ReparametrizedCurve(Curve):
              + u ** 2 * ((3 - 2 * u) * tn[i + 1] + (u - 1) * h * slope[i + 1]))
         a, b = self.source.domain
         return np.clip(t, a, b)
-
-    def point(self, s):
-        t = self.parameter_of_arclength(self._grid(s))
-        return self.source.point(float(t))
 
     def jet_grid(self, svals, order):
         t = [self.parameter_of_arclength(self._grid(svals))]

@@ -5,7 +5,10 @@ constants, the parameter(s), the four arithmetic operators, powers with a
 constant exponent, unary negation, and sin/cos/tan/exp/log/sqrt.  Expressions
 are immutable trees.  `taylor` evaluates all derivatives of a tree up to a
 given order in one pass of truncated Taylor arithmetic; `differentiate`
-builds the exact first derivative as a new tree.
+builds the exact first derivative as a new tree.  `compile_scalar` and
+`compile_array` are both order-0 `taylor` callables, unchecked, over floats
+or arrays; `evaluate` is the checked reference that names the subexpression
+at fault at a singular point.
 
 Operator precedence is ``^`` over unary minus over ``*``/``/`` over ``+``/``-``,
 everything left-associative except ``^`` which is right-associative, so
@@ -596,47 +599,20 @@ def _chain(u, g, k):
 
 # ----------------------------------------------------------------- compile
 
-def _emit(e, consts):
-    if isinstance(e, Const):
-        name = f"c{len(consts)}"
-        consts[name] = e.value
-        return name
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return f"(-{_emit(e.arg, consts)})"
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(e)]
-        return f"({_emit(e.left, consts)} {op} {_emit(e.right, consts)})"
-    if isinstance(e, Pow):
-        name = f"c{len(consts)}"
-        consts[name] = e.exponent
-        return f"({_emit(e.base, consts)} ** {name})"
-    if isinstance(e, Call):
-        return f"_{e.fn}({_emit(e.arg, consts)})"
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _compile(e, variables):
-    consts = {}
-    body = _emit(e, consts)
-    args = ", ".join(variables)
-    namespace = {f"_{fn}": getattr(math, fn) for fn in FUNCTIONS}
-    namespace.update(consts)
-    code = f"lambda {args}: {body}"
-    return eval(code, namespace)  # noqa: S307 - generated from our own AST
-
-
 def compile_scalar(e: Expression, variables=("s",)):
-    """Compile to a fast scalar callable.
+    """Callable over floats or numpy arrays (unchecked): order-0 `taylor`.
 
-    No domain checking happens in the compiled function; use `evaluate` when
-    errors must be caught and attributed.
+    The same evaluator as `compile_array`; use `evaluate` when errors must
+    be caught and attributed.
     """
-    return _compile(e, variables)
+    return compile_array(e, variables)
 
 
 def compile_array(e: Expression, variables=("s",)):
-    """Vectorized callable over numpy arrays (unchecked): order-0 `taylor`."""
+    """Callable over floats or numpy arrays (unchecked): order-0 `taylor`.
+
+    Arguments bind to `variables` in order and broadcast against each
+    other; singular points give inf or nan.
+    """
     return lambda *args: taylor(
         e, {name: [a] for name, a in zip(variables, args)}, 0)[0]

@@ -47,6 +47,14 @@ def _fmt(u):
     return "(" + ", ".join(f"{float(x):g}" for x in u) + ")"
 
 
+def _stacked(fns, u):
+    """The compiled maps at a parameter point or a (..., n-1) stack, stacked
+    on a last axis; singular points give inf or nan, unwarned."""
+    u = np.asarray(u, dtype=float)
+    with np.errstate(all="ignore"):
+        return np.stack([f(*np.moveaxis(u, -1, 0)) for f in fns], axis=-1)
+
+
 class Hypersurface:
     """Immersed parametric hypersurface with a candidate fixed direction.
 
@@ -97,17 +105,12 @@ class Hypersurface:
 
     def point(self, u):
         """X at a parameter point, or at each of a (..., n-1) stack."""
-        u = np.asarray(u, dtype=float)
-        rows = [[f(*q) for f in self._point_fns]
-                for q in u.reshape(-1, self.dim - 1)]
-        return np.reshape(rows, (*u.shape[:-1], self.dim))
+        return _stacked(self._point_fns, u)
 
     def jacobian(self, u):
         """Coordinate tangents dX_i/du_j, (..., n, n-1), at a point or a stack."""
-        u = np.asarray(u, dtype=float)
-        with np.errstate(all="ignore"):
-            entries = [f(*np.moveaxis(u, -1, 0)) for f in self._partial_fns]
-        return np.stack(entries, axis=-1).reshape(*u.shape[:-1], self.dim, -1)
+        entries = _stacked(self._partial_fns, u)
+        return entries.reshape(*entries.shape[:-1], self.dim, -1)
 
     def normal(self, u):
         u = np.asarray(u, dtype=float)[np.newaxis]
@@ -115,7 +118,12 @@ class Hypersurface:
 
     def _unit_normal(self, jacs, points):
         """Unit normals of m tangent maps stacked (m, n, n-1) at m points;
-        the error names the first point with a rank-deficient map."""
+        the error names the first point with a non-finite or rank-deficient
+        map."""
+        finite = np.isfinite(jacs).all(axis=(1, 2))
+        if not finite.all():
+            u = points[int(np.argmin(finite))]
+            raise SurfaceError(f"non-finite tangent map at {_fmt(u)}")
         w = generalized_cross(np.swapaxes(jacs, 1, 2))
         scale = np.linalg.norm(jacs, axis=1).clip(1e-300).prod(axis=1)
         norm = np.linalg.norm(w, axis=1)

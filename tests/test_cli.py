@@ -300,7 +300,47 @@ def test_geodesic_surface_with_infinite_tangent_is_rejected(capsys, tmp_path):
     assert err == "error: non-finite tangent map at (-1, 0)\n"
 
 
+def test_geodesic_surface_with_non_finite_tangent_off_the_immersion_grid(
+        capsys, tmp_path):
+    # d/dw sqrt((w - 1/9)^2) is 0/0 at w = 1/9, a node of the 64-point gate
+    # grid but not of the 8-point immersion grid
+    path = tmp_path / "kink.json"
+    path.write_text(json.dumps({
+        "surface": {"dim": 3, "parameters": ["u", "w"],
+                    "components": ["u", "w", "sqrt((w - 7/63)^2)"],
+                    "domain": [[-1, 1], [0, 7]], "direction": [0, 0, 1]},
+        "geodesics": [{"start": [0, 3], "tangent": [1, 0, 0], "length": 0.5}],
+    }))
+    code, out, err = run(capsys, "geodesic", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: non-finite tangent map at (-1, 0.111111)\n"
+
+
+def _pole_curve(tmp_path):
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps({"dim": 2, "components": ["s", "1/(s-1)"],
+                                "domain": [0, 2]}))
+    return str(path)
+
+
+def test_analyze_names_a_non_finite_speed(capsys, tmp_path):
+    code, out, err = run(capsys, "analyze", _pole_curve(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: non-finite speed at t=1\n"
+
+
 # ------------------------------------------------------------- plotdata
+
+def test_plotdata_rejects_a_non_finite_point(capsys, tmp_path):
+    # the 17-point grid on [0, 2] hits the pole at s = 1
+    code, out, err = run(capsys, "plotdata", _pole_curve(tmp_path),
+                         "--grid", "17")
+    assert code == 2
+    assert out == ""
+    assert err == "error: non-finite point at s=1\n"
+
 
 def test_plotdata_row_counts(files, capsys):
     for grid in (16, 32):

@@ -307,6 +307,13 @@ def test_grids_reject_nonfinite_and_out_of_domain(kind):
         c.point(np.nan)
     with pytest.raises(CurveError):
         c.jet(np.nan, 1)
+    if kind == "analytic":
+        # a parameter in the domain at a pole of a component
+        pole = AnalyticCurve(["s", "1/(s-1)", "s"], (0.0, 2.0))
+        with pytest.raises(CurveError, match=r"non-finite point at s=1$"):
+            pole.point(1.0)
+        with pytest.raises(CurveError, match=r"non-finite point at s=1$"):
+            pole.point_grid(np.linspace(0.0, 2.0, 9))
     # the domain tolerance still admits roundoff at the ends
     tol = 1e-10 * max(1.0, abs(a), abs(b))
     assert c.jet_grid([a - tol, b + tol], 1).shape == (2, 1, 3)

@@ -170,6 +170,8 @@ def test_compiled_forms_agree():
         g = compile_array(e)
         vals = g(grid)
         assert vals.shape == grid.shape
+        # one evaluator: the scalar form takes the grid and agrees to the bit
+        assert np.array_equal(f(grid), vals)
         for i, s in enumerate(grid):
             want = evaluate(e, float(s))
             assert f(float(s)) == pytest.approx(want, rel=1e-14)

@@ -1,0 +1,64 @@
+"""The benchmark's tracer against the live code.
+
+bench/tracer.py rebinds helixkit functions and methods by name; a binding
+site that the code no longer uses only shows up as a zero counter in a
+traced benchmark run.  This runs one traced geodesic job instead.
+"""
+
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+import helixkit
+from helixkit import cli, curve, expr, frenet, helix, hypersurf
+from conftest import CYLINDER_SPEC
+
+MODULES = [helixkit, expr, curve, frenet, helix, hypersurf, cli]
+
+
+def _load_tracer():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings():
+    """Every name bound in the modules and in the classes they define."""
+    owners = MODULES + [value for module in MODULES
+                        for value in vars(module).values()
+                        if isinstance(value, type)
+                        and value.__module__.startswith("helixkit")]
+    return {(owner, name): value for owner in owners
+            for name, value in vars(owner).items()}
+
+
+def test_traced_geodesic_job_reaches_every_surface_counter(tmp_path):
+    scenario = tmp_path / "cylinder.json"
+    scenario.write_text(json.dumps({
+        "surface": CYLINDER_SPEC,
+        "geodesics": [{"start": [0.0, 0.0],
+                       "tangent": [0.0, math.cos(0.6), math.sin(0.6)],
+                       "length": 1.2, "steps": 200}],
+    }))
+    before = _bindings()
+    tracer = _load_tracer().Tracer(MODULES)
+    tracer.install()
+    try:
+        rebound = {key for key, value in _bindings().items()
+                   if value is not before[key]}
+        code = cli.main(["geodesic", str(scenario),
+                         "--output", str(tmp_path / "report.json")])
+    finally:
+        tracer.uninstall()
+
+    assert code == 0
+    totals = tracer.totals()
+    assert totals["expr.scalar_evals"] > 0
+    assert totals["hypersurf.point_calls"] > 0
+    assert {(expr, "compile_scalar"), (expr, "compile_array"),
+            (hypersurf.Hypersurface, "point")} <= rebound
+    after = _bindings()
+    assert all(after[key] is value for key, value in before.items())
