@@ -170,6 +170,7 @@ class AnalyticCurve(Curve):
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise CurveError(f"bad domain [{a}, {b}]")
         self.components = tuple(comps)
+        self._numbering = expr.ValueNumbering(comps)
         self.dim = len(comps)
         self.domain = (a, b)
         self.parameter = parameter
@@ -181,24 +182,20 @@ class AnalyticCurve(Curve):
         """Taylor coefficients 0..order of the coordinates, (order+1, m, dim).
 
         `series` holds the normalized Taylor coefficients of the parameter
-        along the path of evaluation, as `expr.taylor` takes them.
+        along the path of evaluation, as `expr.taylor` takes them; one pass
+        serves every coordinate.  Unchecked: inf or nan, and no warning.
         """
-        env = {self.parameter: series}
-        return np.stack([expr.taylor(e, env, order) for e in self.components],
-                        axis=-1)
+        return self._numbering.taylor({self.parameter: series}, order)
 
     def jet_grid(self, svals, order):
-        return _jets(self._coefficients([self._grid(svals), 1.0], order))
+        svals = self._grid(svals)
+        return _jets(self._coefficients([svals, 1.0], order), svals,
+                     self.parameter)
 
     def point_grid(self, svals):
         svals = self._grid(svals)
-        with np.errstate(all="ignore"):
-            points = self._coefficients([svals], 0)[0]
-        finite = np.isfinite(points).all(axis=-1)
-        if not finite.all():
-            s = svals[int(np.argmin(finite))]
-            raise CurveError(f"non-finite point at {self.parameter}={s:.6g}")
-        return points
+        return _finite(self._coefficients([svals], 0)[0], svals,
+                       self.parameter, "point")
 
     def speed_expression(self):
         total = None
@@ -212,21 +209,30 @@ class AnalyticCurve(Curve):
             self.speed, np.linspace(*self.domain, _PANELS + 1)).sum())
 
 
-def _jets(coeffs):
-    """Derivatives 1..order, (m, order, dim), from Taylor coefficients."""
+def _jets(coeffs, svals, name):
+    """Derivatives 1..order at svals, (m, order, dim), from Taylor coefficients."""
     order = coeffs.shape[0] - 1
     factorials = np.cumprod(np.arange(1.0, order + 1.0))
     out = np.moveaxis(coeffs[1:] * factorials[:, None, None], 0, 1)
-    if not np.all(np.isfinite(out)):
-        raise CurveError("non-finite derivative on grid")
-    return out
+    return _finite(out, svals, name, "derivative")
+
+
+def _finite(rows, svals, name, what):
+    """rows; CurveError naming the parameter `name` at the first bad row."""
+    finite = np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
+    if not finite.all():
+        s = svals[int(np.argmin(finite))]
+        raise CurveError(f"non-finite {what} at {name}={s:.6g}")
+    return rows
 
 
 def _panel_integrals(f, t):
     """Integral of the vectorized f over each panel [t[i], t[i+1]]."""
     half = 0.5 * np.diff(t)
     x = (t[:-1] + half)[:, None] + half[:, None] * _GL_NODES
-    return half * (f(x) @ _GL_WEIGHTS)
+    # four blocks of panels keep the series f holds at once small, in cache
+    fx = np.concatenate([f(block) for block in np.array_split(x, 4)])
+    return half * (fx @ _GL_WEIGHTS)
 
 
 # windows for sampled-curve stencils: 5 nodes covers d1/d2, 7 covers d3/d4
@@ -306,13 +312,12 @@ class ReparametrizedCurve(Curve):
         self.source = source
         self.dim = source.dim
         self.parameter = source.parameter
-        self._inverse_speed = expr.Div(expr.Const(1.0),
-                                       source.speed_expression())
+        self._inverse_speed = expr.ValueNumbering(
+            [expr.Div(expr.Const(1.0), source.speed_expression())])
 
         a, b = source.domain
         t = np.linspace(a, b, _PANELS + 1)
-        with np.errstate(all="ignore"):
-            v = source.speed(t)
+        v = source.speed(t)
         finite = np.isfinite(v)
         if not finite.all():
             raise NonRegularCurveError(
@@ -346,12 +351,14 @@ class ReparametrizedCurve(Curve):
         return np.clip(t, a, b)
 
     def jet_grid(self, svals, order):
-        t = [self.parameter_of_arclength(self._grid(svals))]
+        svals = self._grid(svals)
+        t = [self.parameter_of_arclength(svals)]
+        series = expr.TaylorSeries(self._inverse_speed, {self.parameter: []})
         for k in range(1, order + 1):
             # the k-th coefficient of t(s) needs only t_0..t_{k-1}
-            t.append(expr.taylor(self._inverse_speed, {self.parameter: t},
-                                 k - 1)[k - 1] / k)
-        return _jets(self.source._coefficients(t, order))
+            series.extend([t[k - 1]])
+            t.append(series.coefficients[0][k - 1] / k)
+        return _jets(self.source._coefficients(t, order), svals, "s")
 
     def point_grid(self, svals):
         t = self.parameter_of_arclength(self._grid(svals))

@@ -4,11 +4,12 @@ The expression language covers what a curve or surface component needs:
 constants, the parameter(s), the four arithmetic operators, powers with a
 constant exponent, unary negation, and sin/cos/tan/exp/log/sqrt.  Expressions
 are immutable trees.  `taylor` evaluates all derivatives of a tree up to a
-given order in one pass of truncated Taylor arithmetic; `differentiate`
-builds the exact first derivative as a new tree.  `compile_scalar` and
-`compile_array` are both order-0 `taylor` callables, unchecked, over floats
-or arrays; `evaluate` is the checked reference that names the subexpression
-at fault at a singular point.
+given order in one pass of truncated Taylor arithmetic over its distinct
+subexpressions (`ValueNumbering`), each evaluated once and dropped after its
+last use; `differentiate` builds the exact first derivative as a new tree.
+`compile_scalar` and `compile_array` are both order-0 `taylor` callables,
+unchecked and unwarned, over floats or arrays; `evaluate` is the checked
+reference that names the subexpression at fault at a singular point.
 
 Operator precedence is ``^`` over unary minus over ``*``/``/`` over ``+``/``-``,
 everything left-associative except ``^`` which is right-associative, so
@@ -32,7 +33,7 @@ __all__ = [
     "Expression", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
     "Call", "parse", "differentiate", "evaluate", "to_source",
     "compile_scalar", "compile_array", "taylor", "TaylorSeries",
-    "FUNCTIONS",
+    "ValueNumbering", "FUNCTIONS",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
@@ -475,19 +476,89 @@ def taylor(e: Expression, env, order: int) -> np.ndarray:
     The result has shape (order + 1, *broadcast shape).  Unchecked like
     `compile_array`: singular points give inf or nan.
     """
-    n = order + 1
-    paths = {}
-    for name, coeffs in env.items():
-        c = [np.asarray(x, dtype=float) for x in list(coeffs)[:n]]
-        paths[name] = c + [_ZERO] * (n - len(c))
-    shape = np.broadcast_shapes(*(x.shape for c in paths.values() for x in c))
-    out = np.empty((n, *shape))
-    for k, x in enumerate(TaylorSeries([e], paths, n).coefficients[0]):
-        out[k] = x
-    return out
+    return ValueNumbering([e]).taylor(env, order)[..., 0]
 
 
 _ZERO = np.float64(0.0)
+_ONE = ("const", (), (np.float64(1.0), 1.0))
+
+
+class ValueNumbering:
+    """The distinct subexpressions of some trees, numbered bottom-up.
+
+    `steps` lists (operation, operand numbers, parameter), operands first,
+    one per key: a constant keeps the sign of a zero, so a repeated subtree
+    gets one number.  Integer powers become products, sqrt the power 1/2,
+    log takes 1/u as an operand, and sin, cos and tan of one argument share
+    a sin/cos pair.  `release[i]` lists operands last used by step i.
+    """
+
+    def __init__(self, exprs):
+        self._numbers, self._seen = {}, {}
+        self.roots = [self._number(e) for e in exprs]
+        self.steps = list(self._numbers)
+        last = {a: i for i, (_, args, _) in enumerate(self.steps) for a in args}
+        last.update((r, None) for r in self.roots)
+        self.release = [[a for a in args if last[a] == i]
+                        for i, (_, args, _) in enumerate(self.steps)]
+        del self._numbers, self._seen
+
+    def taylor(self, env, order):
+        """`taylor` of every tree at once, (order + 1, *shape, trees), unwarned."""
+        n = order + 1
+        paths = {}
+        for name, coeffs in env.items():
+            c = [np.asarray(x, dtype=float) for x in list(coeffs)[:n]]
+            paths[name] = c + [_ZERO] * (n - len(c))
+        shape = np.broadcast_shapes(*(x.shape for c in paths.values() for x in c))
+        out = np.empty((n, *shape, len(self.roots)))
+        with np.errstate(all="ignore"):
+            for i, w in enumerate(TaylorSeries(self, paths, n).coefficients):
+                for k, x in enumerate(w):
+                    out[k, ..., i] = x
+        return out
+
+    def _step(self, op, args=(), param=None):
+        return self._numbers.setdefault((op, args, param), len(self._numbers))
+
+    def _number(self, e):
+        # trees share subtree objects; each object is keyed once
+        if id(e) in self._seen:
+            return self._seen[id(e)]
+        step, number = self._step, self._number
+        if isinstance(e, Const):
+            c = np.float64(e.value)
+            n = step("const", (), (c, math.copysign(1.0, c)))
+        elif isinstance(e, Var):
+            n = step("var", (), e.name)
+        elif isinstance(e, (Neg, Add, Sub, Mul, Div)):
+            # operands in field order: arg, or left and right
+            n = step(type(e).__name__.lower(), tuple(map(number, vars(e).values())))
+        elif isinstance(e, Pow) and (e.exponent < 0.0
+                                     or not float(e.exponent).is_integer()):
+            n = step("pow", (number(e.base),), e.exponent)
+        elif isinstance(e, Pow):
+            # square-and-multiply products stay finite where the base
+            # vanishes; the power recurrence divides by the base
+            u, n = number(e.base), step(*_ONE)
+            for bit in bin(int(e.exponent))[2:]:
+                n = step("mul", (n, n))
+                n = step("mul", (n, u)) if bit == "1" else n
+        elif isinstance(e, Call) and e.fn in ("sin", "cos", "tan"):
+            pair = (step("sincos", (number(e.arg),)),)
+            n = (step(e.fn, pair) if e.fn != "tan"
+                 else step("div", (step("sin", pair), step("cos", pair))))
+        elif isinstance(e, Call) and e.fn == "exp":
+            n = step("exp", (number(e.arg),))
+        elif isinstance(e, Call) and e.fn == "sqrt":
+            n = step("pow", (number(e.arg),), 0.5)
+        elif isinstance(e, Call) and e.fn == "log":
+            u = number(e.arg)
+            n = step("log", (u, step("div", (step(*_ONE), u))))
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        self._seen[id(e)] = n
+        return n
 
 
 class TaylorSeries:
@@ -495,15 +566,22 @@ class TaylorSeries:
 
     `paths` maps each variable to its path's normalized coefficients so far;
     `coefficients[i]` lists those of exprs[i], by truncated Taylor
-    arithmetic (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
-    Without `order`, `extend` raises every node by one order, recomputing
-    nothing; with it, each node gets `order` coefficients as it is built,
-    depth first, so subtrees are freed early.
+    arithmetic (Griewank & Walther, *Evaluating Derivatives*, ch. 13), one
+    series per step of their `ValueNumbering` (which `exprs` may be).
+    Without `order`, `extend` raises every series by one order, recomputing
+    nothing; with it, each gets `order` coefficients as it is built and is
+    dropped after its last consumer is built.
     """
 
     def __init__(self, exprs, paths, order=None):
+        plan = exprs if isinstance(exprs, ValueNumbering) else ValueNumbering(exprs)
         self._paths, self._fill, self._updates = paths, order, []
-        self.coefficients = [self._node(e) for e in exprs]
+        values = [None] * len(plan.steps)
+        for i, (op, args, param) in enumerate(plan.steps):
+            values[i] = self._build(op, [values[a] for a in args], param)
+            for a in plan.release[i]:
+                values[a] = None
+        self.coefficients = [values[r] for r in plan.roots]
 
     def extend(self, values):
         """Append one order; values are the variables' next coefficients."""
@@ -514,69 +592,23 @@ class TaylorSeries:
 
     def _series(self, step):
         w = []
-        if self._fill is None:      # kept for extend, children before parents
+        if self._fill is None:      # kept for extend, operands before users
             self._updates.append(lambda k: w.append(step(k, w)))
         for k in range(self._fill or 0):
             w.append(step(k, w))
         return w
 
-    def _product(self, u, v):
-        return self._series(
-            lambda k, w: sum(u[j] * v[k - j] for j in range(k + 1)))
-
-    def _quotient(self, u, v):
-        return self._series(lambda k, w: (
-            u[k] - sum(v[j] * w[k - j] for j in range(1, k + 1))) / v[0])
-
-    def _power(self, u, c):
-        # w = u^c satisfies u w' = c u' w
-        return self._series(lambda k, w: np.power(u[0], c) if k == 0 else sum(
-            (c * j - (k - j)) * u[j] * w[k - j] for j in range(1, k + 1))
-            / (k * u[0]))
-
-    def _node(self, e):
-        series = self._series
-        if isinstance(e, Const):
-            c = np.float64(e.value)
-            return series(lambda k, w: c if k == 0 else _ZERO)
-        if isinstance(e, Var):
+    def _build(self, op, args, param):
+        u, v = (*args, None, None)[:2]
+        if op == "var":
             try:
-                return self._paths[e.name]
+                return self._paths[param]
             except KeyError:
-                raise ExprDomainError(f"unbound variable {e.name!r}", e) from None
-        if isinstance(e, Neg):
-            u = self._node(e.arg)
-            return series(lambda k, w: -u[k])
-        if isinstance(e, (Add, Sub, Mul, Div)):
-            u, v = self._node(e.left), self._node(e.right)
-            if isinstance(e, Add):
-                return series(lambda k, w: u[k] + v[k])
-            if isinstance(e, Sub):
-                return series(lambda k, w: u[k] - v[k])
-            return (self._product if isinstance(e, Mul) else self._quotient)(u, v)
-        if isinstance(e, Pow):
-            u, c = self._node(e.base), e.exponent
-            if c < 0.0 or not float(c).is_integer():
-                return self._power(u, c)
-            # square-and-multiply products stay finite where the base
-            # vanishes; the power recurrence divides by the base
-            w = self._node(Const(1.0))
-            for bit in bin(int(c))[2:]:
-                w = self._product(w, w)
-                if bit == "1":
-                    w = self._product(w, u)
-            return w
-        if isinstance(e, Call):
-            u = self._node(e.arg)
-            if e.fn == "exp":
-                return series(lambda k, w: np.exp(u[0]) if k == 0
-                              else _chain(u, w, k))
-            if e.fn == "log":
-                inverse = self._quotient(self._node(Const(1.0)), u)
-                return series(lambda k, w: np.log(u[0]) if k == 0
-                              else _chain(u, inverse, k))
-            if e.fn == "sqrt":
-                return self._power(u, 0.5)
+                raise ExprDomainError(f"unbound variable {param!r}",
+                                      Var(param)) from None
+        if op in ("sin", "cos"):    # u is the pair
+            return u[op == "cos"]
+        if op == "sincos":
             cos = []
 
             def sin_step(k, w):
@@ -584,12 +616,29 @@ class TaylorSeries:
                 cos.append(np.cos(u[0]) if k == 0 else -_chain(u, w, k))
                 return np.sin(u[0]) if k == 0 else _chain(u, cos, k)
 
-            sin = series(sin_step)
-            if e.fn in ("sin", "cos"):
-                return sin if e.fn == "sin" else cos
-            if e.fn == "tan":
-                return self._quotient(sin, cos)
-        raise TypeError(f"not an expression node: {e!r}")
+            return self._series(sin_step), cos
+        rule = _RULES[op]
+        return self._series(lambda k, w: rule(u, v, param, k, w))
+
+
+# order k of an operation's series w from its operands' series u and v, its
+# constant or exponent c, and the orders of w below k
+_RULES = {
+    "const": lambda u, v, c, k, w: c[0] if k == 0 else _ZERO,
+    "neg": lambda u, v, c, k, w: -u[k],
+    "add": lambda u, v, c, k, w: u[k] + v[k],
+    "sub": lambda u, v, c, k, w: u[k] - v[k],
+    "mul": lambda u, v, c, k, w: sum(u[j] * v[k - j] for j in range(k + 1)),
+    "div": lambda u, v, c, k, w: (
+        u[k] - sum(v[j] * w[k - j] for j in range(1, k + 1))) / v[0],
+    # w = u^c satisfies u w' = c u' w
+    "pow": lambda u, v, c, k, w: np.power(u[0], c) if k == 0 else sum(
+        (c * j - (k - j)) * u[j] * w[k - j]
+        for j in range(1, k + 1)) / (k * u[0]),
+    "exp": lambda u, v, c, k, w: np.exp(u[0]) if k == 0 else _chain(u, w, k),
+    # v is 1/u
+    "log": lambda u, v, c, k, w: np.log(u[0]) if k == 0 else _chain(u, v, k),
+}
 
 
 def _chain(u, g, k):
@@ -612,7 +661,9 @@ def compile_array(e: Expression, variables=("s",)):
     """Callable over floats or numpy arrays (unchecked): order-0 `taylor`.
 
     Arguments bind to `variables` in order and broadcast against each
-    other; singular points give inf or nan.
+    other; singular points give inf or nan, unwarned.  The callable keeps
+    the tree's numbering, so calls do not number it again.
     """
-    return lambda *args: taylor(
-        e, {name: [a] for name, a in zip(variables, args)}, 0)[0]
+    numbering = ValueNumbering([e])
+    return lambda *args: numbering.taylor(
+        {name: [a] for name, a in zip(variables, args)}, 0)[..., 0][0]

@@ -51,8 +51,7 @@ def _stacked(fns, u):
     """The compiled maps at a parameter point or a (..., n-1) stack, stacked
     on a last axis; singular points give inf or nan, unwarned."""
     u = np.asarray(u, dtype=float)
-    with np.errstate(all="ignore"):
-        return np.stack([f(*np.moveaxis(u, -1, 0)) for f in fns], axis=-1)
+    return np.stack([f(*np.moveaxis(u, -1, 0)) for f in fns], axis=-1)
 
 
 class Hypersurface:
@@ -321,7 +320,7 @@ def geodesic(h: Hypersurface, start, tangent, length: float,
     # c2 is the order-2 coefficient of X(p + eps pdot); lambda =
     # <alpha'', xi> = 2 <c2, xi>, since the tangential part J pdd drops out
     env = {name: [params[:, k], pdots[:, k]] for k, name in enumerate(h.parameters)}
-    c2 = np.stack([expr.taylor(c, env, 2)[2] for c in h.components], axis=1)
+    c2 = expr.ValueNumbering(h.components).taylor(env, 2)[2]
     lam = 2.0 * np.einsum("mk,mk->m", c2, h._unit_normal(jacs, params))
     return [GeodesicSample(float(s), x, vel, float(a), q) for s, x, vel, a, q
             in zip(svals, h.point(params),

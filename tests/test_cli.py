@@ -331,6 +331,19 @@ def test_analyze_names_a_non_finite_speed(capsys, tmp_path):
     assert err == "error: non-finite speed at t=1\n"
 
 
+def test_analyze_names_a_non_finite_derivative(capsys, tmp_path):
+    # sqrt(s - 1) is nan below s = 1: one error line, no numpy warning
+    path = tmp_path / "root.json"
+    path.write_text(json.dumps({"dim": 3, "components": ["s", "s^2",
+                                                         "sqrt(s-1)"],
+                                "domain": [0, 2]}))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == ("error: bad analytic curve: non-finite derivative "
+                   "at s=0\n")
+
+
 # ------------------------------------------------------------- plotdata
 
 def test_plotdata_rejects_a_non_finite_point(capsys, tmp_path):

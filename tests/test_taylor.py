@@ -35,6 +35,13 @@ CASES = [
     ("log(2 + cos(s))", (-2.0, 2.0)),                    # log
     ("sqrt(1 + s^2)", (-2.0, 2.0)),                      # sqrt
     ("log(s)*sqrt(s)*exp(-s^2)", (0.3, 2.0)),
+    # one argument under sin, cos and tan, and repeated subtrees, which
+    # are evaluated once: a shared sin/cos pair, sqrt as the power 1/2,
+    # log's reciprocal as an explicit 1/u
+    ("sin(s/2)*cos(s/2) - tan(s/2)/cos(s/2)", (-2.0, 2.0)),
+    ("(1 + s^2)*exp(1 + s^2) + sqrt(1 + s^2)/(1 + s^2)^0.5", (-1.0, 1.0)),
+    ("log(2 + s^2) + 1/(2 + s^2) - (sin(s) + s)^3*(sin(s) + s)",
+     (-2.0, 2.0)),
 ]
 
 
@@ -108,6 +115,32 @@ def test_series_raised_order_by_order_matches_taylor(source, interval):
     for tree, got in zip(trees, series.coefficients):
         assert len(got) == ORDER + 1
         assert np.array_equal(got, expr.taylor(tree, {"s": path}, ORDER))
+
+
+def test_each_distinct_subexpression_is_one_step():
+    trees = [expr.parse("sin(s^2 + 1)*cos(s^2 + 1) + tan(s^2 + 1)"),
+             expr.parse("(s^2 + 1)^0.5 + sqrt(s^2 + 1) + sin(s^2 + 1)")]
+    numbering = expr.ValueNumbering(trees)
+    ops = [op for op, _, _ in numbering.steps]
+    assert ops.count("sincos") == 1
+    assert ops.count("pow") == 1
+    assert len(set(numbering.steps)) == len(numbering.steps)
+
+
+def test_signed_zero_constants_stay_apart():
+    # 0.0 == -0.0, so a key without the sign would give every root here the
+    # series of 0.0; a product's sum restores +0.0, a quotient keeps -0.0
+    sources = ["0.0*s", "-0.0*s", "0.0/s", "-0.0/s", "1/(-0.0/s)", "-0.0"]
+    trees = [expr.parse(source) for source in sources]
+    with np.errstate(all="ignore"):
+        series = expr.TaylorSeries(trees, {"s": [1.0, 1.0, 0.0]}, 3)
+        got = [np.array(c) for c in series.coefficients]
+        want = [expr.taylor(tree, {"s": [1.0, 1.0]}, 2) for tree in trees]
+    assert [bool(np.signbit(c[0])) for c in got] == [
+        False, False, False, True, True, True]
+    assert got[4][0] == -np.inf
+    for g, w in zip(got, want):
+        assert np.array_equal(np.signbit(g), np.signbit(w))
 
 
 def test_compile_array_is_order_zero_taylor():
