@@ -13,9 +13,9 @@ from .helix import (AxisComparison, HelixFunctions, HelixReport, axis_field,
                     helix_axis_field_3d, indicatrix_curvatures_3d,
                     slant_functions, slant_invariant_3d, tangent_indicatrix,
                     verify_same_axis)
-from .hypersurf import (GeodesicCheck, GeodesicSample, Hypersurface,
-                        SurfaceGeodesicReport, geodesic, is_helix_surface,
-                        load_surface, samples_to_curve,
+from .hypersurf import (GeodesicCheck, GeodesicPath, GeodesicSample,
+                        Hypersurface, SurfaceGeodesicReport, geodesic,
+                        is_helix_surface, load_surface, samples_to_curve,
                         verify_geodesic_theorems)
 
 __version__ = "0.1.0"
@@ -24,7 +24,8 @@ __all__ = [
     "AnalyticCurve", "AxisComparison", "AxisHintError", "ClassificationError",
     "Curve", "CurveError", "CurveFormatError", "DegenerateCurveError",
     "DerivativeJet", "ExprDomainError", "ExprParseError", "FrenetApparatus",
-    "FrenetGrid", "GeodesicCheck", "GeodesicSample", "HelixFunctions",
+    "FrenetGrid", "GeodesicCheck", "GeodesicPath", "GeodesicSample",
+    "HelixFunctions",
     "HelixReport", "HelixkitError", "Hypersurface", "NonRegularCurveError",
     "NotUnitSpeedError", "SampledCurve", "SurfaceError",
     "SurfaceGeodesicReport", "UnreliableResultError",

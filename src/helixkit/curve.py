@@ -44,8 +44,9 @@ def finite_difference_weights(x0, nodes, maxorder):
     """Weights for derivatives 0..maxorder at x0 from values on `nodes`.
 
     Fornberg's recursive construction on arbitrary (distinct) nodes; row k
-    dotted with the function values gives the k-th derivative at x0.  It
-    broadcasts over leading axes: x0 (...) and nodes (..., w) give weights
+    dotted with the function values gives the k-th derivative at x0, and it
+    is the same to the bit for any maxorder >= k.  It broadcasts over
+    leading axes: x0 (...) and nodes (..., w) give C-contiguous weights
     (..., maxorder+1, w), bit for bit those of one point at a time.
     """
     x = np.asarray(nodes, dtype=float)
@@ -54,32 +55,31 @@ def finite_difference_weights(x0, nodes, maxorder):
     if maxorder >= n:
         raise ValueError("need more nodes than derivative order")
     lead = np.broadcast_shapes(x0.shape, x.shape[:-1])
-    x = np.broadcast_to(x, lead + (n,))
-    w = np.zeros(lead + (maxorder + 1, n))
-    w[..., 0, 0] = 1.0
+    # the recurrence runs on (order, node, *points): the points, on the last
+    # axis, are contiguous in every update
+    x = np.moveaxis(np.broadcast_to(x, lead + (n,)), -1, 0)
+    w = np.zeros((maxorder + 1, n) + lead)
+    w[0, 0] = 1.0
     c1 = np.ones(lead)
-    c4 = x[..., 0] - x0
+    c4 = x[0] - x0
     for i in range(1, n):
         mn = min(i, maxorder)
-        k = np.arange(1.0, mn + 1.0)
-        c3 = x[..., i, None] - x[..., :i]
+        k = np.arange(1.0, mn + 1.0).reshape((mn,) + (1,) * len(lead))
+        c3 = x[i] - x[:i]
         c2 = np.ones(lead)
         for j in range(i):
-            c2 = c2 * c3[..., j]
+            c2 = c2 * c3[j]
         c5 = c4
-        c4 = x[..., i] - x0
+        c4 = x[i] - x0
         # column i comes from column i-1 before that column is updated
-        prev = w[..., i - 1]
-        w[..., 1:mn + 1, i] = (c1[..., None] * (k * prev[..., :mn]
-                               - c5[..., None] * prev[..., 1:mn + 1])
-                               / c2[..., None])
-        w[..., 0, i] = -c1 * c5 * prev[..., 0] / c2
-        w[..., 1:mn + 1, :i] = ((c4[..., None, None] * w[..., 1:mn + 1, :i]
-                                 - k[:, None] * w[..., :mn, :i])
-                                / c3[..., None, :])
-        w[..., 0, :i] = c4[..., None] * w[..., 0, :i] / c3
+        prev = w[:, i - 1]
+        w[1:mn + 1, i] = c1 * (k * prev[:mn] - c5 * prev[1:mn + 1]) / c2
+        w[0, i] = -c1 * c5 * prev[0] / c2
+        w[1:mn + 1, :i] = (c4 * w[1:mn + 1, :i] - k[:, None] * w[:mn, :i]) / c3
+        w[0, :i] = c4 * w[0, :i] / c3
         c1 = c2
-    return w
+    # a moved-axes view would change how matmul sums the rows
+    return np.ascontiguousarray(np.moveaxis(w, (0, 1), (-2, -1)))
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class DerivativeJet:
 
 
 class Curve:
-    """Common interface; a subclass overrides the grids or `_derivative`."""
+    """Common interface; a subclass overrides the grids or `_derivatives`."""
 
     dim: int
     domain: tuple
@@ -119,15 +119,15 @@ class Curve:
         svals = self._grid(svals)
         if order < 1:
             raise CurveError("jet order must be >= 1")
-        return np.stack([self._derivative(svals, k)
-                         for k in range(1, order + 1)], axis=1)
+        return np.stack(self._derivatives(svals, range(1, order + 1)), axis=1)
 
     def point_grid(self, svals):
         """Points at each of svals; shape (m, dim)."""
-        return self._derivative(self._grid(svals), 0)
+        return self._derivatives(self._grid(svals), [0])[0]
 
-    def _derivative(self, svals, k):
-        """k-th derivative (k = 0: the point) at each of svals, (m, dim)."""
+    def _derivatives(self, svals, orders):
+        """The k-th derivative (k = 0: the point) at each of svals, (m, dim),
+        for each k of orders."""
         raise NotImplementedError
 
     def length(self):
@@ -271,27 +271,40 @@ class SampledCurve(Curve):
         self._h_med = float(np.median(np.diff(params)))
         self._measure_unit_speed(UNIT_SPEED_TOL_SAMPLED)
 
-    def _derivative(self, svals, k):
+    def _derivatives(self, svals, orders):
+        # one Fornberg pass per distinct stencil, at its largest order
+        groups = {}
+        for k in orders:
+            groups.setdefault(self._stencil(k), []).append(k)
+        m = len(self.params)
+        out = {}
+        for (w, stride), ks in groups.items():
+            # every point's stencil at once, shifted inwards at the ends
+            span = (w - 1) * stride
+            first = (np.searchsorted(self.params, svals, side="left")
+                     - (w // 2) * stride)
+            first = np.maximum(np.minimum(first, m - 1 - span), 0)
+            idx = first[..., None] + stride * np.arange(w)
+            weights = finite_difference_weights(svals, self.params[idx],
+                                                max(ks))
+            points = self.points[idx]
+            # matmul adds up each row as a one-point dot does; einsum does not
+            for k in ks:
+                out[k] = np.matmul(weights[..., k, None, :], points)[..., 0, :]
+        return [out[k] for k in orders]
+
+    def _stencil(self, k):
+        """Window and node stride of the k-th derivative's stencils."""
         if k not in _WINDOW:
             raise CurveError(
                 "sampled curves support derivatives up to order 4; "
                 "use an analytic curve for higher order")
-        m = len(self.params)
-        w = _WINDOW[k]
         stride = 1
         if k:
             h_target = np.finfo(float).eps ** (1.0 / (k + 4))
             stride = max(1, min(int(round(h_target / self._h_med)),
-                                (m - 1) // (w - 1)))
-        # every point's stencil at once, shifted inwards at the ends
-        span = (w - 1) * stride
-        first = (np.searchsorted(self.params, svals, side="left")
-                 - (w // 2) * stride)
-        first = np.maximum(np.minimum(first, m - 1 - span), 0)
-        idx = first[..., None] + stride * np.arange(w)
-        weights = finite_difference_weights(svals, self.params[idx], k)
-        # matmul adds up each row as a one-point dot does; einsum does not
-        return np.matmul(weights[..., k, None, :], self.points[idx])[..., 0, :]
+                                (len(self.params) - 1) // (_WINDOW[k] - 1)))
+        return _WINDOW[k], stride
 
     def length(self):
         speeds = np.linalg.norm(self.jet_grid(self.params, 1)[:, 0, :], axis=1)

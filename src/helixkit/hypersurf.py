@@ -29,7 +29,8 @@ from .frenet import generalized_cross
 from .helix import classify, tangent_indicatrix
 
 __all__ = [
-    "Hypersurface", "GeodesicSample", "GeodesicCheck", "SurfaceGeodesicReport",
+    "Hypersurface", "GeodesicSample", "GeodesicPath", "GeodesicCheck",
+    "SurfaceGeodesicReport",
     "load_surface", "is_helix_surface", "geodesic", "samples_to_curve",
     "verify_geodesic_theorems", "GEODESIC_STEP",
 ]
@@ -45,13 +46,6 @@ _IMMERSION_GRID = 8
 
 def _fmt(u):
     return "(" + ", ".join(f"{float(x):g}" for x in u) + ")"
-
-
-def _stacked(fns, u):
-    """The compiled maps at a parameter point or a (..., n-1) stack, stacked
-    on a last axis; singular points give inf or nan, unwarned."""
-    u = np.asarray(u, dtype=float)
-    return np.stack([f(*np.moveaxis(u, -1, 0)) for f in fns], axis=-1)
 
 
 class Hypersurface:
@@ -95,20 +89,24 @@ class Hypersurface:
 
         self._point_fns = [expr.compile_scalar(c, self.parameters)
                            for c in self.components]
+        self._numbering = expr.ValueNumbering(self.components)
         # first partials, component-major: entry i*(n-1) + j is dX_i/du_j
-        self._partials = [expr.differentiate(c, p)
-                          for c in self.components for p in self.parameters]
-        self._partial_fns = [expr.compile_array(d, self.parameters)
-                             for d in self._partials]
+        self._partials = expr.ValueNumbering(
+            [expr.differentiate(c, p)
+             for c in self.components for p in self.parameters])
         self._verify_immersion()
 
     def point(self, u):
-        """X at a parameter point, or at each of a (..., n-1) stack."""
-        return _stacked(self._point_fns, u)
+        """X at a parameter point, or at each of a (..., n-1) stack; singular
+        points give inf or nan, unwarned."""
+        u = np.moveaxis(np.asarray(u, dtype=float), -1, 0)
+        return np.stack([f(*u) for f in self._point_fns], axis=-1)
 
     def jacobian(self, u):
         """Coordinate tangents dX_i/du_j, (..., n, n-1), at a point or a stack."""
-        entries = _stacked(self._partial_fns, u)
+        u = np.asarray(u, dtype=float)
+        env = {name: [u[..., k]] for k, name in enumerate(self.parameters)}
+        entries = self._partials.taylor(env, 0)[0]
         return entries.reshape(*entries.shape[:-1], self.dim, -1)
 
     def normal(self, u):
@@ -135,7 +133,8 @@ class Hypersurface:
     def _grid_jacobians(self, size):
         """Parameter grid in index order and its tangent maps."""
         axes = [np.linspace(lo, hi, size) for lo, hi in self.domain]
-        points = np.array(list(itertools.product(*axes)))
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        points = points.reshape(-1, self.dim - 1)
         return points, self.jacobian(points)
 
     def contains_parameters(self, u):
@@ -230,6 +229,32 @@ class GeodesicSample:
     parameters: np.ndarray
 
 
+@dataclass(frozen=True)
+class GeodesicPath:
+    """The samples of one geodesic, as arrays with one row per sample.
+
+    s (m,), position and velocity (m, n), normal_accel (m,) and parameters
+    (m, n-1); `path[i]` is sample i as a GeodesicSample, and iteration and
+    len() run over the samples.
+    """
+    s: np.ndarray
+    position: np.ndarray
+    velocity: np.ndarray
+    normal_accel: np.ndarray
+    parameters: np.ndarray
+
+    def __len__(self):
+        return len(self.s)
+
+    def __getitem__(self, i):
+        return GeodesicSample(float(self.s[i]), self.position[i],
+                              self.velocity[i], float(self.normal_accel[i]),
+                              self.parameters[i])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
 def _geodesic_series(h: Hypersurface, p, pdot):
     """Rows p_0..p_K: Taylor series of the unit-speed geodesic from p along pdot.
 
@@ -261,7 +286,7 @@ def _geodesic_series(h: Hypersurface, p, pdot):
 
 def geodesic(h: Hypersurface, start, tangent, length: float,
              steps: Optional[int] = None):
-    """Integrate a unit-speed geodesic; returns a list of GeodesicSample.
+    """Integrate a unit-speed geodesic; returns its GeodesicPath.
 
     start is a parameter point, tangent a unit ambient vector orthogonal to
     the normal there.  The Taylor method (Jorba & Zou, *Experimental Math.*
@@ -320,25 +345,25 @@ def geodesic(h: Hypersurface, start, tangent, length: float,
     # c2 is the order-2 coefficient of X(p + eps pdot); lambda =
     # <alpha'', xi> = 2 <c2, xi>, since the tangential part J pdd drops out
     env = {name: [params[:, k], pdots[:, k]] for k, name in enumerate(h.parameters)}
-    c2 = expr.ValueNumbering(h.components).taylor(env, 2)[2]
+    c2 = h._numbering.taylor(env, 2)[2]
     lam = 2.0 * np.einsum("mk,mk->m", c2, h._unit_normal(jacs, params))
-    return [GeodesicSample(float(s), x, vel, float(a), q) for s, x, vel, a, q
-            in zip(svals, h.point(params),
-                   (jacs @ pdots[..., np.newaxis])[..., 0], lam, params)]
+    return GeodesicPath(svals, h.point(params),
+                        (jacs @ pdots[..., np.newaxis])[..., 0], lam, params)
 
 
-def samples_to_curve(samples, spacing: float = 5e-3) -> SampledCurve:
-    """Thin integration output to roughly the given arc-length spacing."""
-    if len(samples) < 2:
+def samples_to_curve(path: GeodesicPath,
+                     spacing: float = 5e-3) -> SampledCurve:
+    """A geodesic's positions as a sampled curve in arc length, thinned to
+    roughly the given spacing; the last sample is always kept."""
+    m = len(path)
+    if m < 2:
         raise SurfaceError("need at least two geodesic samples")
-    svals = np.array([smp.s for smp in samples])
-    pts = np.stack([smp.position for smp in samples])
-    step = float(np.median(np.diff(svals)))
+    step = float(np.median(np.diff(path.s)))
     stride = max(1, int(round(spacing / step)))
-    idx = list(range(0, len(samples), stride))
-    if idx[-1] != len(samples) - 1:
-        idx.append(len(samples) - 1)
-    return SampledCurve(svals[idx], pts[idx])
+    idx = list(range(0, m, stride))
+    if idx[-1] != m - 1:
+        idx.append(m - 1)
+    return SampledCurve(path.s[idx], path.position[idx])
 
 
 @dataclass
@@ -401,29 +426,30 @@ def _axis_angle(a, b):
 NORMAL_DOT_TOL = 1e-5
 INDICATRIX_AXIS_TOL = 1e-3
 PAIRWISE_AXIS_TOL = 2e-3
+_STRAIGHT = "degenerate: principal normal undefined (straight segment)"
 
 
 def verify_geodesic_theorems(h: Hypersurface, geodesics) -> SurfaceGeodesicReport:
     """Check the three geodesic consequences of a constant-angle surface.
 
-    For each geodesic (list of GeodesicSample): (a) the principal normal
-    keeps a constant inner product with the direction; (b) the tangent
-    indicatrix lies on the unit sphere and is a general helix whose axis
-    matches the direction within 1e-3; (c) indicatrix axes of different
-    geodesics agree pairwise within 2e-3.  Straight segments are reported
-    as degenerate and excluded.  The overall verdict also requires the
-    surface itself to pass the constant-angle test.
+    For each geodesic (a GeodesicPath): (a) the principal normal keeps a
+    constant inner product with the direction; (b) the tangent indicatrix
+    lies on the unit sphere and is a general helix whose axis matches the
+    direction within 1e-3; (c) indicatrix axes of different geodesics agree
+    pairwise within 2e-3.  Straight segments are reported as degenerate and
+    excluded; any other check error fails the verdict.  The overall verdict
+    also requires the surface itself to pass the constant-angle test.
     """
     surface = is_helix_surface(h)
     checks = []
     axes = []
-    for i, samples in enumerate(geodesics):
-        lam = np.array([smp.normal_accel for smp in samples])
-        check = GeodesicCheck(index=i, lambda_mean=float(lam.mean()),
-                              lambda_std=float(lam.std()))
+    for i, path in enumerate(geodesics):
+        check = GeodesicCheck(index=i,
+                              lambda_mean=float(path.normal_accel.mean()),
+                              lambda_std=float(path.normal_accel.std()))
         checks.append(check)
         try:
-            curve = samples_to_curve(samples)
+            curve = samples_to_curve(path)
             rep = classify(curve, axis_hint=h.direction, margin=0.02)
         except HelixkitError as exc:
             check.error = f"classification failed: {exc}"
@@ -431,7 +457,7 @@ def verify_geodesic_theorems(h: Hypersurface, geodesics) -> SurfaceGeodesicRepor
         check.classification = rep.classification
         hint = rep.hint
         if hint is None or hint.v2_std is None:
-            check.error = "degenerate: principal normal undefined (straight segment)"
+            check.error = _STRAIGHT
             continue
         check.normal_dot_mean = hint.v2_mean
         check.normal_dot_std = hint.v2_std
@@ -467,9 +493,8 @@ def verify_geodesic_theorems(h: Hypersurface, geodesics) -> SurfaceGeodesicRepor
     if len(axes) >= 2:
         pairwise = max(_axis_angle(a, b)
                        for a, b in itertools.combinations(axes, 2))
-    evaluated = [c for c in checks if c.error is None]
     passed = (surface["constant"]
-              and all(c.passed for c in evaluated)
+              and all(c.passed or c.error == _STRAIGHT for c in checks)
               and (pairwise is None or pairwise <= PAIRWISE_AXIS_TOL))
     return SurfaceGeodesicReport(surface=surface, checks=checks,
                                  pairwise_axis_angle=pairwise, passed=passed)

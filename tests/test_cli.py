@@ -241,6 +241,25 @@ def test_geodesic_sphere_scenario_fails_gate(files, capsys):
     assert payload["surface"]["constant"] is False
 
 
+@pytest.mark.parametrize("steps", [1, 5])
+def test_geodesic_that_could_not_be_checked_fails_the_verdict(
+        capsys, tmp_path, steps):
+    # too few samples to classify: only a straight segment is excluded
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({
+        "surface": CYLINDER_SPEC,
+        "geodesics": [{"start": [0.0, 0.0], "tangent": [0.0, 0.6, 0.8],
+                       "length": 1.2, "steps": steps}],
+    }))
+    code, out, _ = run(capsys, "geodesic", str(path))
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["surface"]["constant"] is True
+    assert payload["geodesics"][0]["error"].startswith(
+        "classification failed: need at least 10 samples")
+
+
 def test_geodesic_scenario_validation(files, capsys, tmp_path):
     bad1 = tmp_path / "nosurface.json"
     bad1.write_text(json.dumps({"geodesics": []}))

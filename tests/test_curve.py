@@ -55,6 +55,21 @@ def test_weights_exact_on_polynomials():
             assert np.array_equal(w[i, j], one)
 
 
+@given(st.integers(0, 4), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([(), (3,), (2, 5)]), st.integers(0, 3))
+def test_weight_rows_do_not_depend_on_maxorder(maxorder, seed, lead, extra):
+    rng = np.random.default_rng(seed)
+    nodes = np.sort(rng.uniform(-1, 1, size=lead + (maxorder + 1 + extra,)),
+                    axis=-1)
+    x0 = rng.uniform(-1, 1, size=lead)
+    w = finite_difference_weights(x0, nodes, maxorder)
+    assert w.flags.c_contiguous
+    assert w.shape == lead + (maxorder + 1, nodes.shape[-1])
+    for k in range(maxorder + 1):
+        alone = finite_difference_weights(x0, nodes, k)
+        assert np.array_equal(w[..., k, :], alone[..., k, :])
+
+
 # ------------------------------------------------------- analytic curves
 
 def test_analytic_jet_values():

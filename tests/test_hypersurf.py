@@ -1,6 +1,7 @@
 """Surface normals, the constant-angle test, geodesic integration, and the
 joint geodesic verification report."""
 
+import itertools
 import json
 import math
 
@@ -13,8 +14,8 @@ from conftest import (
     cylinder_surface, cone_surface, cone_tangent,
     cylinder_geodesics, cone_geodesics, cylinder_report, cone_report,
 )
-from helixkit import hypersurf
-from helixkit.curve import arclength_reparametrize
+from helixkit import expr, hypersurf
+from helixkit.curve import SampledCurve, arclength_reparametrize
 from helixkit.errors import (
     CurveFormatError, DegenerateCurveError, SurfaceError,
 )
@@ -232,6 +233,53 @@ def test_samples_to_curve_thins_to_sampled_curve():
     assert len(curve.params) < len(samples)
     assert curve.domain[0] == samples[0].s
     assert abs(curve.domain[1] - samples[-1].s) <= 1e-12
+
+
+def _samples_to_curve_reference(samples, spacing=5e-3):
+    """The thinning one GeodesicSample at a time."""
+    svals = np.array([smp.s for smp in samples])
+    pts = np.stack([smp.position for smp in samples])
+    stride = max(1, int(round(spacing / float(np.median(np.diff(svals))))))
+    idx = list(range(0, len(samples), stride))
+    if idx[-1] != len(samples) - 1:
+        idx.append(len(samples) - 1)
+    return SampledCurve(svals[idx], pts[idx])
+
+
+@pytest.mark.parametrize("family", ["cylinder", "cone"])
+def test_geodesic_path_reads_as_its_samples(family):
+    path = (cylinder_geodesics() if family == "cylinder"
+            else cone_geodesics())[0]
+    fields = ("s", "position", "velocity", "normal_accel", "parameters")
+    assert len(path) == len(path.s) == len(list(path))
+    for i, smp in [(0, path[0]), (len(path) - 1, path[-1])] + list(
+            enumerate(path)):
+        assert isinstance(smp, hypersurf.GeodesicSample)
+        for field in fields:
+            assert np.array_equal(getattr(smp, field),
+                                  getattr(path, field)[i])
+        assert type(smp.s) is float and type(smp.normal_accel) is float
+
+    curve = hypersurf.samples_to_curve(path)
+    want = _samples_to_curve_reference(list(path))
+    assert np.array_equal(curve.params, want.params)
+    assert np.array_equal(curve.points, want.points)
+
+
+@pytest.mark.parametrize("name", ["cylinder", "cone", "sphere"])
+def test_jacobian_equals_per_partial_evaluation(name, sphere):
+    h = {"cylinder": cylinder_surface(), "cone": cone_surface(),
+         "sphere": sphere}[name]
+    axes = [np.linspace(lo, hi, 64) for lo, hi in h.domain]
+    points, jacs = h._grid_jacobians(64)
+    assert np.array_equal(points, np.array(list(itertools.product(*axes))))
+    # the reference evaluates each first partial on its own
+    want = np.stack([expr.compile_array(expr.differentiate(c, p),
+                                        h.parameters)(*points.T)
+                     for c in h.components for p in h.parameters], axis=-1)
+    assert np.array_equal(jacs, want.reshape(-1, h.dim, h.dim - 1))
+    grid = points.reshape(64, 64, 2)
+    assert np.array_equal(h.jacobian(grid), jacs.reshape(64, 64, 3, 2))
 
 
 # ------------------------------------------------------------- verification

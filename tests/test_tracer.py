@@ -68,6 +68,12 @@ def test_traced_geodesic_job_reaches_every_surface_counter(tmp_path):
     assert totals["hypersurf.point_calls"] > 0
     assert {(expr, "compile_scalar"), (expr, "compile_array"),
             (hypersurf.Hypersurface, "point")} <= rebound
+    # an override of a patched method, or a binding site the code stops
+    # using, reads zero here
+    bench = _load_tracer()
+    metrics = bench.layer_metrics(tracer.spans, totals)
+    for name in bench.EXERCISED["surfaces"]:
+        assert metrics[name] > 0, name
 
 
 def test_traced_indicatrix_job_reaches_the_expression_counters(tmp_path):
