@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import helix, hypersurf
-from .curve import load_curve, _load_json
+from .curve import arclength_reparametrize, load_curve, _load_json
 from .errors import (
     AxisHintError, ClassificationError, CurveError, CurveFormatError,
     DegenerateCurveError, ExprDomainError, SurfaceError, UnreliableResultError,
@@ -91,9 +91,7 @@ def _g(x) -> str:
 
 def _rounded(obj):
     """Copy with every float snapped to 12 significant digits."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (int, str)) or obj is None:
+    if isinstance(obj, (int, str)) or obj is None:     # bool is an int
         return obj
     if isinstance(obj, float):
         return float(_g(obj))
@@ -116,10 +114,22 @@ def _emit_json(payload, output):
     _write(json.dumps(_rounded(payload), indent=2) + "\n", output)
 
 
+def _rows_json_text(payload):
+    """What `_emit_json` writes for a payload whose "rows" is a 2-d array:
+    one json.dumps of the rounded cells, laid out as indent=2 would."""
+    rows = payload["rows"]
+    cells = json.dumps(list(map(
+        float, map("{:.12g}".format, rows.ravel().tolist()))))[1:-1]
+    row = "    [\n" + ",\n".join(["      {}"] * rows.shape[1]) + "\n    ]"
+    block = ",\n".join([row] * len(rows)).format(*cells.split(", "))
+    text = json.dumps(_rounded(dict(payload, rows=[])), indent=2)
+    return text.replace('"rows": []', f'"rows": [\n{block}\n  ]', 1) + "\n"
+
+
 def _csv_text(columns, rows):
-    lines = [",".join(columns)]
-    lines.extend(",".join(_g(x) for x in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    line = ",".join(["{:.12g}"] * rows.shape[1])
+    cells = "\n".join([line] * len(rows)).format(*rows.ravel().tolist())
+    return ",".join(columns) + "\n" + cells + "\n"
 
 
 def _check_config(parser, args):
@@ -171,7 +181,8 @@ def _fmt_cell(v):
 
 
 def cmd_indicatrix(args) -> int:
-    c = load_curve(args.input)
+    # one arc-length table for the samples and the same-axis check
+    c = arclength_reparametrize(load_curve(args.input))
     beta = helix.tangent_indicatrix(c, margin=args.margin)
     svals = np.linspace(beta.domain[0], beta.domain[1], args.grid)
     pts = beta.point_grid(svals)
@@ -190,12 +201,12 @@ def cmd_indicatrix(args) -> int:
                                            indicatrix=beta).to_dict()
     except (ClassificationError, UnreliableResultError) as exc:
         same_axis_error = str(exc)
-    _emit_json({
+    _write(_rows_json_text({
         "columns": columns,
-        "rows": [list(row) for row in rows],
+        "rows": rows,
         "same_axis": same_axis,
         "same_axis_error": same_axis_error,
-    }, args.output)
+    }), args.output)
     return 0
 
 

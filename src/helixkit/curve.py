@@ -34,10 +34,8 @@ EPS_REGULAR = 1e-10
 
 _VERIFY_GRID = 1000
 
-# Gauss-Legendre panels for arc length: 8 nodes per panel integrate the
-# smooth speed to roundoff at this panel count
+# arc-length table panels: the cubic Hermite inverse needs this many for 2e-15
 _PANELS = 4096
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def finite_difference_weights(x0, nodes, maxorder):
@@ -205,8 +203,7 @@ class AnalyticCurve(Curve):
         return expr.Call("sqrt", total)
 
     def length(self):
-        return float(_panel_integrals(
-            self.speed, np.linspace(*self.domain, _PANELS + 1)).sum())
+        return float(_arc_length_table(self)[2][-1])
 
 
 def _jets(coeffs, svals, name):
@@ -217,22 +214,46 @@ def _jets(coeffs, svals, name):
     return _finite(out, svals, name, "derivative")
 
 
-def _finite(rows, svals, name, what):
-    """rows; CurveError naming the parameter `name` at the first bad row."""
+def _finite(rows, svals, name, what, error=CurveError):
+    """rows; an error naming the parameter `name` at the first bad row."""
     finite = np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
     if not finite.all():
         s = svals[int(np.argmin(finite))]
-        raise CurveError(f"non-finite {what} at {name}={s:.6g}")
+        raise error(f"non-finite {what} at {name}={s:.6g}")
     return rows
 
 
-def _panel_integrals(f, t):
-    """Integral of the vectorized f over each panel [t[i], t[i+1]]."""
-    half = 0.5 * np.diff(t)
-    x = (t[:-1] + half)[:, None] + half[:, None] * _GL_NODES
-    # four blocks of panels keep the series f holds at once small, in cache
-    fx = np.concatenate([f(block) for block in np.array_split(x, 4)])
-    return half * (fx @ _GL_WEIGHTS)
+def _regular(v, t):
+    """NonRegularCurveError at the first t where speed v is not finite or low."""
+    _finite(v, t, "t", "speed", NonRegularCurveError)
+    if np.min(v) < EPS_REGULAR:
+        i = int(np.argmin(v))
+        raise NonRegularCurveError(
+            f"speed {v[i]:.3e} at t={t[i]:.6g} below {EPS_REGULAR}")
+
+
+def _arc_length_table(source):
+    """[v, 1/v] numbered once for the speed v of an analytic curve; from one
+    order-2 Taylor pass of it, the table nodes t, the arc length at each and
+    1/v there.  Each panel of width h gets the two-point Hermite rule, exact
+    to degree 5 in the normalized coefficients c (Davis & Rabinowitz, 2.9):
+    h/2 (v0 + v1) + h^2/10 (c1_0 - c1_1) + h^3/60 (c2_0 + c2_1).
+    """
+    v = source.speed_expression()
+    numbering = expr.ValueNumbering([v, expr.Div(expr.Const(1.0), v)])
+    t = np.linspace(*source.domain, _PANELS + 1)
+    coeffs = numbering.taylor({source.parameter: [t, 1.0]}, 2)
+    c = coeffs[..., 0]
+    _regular(c[0], t)
+    _finite(c[1:].T, t, "t", "speed derivative", NonRegularCurveError)
+    h = np.diff(t)
+    panels = h * ((c[0, :-1] + c[0, 1:]) / 2 + h * ((c[1, :-1] - c[1, 1:]) / 10
+                  + h * (c[2, :-1] + c[2, 1:]) / 60))
+    # sums within blocks of 64, then over block totals: error ~ 64, not 4096
+    blocks = panels.reshape(-1, 64)
+    S = np.cumsum(blocks, axis=1)
+    S[1:] += np.cumsum(blocks.sum(axis=1))[:-1, None]
+    return numbering, t, np.concatenate([[0.0], S.ravel()]), coeffs[0, :, 1]
 
 
 # windows for sampled-curve stencils: 5 nodes covers d1/d2, 7 covers d3/d4
@@ -314,35 +335,19 @@ class SampledCurve(Curve):
 class ReparametrizedCurve(Curve):
     """Arc-length reparametrization of an analytic curve.
 
-    Keeps the source curve and a Gauss-Legendre table of node arc lengths
-    S_i at parameters t_i.  The inverse t(s) is the cubic Hermite
-    interpolant of that table with the exact slopes t'(S_i) = 1/v(t_i);
-    jets evaluate the source along the Taylor series of t(s), built order
-    by order from t' = 1/v(t), so jets of any order are exact to roundoff.
+    Keeps the source curve, one numbering of its speed v and 1/v, and the
+    arc lengths S_i at nodes t_i from one Taylor pass of it.  The inverse
+    t(s) is the cubic Hermite interpolant of that table with the exact
+    slopes t'(S_i) = 1/v(t_i); jets evaluate the source along the Taylor
+    series of t(s), built order by order from t' = 1/v(t): exact to roundoff.
     """
 
     def __init__(self, source: AnalyticCurve):
         self.source = source
         self.dim = source.dim
         self.parameter = source.parameter
-        self._inverse_speed = expr.ValueNumbering(
-            [expr.Div(expr.Const(1.0), source.speed_expression())])
-
-        a, b = source.domain
-        t = np.linspace(a, b, _PANELS + 1)
-        v = source.speed(t)
-        finite = np.isfinite(v)
-        if not finite.all():
-            raise NonRegularCurveError(
-                f"non-finite speed at t={t[int(np.argmin(finite))]:.6g}")
-        if np.min(v) < EPS_REGULAR:
-            i = int(np.argmin(v))
-            raise NonRegularCurveError(
-                f"speed {v[i]:.3e} at t={t[i]:.6g} below {EPS_REGULAR}")
-        self._s_nodes = np.concatenate(
-            [[0.0], np.cumsum(_panel_integrals(source.speed, t))])
-        self._t_nodes = t
-        self._slopes = 1.0 / v
+        (self._speed, self._t_nodes, self._s_nodes,
+         self._slopes) = _arc_length_table(source)
         self.total_length = float(self._s_nodes[-1])
         self.domain = (0.0, self.total_length)
         self._measure_unit_speed(UNIT_SPEED_TOL_ANALYTIC)
@@ -366,11 +371,11 @@ class ReparametrizedCurve(Curve):
     def jet_grid(self, svals, order):
         svals = self._grid(svals)
         t = [self.parameter_of_arclength(svals)]
-        series = expr.TaylorSeries(self._inverse_speed, {self.parameter: []})
+        series = expr.TaylorSeries(self._speed, {self.parameter: []})
         for k in range(1, order + 1):
             # the k-th coefficient of t(s) needs only t_0..t_{k-1}
             series.extend([t[k - 1]])
-            t.append(series.coefficients[0][k - 1] / k)
+            t.append(series.coefficients[1][k - 1] / k)
         return _jets(self.source._coefficients(t, order), svals, "s")
 
     def point_grid(self, svals):
@@ -389,9 +394,9 @@ def jet(c: Curve, s: float, order: int) -> DerivativeJet:
 def arclength_reparametrize(c: Curve) -> Curve:
     """Return a unit-speed version of the curve (the curve itself if already).
 
-    Analytic curves get an exact quadrature table with a Hermite inverse;
-    sampled curves get their parameter values replaced by cumulative arc
-    length.  Raises NonRegularCurveError where the speed drops below 1e-10.
+    Analytic curves get a Hermite-rule arc-length table with a Hermite
+    inverse, sampled curves cumulative arc length.  NonRegularCurveError
+    where the speed is below 1e-10 or (v', v'' too if analytic) not finite.
     """
     if c.unit_speed:
         return c
@@ -399,11 +404,7 @@ def arclength_reparametrize(c: Curve) -> Curve:
         return ReparametrizedCurve(c)
     if isinstance(c, SampledCurve):
         speeds = np.linalg.norm(c.jet_grid(c.params, 1)[:, 0, :], axis=1)
-        if np.min(speeds) < EPS_REGULAR:
-            i = int(np.argmin(speeds))
-            raise NonRegularCurveError(
-                f"speed {speeds[i]:.3e} at t={c.params[i]:.6g} "
-                f"below {EPS_REGULAR}")
+        _regular(speeds, c.params)
         s = np.concatenate([[0.0],
                             np.cumsum(np.diff(c.params)
                                       * 0.5 * (speeds[1:] + speeds[:-1]))])

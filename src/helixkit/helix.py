@@ -568,6 +568,7 @@ def verify_same_axis(c: Curve, grid_size: int = 512, domain=None,
     attached.  `indicatrix` passes in the tangent indicatrix on the same
     domain and margin when the caller has built it already.
     """
+    c = curvemod.arclength_reparametrize(c)
     report = classify(c, grid_size=grid_size, domain=domain, margin=margin,
                       tol_axis=tol_axis, tol_const=tol_const)
     if report.classification not in ("slant-helix", "both"):

@@ -3,16 +3,20 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import helixkit
 from helixkit import helix
-from helixkit.cli import main
+from helixkit.cli import _csv_text, _g, _rounded, _rows_json_text, main
+from helixkit.curve import ReparametrizedCurve
 from conftest import CYLINDER_SPEC, SPHERE_SPEC, WAVE, WAVE_TRIMMED
 
 
@@ -28,6 +32,12 @@ def files(tmp_path_factory):
     wave = dump("wave.json", {
         "dim": 3, "parameter": "s", "components": WAVE,
         "domain": list(WAVE_TRIMMED),
+    })
+    # the same slant helix at speed 2, so every job reparametrizes it
+    wave2 = dump("wave2.json", {
+        "dim": 3, "parameter": "s",
+        "components": [re.sub(r"\bs\b", "(2*s)", c) for c in WAVE],
+        "domain": [x / 2 for x in WAVE_TRIMMED],
     })
     helix34 = dump("helix34.json", {
         "dim": 3, "parameter": "s",
@@ -61,7 +71,8 @@ def files(tmp_path_factory):
                        "length": 1.2, "steps": 300}],
     })
     return {
-        "root": root, "wave": wave, "helix34": helix34, "line": line,
+        "root": root, "wave": wave, "wave2": wave2, "helix34": helix34,
+        "line": line,
         "circle2d": circle2d, "broken": broken,
         "cylinder": cylinder_scenario, "sphere": sphere_scenario,
     }
@@ -186,6 +197,25 @@ def test_indicatrix_is_built_once(files, capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["same_axis_error"] is None
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("sub", ["indicatrix", "axis"])
+def test_each_job_reparametrizes_the_curve_once(files, capsys, monkeypatch,
+                                                sub):
+    # one arc-length table for the curve and one for its indicatrix
+    builds = []
+    build = ReparametrizedCurve.__init__
+
+    def counted(self, source):
+        builds.append(source)
+        build(self, source)
+
+    monkeypatch.setattr(ReparametrizedCurve, "__init__", counted)
+    code, out, _ = run(capsys, sub, files["wave2"], "--grid", "64")
+    assert code == 0
+    assert len(builds) == 2
+    if sub == "indicatrix":
+        assert json.loads(out)["same_axis_error"] is None
 
 
 def test_indicatrix_of_plane_circle_is_unit_circle(files, capsys):
@@ -417,11 +447,43 @@ def test_plotdata_both_requires_output(files, capsys):
 
 
 def test_reports_are_byte_identical_across_runs(files, capsys, tmp_path):
-    p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    assert run(capsys, "analyze", files["wave"], "--output", str(p1))[0] == 0
-    assert run(capsys, "analyze", files["wave"], "--output", str(p2))[0] == 0
-    assert p1.read_bytes() == p2.read_bytes()
-    assert b"\r" not in p1.read_bytes()
+    for argv in (["analyze"], ["indicatrix"], ["indicatrix", "--format", "csv"],
+                 ["plotdata", "--both"]):
+        p1, p2 = tmp_path / "r1.out", tmp_path / "r2.out"
+        for p in (p1, p2):
+            code = run(capsys, argv[0], files["wave"], *argv[1:],
+                       "--output", str(p))[0]
+            assert code == 0
+        written = [(p1, p2)]
+        if "--both" in argv:
+            written.append((tmp_path / "r1_indicatrix.out",
+                            tmp_path / "r2_indicatrix.out"))
+        for a, b in written:
+            assert a.read_bytes() == b.read_bytes(), argv
+            assert b"\r" not in a.read_bytes()
+
+
+# cells that round or print specially: NaN, infinities, signed zeros,
+# subnormals, values at and past 1e12, and 12th-digit rounding ties
+_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                     -2.5e-310, 1e12, -1e12, 999999999999.5, 1.5e16,
+                     0.0812060761725500, 1.0000000000005]))
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 5)),
+              elements=_CELLS))
+def test_array_formatting_matches_per_cell_formatting(rows):
+    columns = [f"c{i}" for i in range(rows.shape[1])]
+    lines = [",".join(columns)] + [",".join(_g(x) for x in row)
+                                   for row in rows]
+    assert _csv_text(columns, rows) == "\n".join(lines) + "\n"
+    payload = {"columns": columns, "rows": rows,
+               "same_axis": {"angle_between": 1e-9}, "same_axis_error": None}
+    old = json.dumps(_rounded(dict(payload, rows=[list(r) for r in rows])),
+                     indent=2) + "\n"
+    assert _rows_json_text(payload) == old
 
 
 def test_cli_import_loads_no_scipy():

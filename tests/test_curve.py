@@ -229,6 +229,15 @@ def test_reparametrize_rejects_nonregular():
         arclength_reparametrize(cusp)
 
 
+def test_reparametrize_names_a_non_finite_speed_derivative():
+    # v = sqrt(1 + 6.25 |s|^3) is 1 at the table node s = 0, but the series
+    # of (s^2)^0.25 in its tree has no finite derivative there
+    c = AnalyticCurve(["s", "(s^2)^1.25"], (-1.0, 1.0))
+    with pytest.raises(NonRegularCurveError,
+                       match="non-finite speed derivative at t=0$"):
+        arclength_reparametrize(c)
+
+
 def test_reparametrize_sampled():
     c = _sampled_helix()
     uc = arclength_reparametrize(c)

@@ -185,6 +185,8 @@ def test_arc_length_matches_mpmath(comps, domain, speed):
     assert abs(curve.length() - exact) <= 2e-15 * exact
     uc = arclength_reparametrize(curve)
     assert abs(uc.total_length - exact) <= 2e-15 * exact
+    # blockwise sums of the Hermite-rule panels: 0 on both curves
+    assert abs(uc.total_length - exact) <= 5e-16 * exact
     # the inverse t(s) at interior arc lengths against mpmath's root of s(t)
     a, b = domain
     for j in range(1, 10):
@@ -195,3 +197,23 @@ def test_arc_length_matches_mpmath(comps, domain, speed):
                 a + (b - a) * j / 10)
         got = uc.parameter_of_arclength(target)
         assert abs(got - float(want)) <= 2e-14, (j, got, float(want))
+
+
+def test_arc_length_where_the_speed_nearly_vanishes():
+    # alpha = (t^2/2, t^3/3) has speed t sqrt(1 + t^2), 1e-3 at t = a, and
+    # s(t) = ((1 + t^2)^(3/2) - (1 + a^2)^(3/2)) / 3 inverts in closed form
+    a = 1e-3
+    curve = AnalyticCurve(["s^2/2", "s^3/3"], (a, 1.0))
+    uc = arclength_reparametrize(curve)
+    with mpmath.workdps(40):
+        a0 = (1 + mpmath.mpf(a) ** 2) ** 1.5
+        exact = float((2 * mpmath.sqrt(2) - a0) / 3)
+        svals = np.linspace(0.0, uc.total_length, 2001)
+        want = np.array([float(mpmath.sqrt(
+            (3 * mpmath.mpf(s) + a0) ** (mpmath.mpf(2) / 3) - 1))
+            for s in svals])
+    assert abs(curve.length() - exact) <= 2e-15 * exact
+    assert abs(uc.total_length - exact) <= 2e-15 * exact
+    # reads 3.6e-12: the cubic inverse on the fixed panels, not the lengths
+    err = np.max(np.abs(uc.parameter_of_arclength(svals) - want))
+    assert err <= 5e-12, err
