@@ -203,6 +203,7 @@ class AnalyticCurve(Curve):
         return expr.Call("sqrt", total)
 
     def length(self):
+        """Total of the arc-length table; raises as the reparametrization."""
         return float(_arc_length_table(self)[2][-1])
 
 
