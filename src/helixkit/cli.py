@@ -244,13 +244,15 @@ def _scenario_geodesics(h, entries):
                     raise ValueError(steps)
                 steps = int(steps)
             # a JSON null converts to nan
-            numeric = np.isfinite(start).all() and np.isfinite(tangent).all()
+            valid = (start.shape == (h.dim - 1,) and tangent.shape == (h.dim,)
+                     and np.isfinite(start).all() and np.isfinite(tangent).all())
         except (KeyError, TypeError, ValueError, OverflowError):
-            numeric = False
-        if not numeric:
+            valid = False
+        if not valid:
             raise CurveFormatError(
-                f'geodesic {i} needs numeric "start", "tangent" and '
-                f'"length", and a positive integer "steps" if any')
+                f'geodesic {i} needs numeric "start" of length {h.dim - 1}, '
+                f'"tangent" of length {h.dim} and "length", and a positive '
+                'integer "steps" if any')
         out.append(hypersurf.geodesic(h, start, tangent, length, steps=steps))
     return out
 

@@ -422,10 +422,7 @@ def load_curve(source) -> Curve:
     data = _load_json(source)
     if not isinstance(data, dict):
         raise CurveFormatError("curve spec must be a JSON object")
-    try:
-        dim = int(data["dim"])
-    except (KeyError, TypeError, ValueError):
-        raise CurveFormatError('curve spec needs an integer "dim"') from None
+    dim = _spec_dim(data, "curve")
 
     if "components" in data:
         comps = data["components"]
@@ -462,6 +459,15 @@ def load_curve(source) -> Curve:
 
     raise CurveFormatError(
         'curve spec needs either "components"/"domain" or "samples"')
+
+
+def _spec_dim(data, kind):
+    """A spec's "dim"; int() alone would take 3.9 for 3 and true for 1."""
+    dim = data.get("dim")
+    if (isinstance(dim, bool) or not isinstance(dim, (int, float, np.integer))
+            or dim % 1):
+        raise CurveFormatError(f'{kind} spec needs an integer "dim"')
+    return int(dim)
 
 
 def _numbers(values, name):

@@ -1,11 +1,11 @@
 """Frenet frames and generalized curvatures for unit-speed curves in E^n.
 
 The frame V_1..V_{n-1} comes from a QR factorization of the derivative jet
-(d1..d^{n-1}), which is Gram-Schmidt on it; V_n completes the basis with
-positive orientation.  The first n-2 curvatures are ratios of consecutive
-Gram-Schmidt norms |diag R| and are positive by construction; the last
-curvature takes its sign from the oriented V_n, so in E^3 it is the usual
-signed torsion.
+(d1..d^{n-1}), which is Gram-Schmidt on it; V_n, (-1)^{n-1} times their
+generalized cross product, completes the basis with positive orientation.
+The first n-2 curvatures are ratios of consecutive Gram-Schmidt norms
+|diag R|, positive by construction; the last curvature takes its sign from
+the oriented V_n, so in E^3 it is the usual signed torsion.
 
 A sample where some curvature magnitude drops below eps_curv gets a
 degenerate_rank marker: the frame vectors past that rank are not determined
@@ -33,9 +33,9 @@ EPS_CURV = 1e-9
 def generalized_cross(vectors):
     """Vector orthogonal to n-1 given vectors in E^n, batched.
 
-    `vectors` has shape (m, n-1, n).  Each output row is computed by cofactor
-    expansion; for orthonormal inputs it is a unit vector.  The caller fixes
-    the overall sign via the orientation check.
+    `vectors` has shape (m, n-1, n).  Each output row w is a cofactor
+    expansion, so det[v_1..v_{n-1}, w] = (-1)^{n-1} |w|^2; for orthonormal
+    inputs it is a unit vector.
     """
     vectors = np.asarray(vectors, dtype=float)
     m, n1, n = vectors.shape
@@ -136,10 +136,7 @@ def _frames_from_jets(svals, jets):
     frames = np.empty((m, n, n))
     frames[:, : n - 1, :] = np.swapaxes(q, 1, 2) * np.where(
         diag < 0, -1.0, 1.0)[:, :, None]
-    frames[:, n - 1, :] = generalized_cross(frames[:, : n - 1, :])
-    # enforce det = +1
-    dets = np.linalg.det(frames)
-    frames[dets < 0, n - 1, :] *= -1.0
+    frames[:, n - 1, :] = (-1.0) ** (n - 1) * generalized_cross(frames[:, :-1])
 
     curv = np.zeros((m, n - 1))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -3,9 +3,11 @@
 A hypersurface in E^n carries a candidate fixed direction d.  The surface
 keeps a constant angle when <d, xi> is constant over the parameter box, xi
 being the unit normal from the generalized cross product of the coordinate
-tangents in index order.  Geodesics solve the geodesic equations in the
-parameters by Taylor series with dense output, so every sample X(p) lies on
-the surface by construction.
+tangents in index order, whose length relative to theirs is the one rank test
+of a tangent map.  Tangent maps, geodesic series and normal curvatures are
+Taylor passes of one numbering of the first partials.  Geodesics solve the
+geodesic equations in the parameters by Taylor series with dense output, so
+every sample X(p) lies on the surface by construction.
 
 Along a geodesic of such a surface the normal coincides with the curve's
 principal normal up to sign, so the geodesic is a slant helix for d and its
@@ -23,7 +25,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
 from . import expr
-from .curve import SampledCurve, _load_json, _numbers
+from .curve import SampledCurve, _load_json, _numbers, _spec_dim
 from .errors import CurveFormatError, HelixkitError, SurfaceError
 from .frenet import generalized_cross
 from .helix import classify, tangent_indicatrix
@@ -42,6 +44,7 @@ _TAYLOR_ORDER = 20
 
 HELIX_SURFACE_TOL = 1e-6
 _IMMERSION_GRID = 8
+_THIN_SPACING = 5e-3
 
 
 def _fmt(u):
@@ -89,7 +92,6 @@ class Hypersurface:
 
         self._point_fns = [expr.compile_scalar(c, self.parameters)
                            for c in self.components]
-        self._numbering = expr.ValueNumbering(self.components)
         # first partials, component-major: entry i*(n-1) + j is dX_i/du_j
         self._partials = expr.ValueNumbering(
             [expr.differentiate(c, p)
@@ -145,17 +147,13 @@ class Hypersurface:
 
     def _verify_immersion(self):
         points, jacs = self._grid_jacobians(_IMMERSION_GRID)
-        finite = np.isfinite(jacs).all(axis=(1, 2))
-        sv = np.linalg.svd(np.where(finite[:, None, None], jacs, 0.0),
-                           compute_uv=False)
-        bad = ~finite | (sv[:, -1] <= 1e-10 * np.maximum(1.0, sv[:, 0]))
-        if bad.any():
-            i = int(np.argmax(bad))
-            if not finite[i]:
-                raise SurfaceError(f"non-finite tangent map at {_fmt(points[i])}")
-            raise SurfaceError(
-                f"rank-deficient tangent map at {_fmt(points[i])}; "
-                "shrink the parameter box away from the singular set")
+        try:
+            self._unit_normal(jacs, points)
+        except SurfaceError as exc:
+            if str(exc).startswith("rank-deficient"):
+                raise SurfaceError(f"{exc}; shrink the parameter box away "
+                                   "from the singular set") from None
+            raise
 
 
 def load_surface(source) -> Hypersurface:
@@ -167,10 +165,7 @@ def load_surface(source) -> Hypersurface:
     data = _load_json(source)
     if not isinstance(data, dict):
         raise CurveFormatError("surface spec must be a JSON object")
-    try:
-        dim = int(data["dim"])
-    except (KeyError, TypeError, ValueError):
-        raise CurveFormatError('surface spec needs an integer "dim"') from None
+    dim = _spec_dim(data, "surface")
     if dim < 2:
         raise CurveFormatError("surface dimension must be at least 2")
 
@@ -340,26 +335,25 @@ def geodesic(h: Hypersurface, start, tangent, length: float,
             raise SurfaceError(f"geodesic left the parameter box near s={s:.6g}")
         s0, i = end, j
 
-    jacs = h.jacobian(params)
-    pdots /= np.linalg.norm(jacs @ pdots[..., np.newaxis], axis=1)
-    # c2 is the order-2 coefficient of X(p + eps pdot); lambda =
-    # <alpha'', xi> = 2 <c2, xi>, since the tangential part J pdd drops out
+    # one pass gives J and J' = dJ . pdot; lambda = <alpha'', xi> =
+    # <J' pdot, xi> / |J pdot|^2, as the tangential part J pdd drops out
     env = {name: [params[:, k], pdots[:, k]] for k, name in enumerate(h.parameters)}
-    c2 = h._numbering.taylor(env, 2)[2]
-    lam = 2.0 * np.einsum("mk,mk->m", c2, h._unit_normal(jacs, params))
-    return GeodesicPath(svals, h.point(params),
-                        (jacs @ pdots[..., np.newaxis])[..., 0], lam, params)
+    jets = h._partials.taylor(env, 1).reshape(2, -1, h.dim, h.dim - 1)
+    vels, accs = (jets @ pdots[..., np.newaxis])[..., 0]
+    speeds = np.linalg.norm(vels, axis=1)
+    lam = np.einsum("mk,mk->m", accs, h._unit_normal(jets[0], params)) / speeds**2
+    return GeodesicPath(svals, h.point(params), vels / speeds[:, np.newaxis],
+                        lam, params)
 
 
-def samples_to_curve(path: GeodesicPath,
-                     spacing: float = 5e-3) -> SampledCurve:
+def samples_to_curve(path: GeodesicPath) -> SampledCurve:
     """A geodesic's positions as a sampled curve in arc length, thinned to
-    roughly the given spacing; the last sample is always kept."""
+    roughly _THIN_SPACING; the last sample is always kept."""
     m = len(path)
     if m < 2:
         raise SurfaceError("need at least two geodesic samples")
     step = float(np.median(np.diff(path.s)))
-    stride = max(1, int(round(spacing / step)))
+    stride = max(1, int(round(_THIN_SPACING / step)))
     idx = list(range(0, m, stride))
     if idx[-1] != m - 1:
         idx.append(m - 1)

@@ -334,6 +334,39 @@ def test_geodesic_scenario_rejects_non_numeric_entries(capsys, tmp_path,
     assert err.startswith("error: geodesic 1 ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tangent", [0.8, 0.6]), ("tangent", [0.0, 0.6, 0.8, 0.0]),
+    ("start", [0.0, 0.0, 0.0]), ("start", 0.0)])
+def test_geodesic_scenario_rejects_wrong_lengths(capsys, tmp_path, field,
+                                                 value):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "surface": CYLINDER_SPEC,
+        "geodesics": [{"start": [0.0, 0.0], "tangent": [0.0, 0.6, 0.8],
+                       "length": 0.5, field: value}],
+    }))
+    code, out, err = run(capsys, "geodesic", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith('error: geodesic 0 needs numeric "start" of '
+                          'length 2, "tangent" of length 3')
+
+
+def test_non_integral_dim_exits_1(capsys, tmp_path):
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"dim": 3.9, "domain": [0.0, 2.0],
+                                 "components": ["0.6*s", "0.8*s", "0"]}))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "surface": dict(CYLINDER_SPEC, dim=3.5),
+        "geodesics": [{"start": [0.0, 0.0], "tangent": [0.0, 0.6, 0.8],
+                       "length": 0.5}],
+    }))
+    assert run(capsys, "analyze", str(curve)) == (
+        1, "", 'error: curve spec needs an integer "dim"\n')
+    assert run(capsys, "geodesic", str(scenario)) == (
+        1, "", 'error: surface spec needs an integer "dim"\n')
+
+
 def test_geodesic_surface_with_infinite_tangent_is_rejected(capsys, tmp_path):
     # d/dw sqrt(w) is infinite on the edge w = 0 of the box
     path = tmp_path / "sqrt.json"

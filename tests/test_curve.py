@@ -272,6 +272,7 @@ def test_load_sampled():
     c = load_curve({"dim": 2, "samples": rows})
     assert isinstance(c, SampledCurve)
     assert c.dim == 2
+    assert load_curve({"dim": 2.0, "samples": rows}).dim == 2
 
 
 @pytest.mark.parametrize("spec", [
@@ -289,6 +290,9 @@ def test_load_sampled():
     {"dim": 2, "samples": [[t, t, 2 * t] for t in range(8)]
      + [[3, 9, 9]]},
     {"dim": 2},
+    # int() would truncate 3.9 to 3 and read the string
+    {"dim": 3.9, "components": ["s", "s", "s"], "domain": [0, 1]},
+    {"dim": "2", "components": ["s", "s"], "domain": [0, 1]},
 ])
 def test_load_rejects_bad_specs(spec):
     with pytest.raises(CurveFormatError):

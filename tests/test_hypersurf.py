@@ -1,12 +1,16 @@
 """Surface normals, the constant-angle test, geodesic integration, and the
 joint geodesic verification report."""
 
+import functools
 import itertools
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     CYLINDER_SPEC, CONE_SPEC, PLANE_SPEC, SPHERE_SPEC,
@@ -199,6 +203,68 @@ def test_geodesics_stay_unit_speed_and_on_surface():
                   - cone_pts[:, 2]).max() <= 1e-8
 
 
+# Surfaces for the normal-curvature oracle: components, parameter box, and
+# the box the geodesic starts are drawn from; a geodesic of length 0.5 moves
+# each parameter by at most 0.5 / min |X_j|, so it stays in the box.
+LAMBDA_SURFACES = {
+    "sphere": (SPHERE_SPEC["components"], SPHERE_SPEC["domain"],
+               [(1.0, 2.1), (1.5, 4.8)]),
+    "saddle": (["u", "w", "u^2/2 - w^2/3 + u*w/5"], [[-2, 2], [-2, 2]],
+               [(-1.0, 1.0), (-1.0, 1.0)]),
+    "torus": (["(2 + cos(w))*cos(u)", "(2 + cos(w))*sin(u)", "sin(w)"],
+              [[-4, 4], [-4, 4]], [(-2.0, 2.0), (-2.0, 2.0)]),
+}
+# |lambda - II(p', p')| reads at most 4.4e-16 over these examples, with
+# lambda from J' p' or from the order-2 coefficient of X(p + eps p') alike,
+# and at most 6.7e-16 over 120 further random examples per surface
+LAMBDA_ORACLE_TOL = 1.5e-15
+
+
+@functools.lru_cache(maxsize=None)
+def _lambda_oracle(name):
+    """sympy's II(p', p') = <X_jk p'_j p'_k, xi> at a sample, evaluated by
+    mpmath at 30 digits, with p' pulled back from the ambient velocity."""
+    comps, box, _ = LAMBDA_SURFACES[name]
+    u, w = sp.symbols("u w")
+    X = sp.Matrix([sp.sympify(c.replace("^", "**"), locals={"u": u, "w": w})
+                   for c in comps])
+    J = X.jacobian([u, w])
+    hessian = [[X.diff(a, b) for b in (u, w)] for a in (u, w)]
+    parts = sp.lambdify((u, w), (J, hessian, J[:, 0].cross(J[:, 1])), "mpmath")
+
+    def second_form(params, velocity):
+        with mpmath.workdps(30):
+            jac, hess, cross = parts(*map(mpmath.mpf, params))
+            jac = mpmath.matrix(jac)
+            pdot = mpmath.lu_solve(jac.T * jac,
+                                   jac.T * mpmath.matrix(list(velocity)))
+            xi = mpmath.matrix(cross) / mpmath.norm(mpmath.matrix(cross))
+            return float(sum(pdot[j] * pdot[k]
+                             * (mpmath.matrix(hess[j][k]).T * xi)[0]
+                             for j in range(2) for k in range(2)))
+
+    surface = hypersurf.Hypersurface(comps, ["u", "w"], box, EZ)
+    return surface, J, second_form
+
+
+@pytest.mark.parametrize("name", sorted(LAMBDA_SURFACES))
+@settings(max_examples=15)
+@given(a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0),
+       heading=st.floats(0.0, 2.0 * math.pi))
+def test_normal_accel_matches_the_second_fundamental_form(name, a, b, heading):
+    surface, J, second_form = _lambda_oracle(name)
+    (u0, u1), (w0, w1) = LAMBDA_SURFACES[name][2]
+    start = [u0 + a * (u1 - u0), w0 + b * (w1 - w0)]
+    # orthonormal tangent basis from sympy's tangent map at the start
+    e1, e2 = np.linalg.qr(np.array(J.subs(dict(zip(sp.symbols("u w"), start))),
+                                   dtype=float))[0].T
+    tangent = math.cos(heading) * e1 + math.sin(heading) * e2
+    path = hypersurf.geodesic(surface, start, tangent, 0.5, steps=50)
+    for i in range(0, len(path), 5):
+        want = second_form(path.parameters[i], path.velocity[i])
+        assert abs(path.normal_accel[i] - want) <= LAMBDA_ORACLE_TOL, (i, want)
+
+
 def test_plane_geodesics_are_straight_lines(plane):
     samples = hypersurf.geodesic(plane, [0.0, 0.0], [0.6, 0.8, 0.0],
                                  1.5, steps=500)
@@ -379,6 +445,9 @@ def test_load_surface_rejects_bad_specs():
         ({**CYLINDER_SPEC, "components": ["u", "2*u", "3*u"]}, "rank"),
         ({**CYLINDER_SPEC, "direction": ["a", 0.0, 1.0]}, "direction"),
         ({**CYLINDER_SPEC, "domain": [["a", 3.0], [-1.0, 1.0]]}, "domain"),
+        ({**CYLINDER_SPEC, "dim": 3.5}, "integer"),
+        ({**CYLINDER_SPEC, "dim": "3"}, "integer"),
+        ({**CYLINDER_SPEC, "dim": True}, "integer"),
     ]
     for spec, needle in cases:
         with pytest.raises(CurveFormatError) as exc:
@@ -395,6 +464,16 @@ def test_rank_deficient_point_is_named():
     surface = hypersurf.Hypersurface(cone, ["u", "w"], [[-1, 6], [-1, 62]], EZ)
     with pytest.raises(SurfaceError, match=r"map at \(-1, 0\)$"):
         hypersurf.is_helix_surface(surface)
+
+
+def test_thin_cylinder_passes_construction_and_the_gate():
+    # |X_u| = 1e-11 against |X_w| = 1: the cross product measured against
+    # the product of the column norms is scale-free, so the tangent map has
+    # full rank at every point, for construction as for the gate
+    thin = hypersurf.Hypersurface(["1e-11*cos(u)", "1e-11*sin(u)", "w"],
+                                  ["u", "w"], [[-3, 3], [-1, 1]], EZ)
+    gate = hypersurf.is_helix_surface(thin)
+    assert gate["constant"] and abs(gate["value"]) <= 1e-15
 
 
 def test_load_surface_accepts_path_and_string(tmp_path):
