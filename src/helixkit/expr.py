@@ -17,8 +17,9 @@ everything left-associative except ``^`` which is right-associative, so
 must be constant (no parameter inside), which keeps differentiation of powers
 in the plain ``c * u^(c-1) * u'`` form.
 
-Constant folding is deliberately light: an operation whose operands are all
-constants is folded, nothing else is rewritten.
+Constant folding in `parse` is deliberately light: an operation whose
+operands are all constants is folded, nothing else is rewritten;
+`differentiate` also leaves out the 0 terms and 1 factors of its rules.
 """
 
 import math
@@ -293,8 +294,30 @@ def parse(source: str, variables=("s",)) -> Expression:
 
 # ------------------------------------------------------------ differentiate
 
+def _is(e, c):
+    return isinstance(e, Const) and e.value == c
+
+
+def _dadd(a, b):
+    return b if _is(a, 0.0) else a if _is(b, 0.0) else _add(a, b)
+
+
+def _dsub(a, b):
+    return a if _is(b, 0.0) else _neg(b) if _is(a, 0.0) else _sub(a, b)
+
+
+def _dmul(a, b):
+    if _is(a, 0.0) or _is(b, 0.0):
+        return Const(0.0)
+    return b if _is(a, 1.0) else a if _is(b, 1.0) else _mul(a, b)
+
+
 def differentiate(e: Expression, var: str = "s") -> Expression:
-    """Exact derivative of `e` with respect to the named variable."""
+    """Exact derivative of `e` with respect to the named variable.
+
+    0 terms and 1 factors are left out, 0 - b is -b: `taylor` gives the same
+    bits as with them, up to a zero's sign, but no nan from 0 * inf or 0 / 0.
+    """
     if isinstance(e, Const):
         return Const(0.0)
     if isinstance(e, Var):
@@ -302,42 +325,44 @@ def differentiate(e: Expression, var: str = "s") -> Expression:
     if isinstance(e, Neg):
         return _neg(differentiate(e.arg, var))
     if isinstance(e, Add):
-        return _add(differentiate(e.left, var), differentiate(e.right, var))
+        return _dadd(differentiate(e.left, var), differentiate(e.right, var))
     if isinstance(e, Sub):
-        return _sub(differentiate(e.left, var), differentiate(e.right, var))
+        return _dsub(differentiate(e.left, var), differentiate(e.right, var))
     if isinstance(e, Mul):
-        return _add(_mul(differentiate(e.left, var), e.right),
-                    _mul(e.left, differentiate(e.right, var)))
+        return _dadd(_dmul(differentiate(e.left, var), e.right),
+                     _dmul(e.left, differentiate(e.right, var)))
     if isinstance(e, Div):
-        num = _sub(_mul(differentiate(e.left, var), e.right),
-                   _mul(e.left, differentiate(e.right, var)))
-        return _div(num, _pow(e.right, 2.0))
+        num = _dsub(_dmul(differentiate(e.left, var), e.right),
+                    _dmul(e.left, differentiate(e.right, var)))
+        return num if _is(num, 0.0) else _div(num, _pow(e.right, 2.0))
+    if not isinstance(e, (Pow, Call)):
+        raise TypeError(f"not an expression node: {e!r}")
+    u = e.base if isinstance(e, Pow) else e.arg
+    du = differentiate(u, var)
+    if _is(du, 0.0):
+        return Const(0.0)
     if isinstance(e, Pow):
         c = e.exponent
         if c == 0.0:
             return Const(0.0)
-        du = differentiate(e.base, var)
         if c == 1.0:
             return du
         # keep u^1 and u^0 out of the result: repeated differentiation would
         # otherwise breed 0 * u^-1 terms that evaluate to nan at zeros of u
-        lowered = e.base if c - 1.0 == 1.0 else _pow(e.base, c - 1.0)
-        return _mul(_mul(Const(c), lowered), du)
-    if isinstance(e, Call):
-        du = differentiate(e.arg, var)
-        u = e.arg
-        if e.fn == "sin":
-            return _mul(_call("cos", u), du)
-        if e.fn == "cos":
-            return _neg(_mul(_call("sin", u), du))
-        if e.fn == "tan":
-            return _div(du, _pow(_call("cos", u), 2.0))
-        if e.fn == "exp":
-            return _mul(_call("exp", u), du)
-        if e.fn == "log":
-            return _div(du, u)
-        if e.fn == "sqrt":
-            return _div(du, _mul(Const(2.0), _call("sqrt", u)))
+        lowered = u if c - 1.0 == 1.0 else _pow(u, c - 1.0)
+        return _dmul(_mul(Const(c), lowered), du)
+    if e.fn == "sin":
+        return _dmul(_call("cos", u), du)
+    if e.fn == "cos":
+        return _neg(_dmul(_call("sin", u), du))
+    if e.fn == "tan":
+        return _div(du, _pow(_call("cos", u), 2.0))
+    if e.fn == "exp":
+        return _dmul(_call("exp", u), du)
+    if e.fn == "log":
+        return _div(du, u)
+    if e.fn == "sqrt":
+        return _div(du, _mul(Const(2.0), _call("sqrt", u)))
     raise TypeError(f"not an expression node: {e!r}")
 
 

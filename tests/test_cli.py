@@ -125,6 +125,24 @@ def test_analyze_bad_inputs_exit_1(files, capsys):
     assert run(capsys, "analyze", str(files["root"] / "nope.json"))[0] == 1
 
 
+def test_dash_reads_stdin(files, capsys, monkeypatch):
+    for sub, name in (("plotdata", "wave"), ("geodesic", "cylinder")):
+        want = run(capsys, sub, files[name])
+        assert want[0] == 0
+        with open(files[name]) as fh:
+            monkeypatch.setattr(sys, "stdin", fh)
+            assert run(capsys, sub, "-") == want
+
+
+@pytest.mark.parametrize("flag", [["--grid", "16"], ["--margin", "0.4"]])
+def test_geodesic_takes_no_grid_or_margin(files, capsys, flag):
+    # the geodesic checks fix their own grid and margin
+    with pytest.raises(SystemExit) as exc:
+        main(["geodesic", files["cylinder"], *flag])
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_grid_minimum_is_enforced(files, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", files["wave"], "--grid", "8"])

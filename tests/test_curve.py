@@ -218,6 +218,22 @@ def test_reparametrize_jets_consistent_with_differences():
             assert np.allclose(got, fd, atol=1e-7), (k, s)
 
 
+def test_reparametrized_curves_are_unit_speed_by_construction():
+    # t'(s) = 1/v(t) comes from the same numbering as v, so |d1| is 1 to
+    # rounding on any grid, and the flag is set without a measurement
+    from helixkit.helix import tangent_indicatrix
+    tilted = arclength_reparametrize(
+        AnalyticCurve(["cos(s)", "sin(s)", "s^2/2"], (0.2, 1.5)))
+    wave = AnalyticCurve(WAVE, WAVE_DOMAIN)
+    curves = [tilted, tangent_indicatrix(tilted),
+              tangent_indicatrix(wave, margin=0.02)]
+    for c in curves:
+        assert isinstance(c, ReparametrizedCurve) and c.unit_speed
+        grid = np.linspace(*c.domain, 20001)
+        speed = np.linalg.norm(c.jet_grid(grid, 1)[:, 0, :], axis=1)
+        assert np.max(np.abs(speed - 1.0)) <= 1e-14
+
+
 def test_reparametrize_unit_speed_input_unchanged():
     c = AnalyticCurve(WAVE, WAVE_DOMAIN)
     assert arclength_reparametrize(c) is c

@@ -4,11 +4,16 @@ import random
 import numpy as np
 import pytest
 
+from helixkit import hypersurf
+from helixkit.curve import AnalyticCurve, arclength_reparametrize
 from helixkit.errors import ExprDomainError, ExprParseError
 from helixkit.expr import (
-    Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var,
-    compile_array, compile_scalar, differentiate, evaluate, parse, to_source,
+    Add, Call, Const, Div, Expression, Mul, Neg, Pow, Sub, Var,
+    ValueNumbering, compile_array, compile_scalar, differentiate, evaluate,
+    parse, to_source,
 )
+from helixkit.helix import tangent_indicatrix
+from conftest import CONE_SPEC, CYLINDER_SPEC, SPHERE_SPEC, WAVE, WAVE_DOMAIN
 
 
 def test_precedence_and_associativity():
@@ -193,3 +198,122 @@ def test_compiled_multivariable():
     u = np.array([1.0, 2.0])
     v = np.array([2.0, 2.0])
     assert np.allclose(g(u, v), [0.0, 3.0])
+
+
+# ------------------------------------------------- lean derivative trees
+
+TILTED = ["cos(s)", "sin(s)", "s^2/2"]
+TILTED_DOMAIN = (0.2, 1.5)
+
+
+def _structural_zeros(e):
+    """Nodes of e that multiply by a constant 1, or that add, subtract,
+    multiply or divide a constant 0 (a whole tree 0 has none)."""
+    found, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        stack.extend(x for x in vars(node).values()
+                     if isinstance(x, Expression))
+        if isinstance(node, (Add, Sub, Mul, Div)):
+            consts = [x.value for x in (node.left, node.right)
+                      if isinstance(x, Const)]
+            if 0.0 in consts or (isinstance(node, Mul) and 1.0 in consts):
+                found.append(node)
+    return found
+
+
+@pytest.mark.parametrize("spec,steps", [
+    (CYLINDER_SPEC, 7), (CONE_SPEC, 10), (SPHERE_SPEC, 15)])
+def test_surface_partials_have_no_structural_zeros(spec, steps):
+    h = hypersurf.load_surface(spec)
+    for c in h.components:
+        for p in h.parameters:
+            d = differentiate(c, p)
+            assert not _structural_zeros(d), to_source(d)
+    # the unfolded partials took 12, 25 and 34 steps
+    assert len(h._partials.steps) <= steps
+
+
+@pytest.mark.parametrize("components,domain", [
+    (WAVE, WAVE_DOMAIN), (TILTED, TILTED_DOMAIN)])
+def test_curve_derivatives_have_no_structural_zeros(components, domain):
+    c = AnalyticCurve(components, domain)
+    for e in c.components:
+        for _ in range(3):
+            e = differentiate(e)
+            assert not _structural_zeros(e), to_source(e)
+    beta = tangent_indicatrix(arclength_reparametrize(c), margin=0.02)
+    trees = [c.speed_expression(), beta.source.speed_expression(),
+             *beta.source.velocity]
+    for e in trees:
+        assert not _structural_zeros(e), to_source(e)
+
+
+# first partials as the product, quotient and chain rules give them before
+# any structural zero is dropped, component-major, parenthesized so that
+# each parses to the tree the rules built
+UNFOLDED_PARTIALS = {
+    "cone": ["0 * cos(u) + w * -(sin(u) * 1)",
+             "1 * cos(u) + w * -(sin(u) * 0)",
+             "0 * sin(u) + w * (cos(u) * 1)",
+             "1 * sin(u) + w * (cos(u) * 0)", "0", "1"],
+    "sphere": ["cos(u) * 1 * cos(w) + sin(u) * -(sin(w) * 0)",
+               "cos(u) * 0 * cos(w) + sin(u) * -(sin(w) * 1)",
+               "cos(u) * 1 * sin(w) + sin(u) * (cos(w) * 0)",
+               "cos(u) * 0 * sin(w) + sin(u) * (cos(w) * 1)",
+               "-(sin(u) * 1)", "-(sin(u) * 0)"],
+}
+
+
+@pytest.mark.parametrize("name,spec", [("cone", CONE_SPEC),
+                                       ("sphere", SPHERE_SPEC)])
+def test_lean_partials_are_bit_identical_to_unfolded(name, spec):
+    h = hypersurf.load_surface(spec)
+    unfolded = ValueNumbering([parse(src, variables=("u", "w"))
+                               for src in UNFOLDED_PARTIALS[name]])
+    assert len(h._partials.steps) < len(unfolded.steps)
+    # a random series path through the parameter box, raised to order 20
+    rng = np.random.default_rng(3)
+    env = {}
+    for p, (lo, hi) in zip(h.parameters, spec["domain"]):
+        env[p] = [rng.uniform(lo, hi, 64), *rng.uniform(-1, 1, (20, 64))]
+    assert np.array_equal(h._partials.taylor(env, 20),
+                          unfolded.taylor(env, 20))
+
+
+# speeds sqrt(|velocity|^2) with the velocity unfolded, parenthesized alike
+UNFOLDED_SPEEDS = {
+    "wave": "sqrt((0 * sin(2 * s) + 0.4 * (cos(2 * s) * (0 * s + 2))"
+            " - (0 * sin(8 * s) + 0.025 * (cos(8 * s) * (0 * s + 8))))^2"
+            " + (0 * cos(2 * s) + -0.4 * -(sin(2 * s) * (0 * s + 2))"
+            " + (0 * cos(8 * s) + 0.025 * -(sin(8 * s) * (0 * s + 8))))^2"
+            " + (0 * sin(3 * s) + 0.26666666666666666 * (cos(3 * s)"
+            " * (0 * s + 3)))^2)",
+    "tilted": "sqrt((-(sin(s) * 1))^2 + (cos(s) * 1)^2"
+              " + ((2 * s * 1 * 2 - s^2 * 0) / 4)^2)",
+}
+
+
+@pytest.mark.parametrize("name,components,domain", [
+    ("wave", WAVE, WAVE_DOMAIN), ("tilted", TILTED, TILTED_DOMAIN)])
+def test_lean_speed_table_is_bit_identical_to_unfolded(name, components,
+                                                       domain):
+    def table(v):
+        # the numbering of the arc-length table
+        return ValueNumbering([v, Div(Const(1.0), v)])
+
+    lean = table(AnalyticCurve(components, domain).speed_expression())
+    unfolded = table(parse(UNFOLDED_SPEEDS[name]))
+    assert len(lean.steps) < len(unfolded.steps)
+    env = {"s": [np.linspace(*domain, 4097), 1.0]}
+    assert np.array_equal(lean.taylor(env, 2), unfolded.taylor(env, 2))
+
+
+def test_structurally_zero_terms_do_not_turn_into_nan():
+    # d/dw log(u) was 0 / u, which is nan at u = 0
+    d = differentiate(parse("log(u) + w", variables=("u", "w")), "w")
+    assert d == Const(1.0)
+    assert differentiate(parse("2 - s")) == Const(-1.0)
+    assert differentiate(parse("3 * sin(2)")) == Const(0.0)
+    # parse keeps its light folding: 0 * log(s) is still nan at s = 0
+    assert np.isnan(compile_array(parse("0 * log(s)"))(0.0))
