@@ -7,11 +7,12 @@ finite-difference stencils on the sample nodes).  The primitive is
 `jet_grid`, derivatives 1..order on an array of parameter values, which feeds
 the frame computation; `jet` and `point` are one-row slices of the grids.
 
-Analytic and sampled curves carry a measured `unit_speed` flag: it is
-established on a 1000-point verification grid at construction, never taken
-from input metadata.  `arclength_reparametrize` converts any regular curve
-to unit speed and is a no-op on curves that already are; an analytic
-curve's reparametrization is unit speed by construction.
+Analytic and sampled curves carry a measured `unit_speed` flag, never taken
+from input metadata: an analytic curve's is established on a 1000-point
+verification grid at construction, a sampled curve's at its own samples,
+from the velocities it keeps.  `arclength_reparametrize` converts any
+regular curve to unit speed and is a no-op on curves that already are; an
+analytic curve's reparametrization is unit speed by construction.
 """
 
 import json
@@ -143,10 +144,8 @@ class Curve:
             raise CurveError(f"parameter {bad[0]} outside domain [{a}, {b}]")
         return svals
 
-    def _measure_unit_speed(self, tol):
-        a, b = self.domain
-        grid = np.linspace(a, b, _VERIFY_GRID)
-        d1 = self.jet_grid(grid, 1)[:, 0, :]
+    def _measure_unit_speed(self, d1, tol):
+        """Set the flag from velocities d1 (m, dim): max |speed - 1| <= tol."""
         err = float(np.max(np.abs(np.linalg.norm(d1, axis=1) - 1.0)))
         self.unit_speed_error = err
         self.unit_speed = err <= tol
@@ -176,7 +175,9 @@ class AnalyticCurve(Curve):
         self.parameter = parameter
         self.velocity = tuple(expr.differentiate(e, parameter) for e in comps)
         self.speed = expr.compile_array(self.speed_expression(), (parameter,))
-        self._measure_unit_speed(UNIT_SPEED_TOL_ANALYTIC)
+        grid = np.linspace(a, b, _VERIFY_GRID)
+        self._measure_unit_speed(self.jet_grid(grid, 1)[:, 0],
+                                 UNIT_SPEED_TOL_ANALYTIC)
 
     def _coefficients(self, series, order):
         """Taylor coefficients 0..order of the coordinates, (order+1, m, dim).
@@ -271,6 +272,10 @@ class SampledCurve(Curve):
     so reading adjacent samples at fine spacing amplifies roundoff; spacing
     the stencil nodes ~eps^(1/(k+4)) apart balances truncation against noise.
     Orders above 4 are not supported; use an analytic curve for n >= 5.
+
+    `velocities` (read-only, one row per sample) holds the first derivative
+    at every sample, taken once at construction; the unit-speed flag, the
+    length and the arc-length and indicatrix constructions read it.
     """
 
     def __init__(self, params, points):
@@ -293,7 +298,9 @@ class SampledCurve(Curve):
         self.dim = n
         self.domain = (float(params[0]), float(params[-1]))
         self._h_med = float(np.median(np.diff(params)))
-        self._measure_unit_speed(UNIT_SPEED_TOL_SAMPLED)
+        self.velocities = self.jet_grid(params, 1)[:, 0]
+        self.velocities.flags.writeable = False
+        self._measure_unit_speed(self.velocities, UNIT_SPEED_TOL_SAMPLED)
 
     def _derivatives(self, svals, orders):
         # one Fornberg pass per distinct stencil, at its largest order
@@ -331,7 +338,7 @@ class SampledCurve(Curve):
         return _WINDOW[k], stride
 
     def length(self):
-        speeds = np.linalg.norm(self.jet_grid(self.params, 1)[:, 0, :], axis=1)
+        speeds = np.linalg.norm(self.velocities, axis=1)
         return float(np.trapezoid(speeds, self.params))
 
 
@@ -408,7 +415,7 @@ def arclength_reparametrize(c: Curve) -> Curve:
     if isinstance(c, AnalyticCurve):
         return ReparametrizedCurve(c)
     if isinstance(c, SampledCurve):
-        speeds = np.linalg.norm(c.jet_grid(c.params, 1)[:, 0, :], axis=1)
+        speeds = np.linalg.norm(c.velocities, axis=1)
         _regular(speeds, c.params)
         s = np.concatenate([[0.0],
                             np.cumsum(np.diff(c.params)

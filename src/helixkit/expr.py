@@ -454,7 +454,8 @@ def _fmt_const(v):
 
 
 def to_source(e: Expression) -> str:
-    """Render with minimal parentheses; reparsing gives an equal-valued tree."""
+    """Render as source; reparsing gives the same operations in the same order
+    (up to `parse`'s folding of constants), so the same values to the bit."""
     p = _PREC[type(e)]
     if isinstance(e, Const):
         return _fmt_const(e.value)
@@ -471,9 +472,9 @@ def to_source(e: Expression) -> str:
         if _PREC[type(e.left)] < p:
             left = f"({left})"
         right = to_source(e.right)
-        # subtraction and division bind their right operand
-        rp = _PREC[type(e.right)]
-        if rp < p or (rp == p and isinstance(e, (Sub, Div))):
+        # operators group to the left: a right operand of equal precedence
+        # keeps its parentheses, so a*(b/c) does not reparse as (a*b)/c
+        if _PREC[type(e.right)] <= p:
             right = f"({right})"
         return f"{left} {op} {right}"
     if isinstance(e, Pow):

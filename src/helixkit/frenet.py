@@ -35,12 +35,16 @@ def generalized_cross(vectors):
 
     `vectors` has shape (m, n-1, n).  Each output row w is a cofactor
     expansion, so det[v_1..v_{n-1}, w] = (-1)^{n-1} |w|^2; for orthonormal
-    inputs it is a unit vector.
+    inputs it is a unit vector.  In E^3 the three 2x2 cofactors are the
+    ordinary cross product v_1 x v_2, taken as such; other dimensions take
+    one batched determinant per cofactor.
     """
     vectors = np.asarray(vectors, dtype=float)
     m, n1, n = vectors.shape
     if n1 != n - 1:
         raise ValueError(f"need {n - 1} vectors in dimension {n}")
+    if n == 3:
+        return np.cross(vectors[:, 0], vectors[:, 1])
     out = np.empty((m, n))
     for k in range(n):
         cols = [c for c in range(n) if c != k]

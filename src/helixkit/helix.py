@@ -527,10 +527,9 @@ def tangent_indicatrix(c: Curve, domain=None, margin: float = 0.0) -> Curve:
             return curvemod.arclength_reparametrize(beta)
         if isinstance(uc, SampledCurve):
             keep = (uc.params >= a) & (uc.params <= b)
-            params = uc.params[keep]
-            rows = uc.jet_grid(params, 1)[:, 0, :]
-            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-            beta = SampledCurve(params, rows)
+            rows = uc.velocities[keep]
+            rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+            beta = SampledCurve(uc.params[keep], rows)
             return curvemod.arclength_reparametrize(beta)
     except NonRegularCurveError as exc:
         raise DegenerateCurveError(

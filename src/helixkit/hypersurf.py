@@ -325,11 +325,12 @@ def geodesic(h: Hypersurface, start, tangent, length: float,
         # a step stalled by inf or nan terms runs on to the box check
         end = end if s0 < end < length else length
         j = int(np.searchsorted(svals, end, "right"))
-        tau = svals[i:j] - s0
-        params[i:j], pdots[i:j] = polyval(tau, ps).T, polyval(tau, polyder(ps)).T
-        p, pd = polyval(end - s0, ps), polyval(end - s0, polyder(ps))
+        # the samples in reach and, last, the next expansion point
+        tau = np.append(svals[i:j], end) - s0
+        vals, ders = polyval(tau, ps).T, polyval(tau, polyder(ps)).T
+        params[i:j], pdots[i:j], p, pd = vals[:-1], ders[:-1], vals[-1], ders[-1]
         # an expansion point outside the box stands for the sample after it
-        outside = ~h.contains_parameters(np.vstack([params[i:j], p]))
+        outside = ~h.contains_parameters(vals)
         if outside.any():
             s = svals[i + int(np.argmax(outside))]
             raise SurfaceError(f"geodesic left the parameter box near s={s:.6g}")

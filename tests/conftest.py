@@ -5,13 +5,26 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from helixkit import hypersurf
+from helixkit import curve as curvemod, hypersurf
 from helixkit.curve import AnalyticCurve, SampledCurve, arclength_reparametrize
 
 # Property tests draw the same examples on every run and have no per-example
 # deadline, which a loaded machine would miss.
 settings.register_profile("helixkit", derandomize=True, deadline=None)
 settings.load_profile("helixkit")
+
+def count_stencil_passes(monkeypatch):
+    """A list that grows by one entry per `finite_difference_weights` call."""
+    calls = []
+    weights = curvemod.finite_difference_weights
+
+    def counted(*args):
+        calls.append(None)
+        return weights(*args)
+
+    monkeypatch.setattr(curvemod, "finite_difference_weights", counted)
+    return calls
+
 
 # Unit-speed curve in E^3 whose principal normal keeps a constant angle with
 # a fixed direction; curvature -4 sin 3s, torsion 4 cos 3s on (pi/3, 2pi/3).

@@ -146,6 +146,21 @@ def test_sampled_jets_match_closed_form():
             assert np.allclose(d[k - 1], exact(tt, k), atol=1e-4), (tt, k)
 
 
+def test_sampled_velocities_are_taken_once_at_the_samples():
+    c = _sampled_helix(801)
+    assert np.array_equal(c.velocities, c.jet_grid(c.params, 1)[:, 0])
+    assert not c.velocities.flags.writeable
+    with pytest.raises(ValueError):
+        c.velocities[0, 0] = 0.0
+    speeds = np.linalg.norm(c.velocities, axis=1)
+    assert c.unit_speed_error == np.max(np.abs(speeds - 1.0))
+    assert not c.unit_speed                 # speed is 5 throughout
+    assert c.length() == np.trapezoid(speeds, c.params)
+    t = np.linspace(0.0, 2.0, 401)
+    circle = SampledCurve(t, np.stack([np.cos(t), np.sin(t), 0 * t], axis=1))
+    assert circle.unit_speed and circle.unit_speed_error < 1e-8
+
+
 def test_sampled_point_interpolates():
     c = _sampled_helix()
     p = c.point(1.234567)

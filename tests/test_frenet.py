@@ -160,6 +160,22 @@ def test_generalized_cross_matches_cross_in_3d():
     want = np.cross(u[:, 0, :], u[:, 1, :])
     assert np.allclose(got, want, atol=1e-12)
 
+    # and against the signed 2x2 minors it stands for, on random,
+    # near-parallel and exactly parallel pairs of rows
+    a = rng.normal(size=(300, 3))
+    b = np.concatenate([rng.normal(size=(100, 3)),
+                        a[100:200] * (1 + 1e-9 * rng.normal(size=(100, 3))),
+                        2.0 * a[200:]])
+    u = np.stack([a, b], axis=1)
+    want = np.empty_like(a)
+    for k in range(3):
+        cols = [c for c in range(3) if c != k]
+        want[:, k] = (-1.0) ** k * np.linalg.det(u[:, :, cols])
+    got = generalized_cross(u)
+    scale = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+    assert np.all(np.abs(got - want).max(axis=1) <= 1e-15 * scale)
+    assert np.all(got[200:] == 0.0)
+
 
 def test_generalized_cross_orthogonal_in_4d():
     rng = np.random.default_rng(12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (WAVE_TRIMMED, equivalence_corpus,
+from conftest import (WAVE_TRIMMED, count_stencil_passes, equivalence_corpus,
                       unit_speed_circular_helix)
 from helixkit.curve import AnalyticCurve
 from helixkit.errors import (ClassificationError, DegenerateCurveError,
@@ -420,6 +420,15 @@ def test_verify_same_axis_dim4(slant4):
     comp = verify_same_axis(curve, margin=0.02)
     assert comp.angle_between <= 1e-3
     assert comp.indicatrix_report.general.passed
+
+
+def test_sampled_indicatrix_reads_the_curve_velocities(slant4, monkeypatch):
+    # one stencil pass for each of the two curves built, the unit tangents
+    # and their arc-length reparametrization; none to differentiate again
+    calls = count_stencil_passes(monkeypatch)
+    beta = tangent_indicatrix(slant4[0])
+    assert beta.unit_speed
+    assert len(calls) == 2
 
 
 # --- the equivalence across the corpus ---

@@ -17,6 +17,7 @@ from conftest import (
     CYLINDER_PITCH_ANGLES, CONE_HEADING_DEGREES,
     cylinder_surface, cone_surface, cone_tangent,
     cylinder_geodesics, cone_geodesics, cylinder_report, cone_report,
+    count_stencil_passes,
 )
 from helixkit import expr, hypersurf
 from helixkit.curve import SampledCurve, arclength_reparametrize
@@ -366,6 +367,18 @@ def test_cylinder_family_verifies_with_vertical_axes():
         pitch = CYLINDER_PITCH_ANGLES[check.index]
         assert abs(check.lambda_mean + math.cos(pitch) ** 2) <= 1e-8
     assert rep.pairwise_axis_angle <= 2e-3
+
+
+def test_verification_takes_each_sampled_velocity_once(monkeypatch):
+    # one stencil pass per SampledCurve construction (the geodesic, its unit
+    # tangents, those in arc length), two per frame grid (orders 1 and 2
+    # share a stencil) and one for the points of the sphere check; the
+    # indicatrix and its reparametrization read the velocities of the
+    # curves they start from
+    calls = count_stencil_passes(monkeypatch)
+    hypersurf.verify_geodesic_theorems(cylinder_surface(),
+                                       cylinder_geodesics()[:1])
+    assert len(calls) == 8
 
 
 def test_cone_family_verifies_with_common_axis():
