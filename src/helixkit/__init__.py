@@ -1,7 +1,7 @@
 """helixkit: Frenet frames, curvatures, and helix classification in E^n."""
 
-from .curve import (AnalyticCurve, Curve, DerivativeJet, SampledCurve,
-                    arclength_reparametrize, jet, load_curve)
+from .curve import (AnalyticCurve, Curve, SampledCurve,
+                    arclength_reparametrize, load_curve)
 from .errors import (AxisHintError, ClassificationError, CurveError,
                      CurveFormatError, DegenerateCurveError, ExprDomainError,
                      ExprParseError, HelixkitError, NonRegularCurveError,
@@ -13,9 +13,9 @@ from .helix import (AxisComparison, HelixFunctions, HelixReport, axis_field,
                     helix_axis_field_3d, indicatrix_curvatures_3d,
                     slant_functions, slant_invariant_3d, tangent_indicatrix,
                     verify_same_axis)
-from .hypersurf import (GeodesicCheck, GeodesicPath, GeodesicSample,
-                        Hypersurface, SurfaceGeodesicReport, geodesic,
-                        is_helix_surface, load_surface, samples_to_curve,
+from .hypersurf import (GeodesicCheck, GeodesicPath, Hypersurface,
+                        SurfaceGeodesicReport, geodesic, is_helix_surface,
+                        load_surface, samples_to_curve,
                         verify_geodesic_theorems)
 
 __version__ = "0.1.0"
@@ -23,17 +23,16 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticCurve", "AxisComparison", "AxisHintError", "ClassificationError",
     "Curve", "CurveError", "CurveFormatError", "DegenerateCurveError",
-    "DerivativeJet", "ExprDomainError", "ExprParseError", "FrenetApparatus",
-    "FrenetGrid", "GeodesicCheck", "GeodesicPath", "GeodesicSample",
-    "HelixFunctions",
-    "HelixReport", "HelixkitError", "Hypersurface", "NonRegularCurveError",
+    "ExprDomainError", "ExprParseError", "FrenetApparatus", "FrenetGrid",
+    "GeodesicCheck", "GeodesicPath", "HelixFunctions", "HelixReport",
+    "HelixkitError", "Hypersurface", "NonRegularCurveError",
     "NotUnitSpeedError", "SampledCurve", "SurfaceError",
     "SurfaceGeodesicReport", "UnreliableResultError",
     "arclength_reparametrize", "axis_field", "classify", "frenet_at",
     "frenet_grid", "frenet_ode_residual", "general_functions",
     "generalized_cross", "geodesic", "harmonic_curvatures",
     "helix_axis_field_3d", "indicatrix_curvatures_3d", "is_helix_surface",
-    "jet", "load_curve", "load_surface", "samples_to_curve",
-    "slant_functions", "slant_invariant_3d", "tangent_indicatrix",
-    "verify_geodesic_theorems", "verify_same_axis",
+    "load_curve", "load_surface", "samples_to_curve", "slant_functions",
+    "slant_invariant_3d", "tangent_indicatrix", "verify_geodesic_theorems",
+    "verify_same_axis",
 ]

@@ -4,8 +4,10 @@ Two representations: analytic (one closed-form expression per coordinate,
 whose jets come from truncated Taylor arithmetic, `expr.taylor`) and sampled
 (ordered points with strictly increasing parameter values, differentiated by
 finite-difference stencils on the sample nodes).  The primitive is
-`jet_grid`, derivatives 1..order on an array of parameter values, which feeds
-the frame computation; `jet` and `point` are one-row slices of the grids.
+`jet_grid`, derivatives 1..order on an array of parameter values as one
+(m, order, dim) array, which feeds the frame computation; the `jet` and
+`point` methods are one row of the grids.  A jet grid raises `CurveError`
+at the first parameter where a derivative comes out inf or nan.
 
 Analytic and sampled curves carry a measured `unit_speed` flag, never taken
 from input metadata: an analytic curve's is established on a 1000-point
@@ -18,7 +20,6 @@ analytic curve's reparametrization is unit speed by construction.
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +28,7 @@ from .errors import CurveError, CurveFormatError, NonRegularCurveError
 
 __all__ = [
     "Curve", "AnalyticCurve", "SampledCurve", "ReparametrizedCurve",
-    "DerivativeJet", "jet", "arclength_reparametrize", "load_curve",
-    "finite_difference_weights",
+    "arclength_reparametrize", "load_curve", "finite_difference_weights",
 ]
 
 UNIT_SPEED_TOL_ANALYTIC = 1e-8
@@ -83,20 +83,6 @@ def finite_difference_weights(x0, nodes, maxorder):
     return np.ascontiguousarray(np.moveaxis(w, (0, 1), (-2, -1)))
 
 
-@dataclass(frozen=True)
-class DerivativeJet:
-    """Derivatives 1..order of a curve at one parameter value.
-
-    `derivatives[i]` is the (i+1)-th derivative vector.
-    """
-    s: float
-    derivatives: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.derivatives)):
-            raise CurveError(f"non-finite derivative at s={self.s}")
-
-
 class Curve:
     """Common interface; a subclass overrides the grids or `_derivatives`."""
 
@@ -110,17 +96,20 @@ class Curve:
         return self.point_grid([s])[0]
 
     def jet(self, s, order):
-        """Derivatives 1..order at s: a one-row slice of `jet_grid`."""
+        """Derivatives 1..order at s, (order, dim): one row of `jet_grid`."""
         if order < 1:
             raise CurveError("jet order must be >= 1")
-        return DerivativeJet(s, self.jet_grid([s], order)[0])
+        return self.jet_grid([s], order)[0]
 
     def jet_grid(self, svals, order):
         """Derivatives 1..order at each of svals; shape (m, order, dim)."""
         svals = self._grid(svals)
         if order < 1:
             raise CurveError("jet order must be >= 1")
-        return np.stack(self._derivatives(svals, range(1, order + 1)), axis=1)
+        # an inf or nan stencil is reported below, not warned about
+        with np.errstate(all="ignore"):
+            rows = self._derivatives(svals, range(1, order + 1))
+        return _finite(np.stack(rows, axis=1), svals, "s", "derivative")
 
     def point_grid(self, svals):
         """Points at each of svals; shape (m, dim)."""
@@ -396,11 +385,6 @@ class ReparametrizedCurve(Curve):
 
     def length(self):
         return self.total_length
-
-
-def jet(c: Curve, s: float, order: int) -> DerivativeJet:
-    """Derivatives 1..order of the curve at s."""
-    return c.jet(s, order)
 
 
 def arclength_reparametrize(c: Curve) -> Curve:

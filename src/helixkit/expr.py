@@ -18,8 +18,10 @@ must be constant (no parameter inside), which keeps differentiation of powers
 in the plain ``c * u^(c-1) * u'`` form.
 
 Constant folding in `parse` is deliberately light: an operation whose
-operands are all constants is folded, nothing else is rewritten;
-`differentiate` also leaves out the 0 terms and 1 factors of its rules.
+operands are all constants is folded where its result is finite, nothing
+else is rewritten, and a literal that overflows is refused, so every
+constant is finite; `differentiate` also leaves out the 0 terms and 1
+factors of its rules.
 """
 
 import math
@@ -100,12 +102,14 @@ class Call(Expression):
 # ------------------------------------------------------------------ folding
 
 def _fold2(cls, op, a, b):
-    # c (op) c -> c; nothing else is rewritten
+    # c (op) c -> c where the result is finite; nothing else is rewritten
     if isinstance(a, Const) and isinstance(b, Const):
         try:
-            return Const(op(a.value, b.value))
+            value = op(a.value, b.value)
         except (ZeroDivisionError, ValueError, OverflowError):
-            pass
+            value = math.nan
+        if math.isfinite(value):
+            return Const(value)
     return cls(a, b)
 
 
@@ -253,7 +257,10 @@ class _Parser:
     def atom(self):
         kind, text, offset = self.advance()
         if kind == "num":
-            return Const(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ExprParseError(f"number {text} out of range", offset)
+            return Const(value)
         if kind == "ident":
             if text in self.variables:
                 return Var(text)
@@ -448,6 +455,8 @@ _PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4,
 
 
 def _fmt_const(v):
+    if v == 0.0 and math.copysign(1.0, v) < 0:
+        return "-0"                     # int() would drop the sign
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
@@ -480,7 +489,8 @@ def to_source(e: Expression) -> str:
     if isinstance(e, Pow):
         base = to_source(e.base)
         if not isinstance(e.base, (Const, Var, Call)) or (
-                isinstance(e.base, Const) and e.base.value < 0):
+                isinstance(e.base, Const)
+                and math.copysign(1.0, e.base.value) < 0):
             base = f"({base})"
         exp = _fmt_const(e.exponent)
         if e.exponent < 0:

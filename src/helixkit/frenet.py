@@ -68,49 +68,33 @@ class FrenetApparatus:
     def dim(self):
         return self.frame.shape[0]
 
-    def orthonormality_error(self):
-        g = self.frame @ self.frame.T
-        return float(np.max(np.abs(g - np.eye(self.dim))))
 
-    def orientation(self):
-        return float(np.linalg.det(self.frame))
-
-
+@dataclass(frozen=True, eq=False)
 class FrenetGrid:
     """Frames and curvatures at m arc-length samples, stored as arrays.
 
-    Iterating yields FrenetApparatus records.  `valid` marks samples with no
-    degeneracy; `fd_curvatures` is the independent estimate obtained by
-    differencing the frame across the grid (a cross-check on the primary
-    QR extraction, not an input to classification).
+    svals (m,), frames (m, n, n) with frames[i, j] = V_{j+1} at svals[i],
+    curvatures (m, n-1), and degenerate_ranks (m,), 0 where the sample has
+    no degeneracy.  `valid` marks those samples; `fd_curvatures` is the
+    independent estimate obtained by differencing the frame across the grid
+    (a cross-check on the primary QR extraction, not an input to
+    classification).
     """
+    svals: np.ndarray
+    frames: np.ndarray
+    curvatures: np.ndarray
+    degenerate_ranks: np.ndarray
 
-    def __init__(self, svals, frames, curvatures, ranks):
-        self.svals = svals
-        self.frames = frames
-        self.curvatures = curvatures
-        self._ranks = ranks
-        self.dim = frames.shape[1]
+    @property
+    def dim(self):
+        return self.frames.shape[1]
 
     def __len__(self):
         return len(self.svals)
 
-    def __getitem__(self, i):
-        r = int(self._ranks[i])
-        return FrenetApparatus(float(self.svals[i]), self.frames[i],
-                               self.curvatures[i], r if r else None)
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
     @property
     def valid(self):
-        return self._ranks == 0
-
-    @property
-    def degenerate_ranks(self):
-        return self._ranks
+        return self.degenerate_ranks == 0
 
     def fd_curvatures(self):
         """Curvatures re-estimated as <dV_i/ds, V_{i+1}> with grid differences."""
@@ -122,10 +106,10 @@ class FrenetGrid:
         return out
 
 
-def _frames_from_jets(svals, jets):
+def _frames_from_jets(jets):
     """Batched frame and curvature extraction.
 
-    jets: (m, n, n) with jets[i, k-1] the k-th derivative at svals[i].
+    jets: (m, n, n) with jets[i, k-1] the k-th derivative at sample i.
     V_1..V_{n-1} are the columns of one batched QR of (d1..d^{n-1}), signed
     so that diag(R) >= 0: Gram-Schmidt on the jet, whose norms are |diag R|.
     Past a degenerate rank the columns are an orthonormal completion.
@@ -172,8 +156,7 @@ def _require_unit_speed(c):
 def frenet_at(c: Curve, s: float) -> FrenetApparatus:
     """Frenet apparatus of a unit-speed curve at one parameter value."""
     _require_unit_speed(c)
-    jets = c.jet(s, c.dim).derivatives[None, :, :]
-    frames, curv, ranks = _frames_from_jets(np.array([s]), jets)
+    frames, curv, ranks = _frames_from_jets(c.jet_grid([s], c.dim))
     r = int(ranks[0])
     return FrenetApparatus(float(s), frames[0], curv[0], r if r else None)
 
@@ -196,8 +179,7 @@ def frenet_grid(c: Curve, m: int, domain=None, margin: float = 0.0) -> FrenetGri
         if not (a < b):
             raise ValueError(f"bad grid domain [{a}, {b}]")
     svals = np.linspace(a, b, m)
-    jets = c.jet_grid(svals, c.dim)
-    frames, curv, ranks = _frames_from_jets(svals, jets)
+    frames, curv, ranks = _frames_from_jets(c.jet_grid(svals, c.dim))
     return FrenetGrid(svals, frames, curv, ranks)
 
 

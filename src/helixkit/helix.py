@@ -74,16 +74,16 @@ class HelixFunctions:
         return 1.0 - float(np.mean(self.mask))
 
 
-def recursion_mask(grid: FrenetGrid, eps: float = EPS_MASK):
+def recursion_mask(grid: FrenetGrid):
     """Samples on which the curvature recursions are numerically safe.
 
     The recursions divide by k_2..k_{n-1}; a sample is masked out when any
-    of those magnitudes falls below eps, or when the frame itself is
+    of those magnitudes falls below EPS_MASK, or when the frame itself is
     degenerate there.
     """
     mask = grid.valid.copy()
     if grid.dim >= 3:
-        mask &= np.all(np.abs(grid.curvatures[:, 1:]) >= eps, axis=1)
+        mask &= np.all(np.abs(grid.curvatures[:, 1:]) >= EPS_MASK, axis=1)
     return mask
 
 
@@ -332,7 +332,6 @@ class HelixReport:
     planar: bool = False
     planar_normal: Optional[np.ndarray] = None
     hint: Optional[HintResult] = None
-    grid: Optional[FrenetGrid] = field(default=None, repr=False)
 
     @property
     def _primary(self):
@@ -489,7 +488,7 @@ def classify(c: Curve, axis_hint=None, grid_size: int = 512, domain=None,
         )
 
     return HelixReport(classification, slant, general, masked_fraction,
-                       planar, planar_normal, hint, grid)
+                       planar, planar_normal, hint)
 
 
 # ------------------------------------------------------------- indicatrix

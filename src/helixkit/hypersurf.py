@@ -31,19 +31,22 @@ from .frenet import generalized_cross
 from .helix import classify, tangent_indicatrix
 
 __all__ = [
-    "Hypersurface", "GeodesicSample", "GeodesicPath", "GeodesicCheck",
+    "Hypersurface", "GeodesicPath", "GeodesicCheck",
     "SurfaceGeodesicReport",
     "load_surface", "is_helix_surface", "geodesic", "samples_to_curve",
-    "verify_geodesic_theorems", "GEODESIC_STEP",
+    "verify_geodesic_theorems", "GEODESIC_STEP", "GEODESIC_MAX_SAMPLES",
 ]
 
 GEODESIC_STEP = 1e-3
+# the most samples one geodesic may be reported at
+GEODESIC_MAX_SAMPLES = 10**6
 # Jorba-Zou order for a local error of _TAYLOR_TOL: ceil(-ln(tol) / 2 + 1)
 _TAYLOR_TOL = 1e-16
 _TAYLOR_ORDER = 20
 
 HELIX_SURFACE_TOL = 1e-6
 _IMMERSION_GRID = 8
+_GATE_GRID = 64
 _THIN_SPACING = 5e-3
 
 
@@ -196,13 +199,13 @@ def load_surface(source) -> Hypersurface:
         raise CurveFormatError(str(exc)) from exc
 
 
-def is_helix_surface(h: Hypersurface, grid_size: int = 64) -> dict:
+def is_helix_surface(h: Hypersurface) -> dict:
     """Test whether <direction, normal> is constant over the parameter box.
 
     Returns mean value, absolute standard deviation, and the verdict at
-    tolerance 1e-6.  The grid has grid_size points per parameter.
+    tolerance 1e-6.  The grid has _GATE_GRID points per parameter.
     """
-    points, jacs = h._grid_jacobians(grid_size)
+    points, jacs = h._grid_jacobians(_GATE_GRID)
     dots = h._unit_normal(jacs, points) @ h.direction
     value = float(dots.mean())
     residual = float(dots.std())
@@ -211,26 +214,13 @@ def is_helix_surface(h: Hypersurface, grid_size: int = 64) -> dict:
 
 
 @dataclass(frozen=True)
-class GeodesicSample:
-    """One integration node: arc length, state, and the normal acceleration.
-
-    The acceleration along a geodesic is normal_accel * normal; the sign
-    is meaningful (negative when the surface curves away from the normal).
-    """
-    s: float
-    position: np.ndarray
-    velocity: np.ndarray
-    normal_accel: float
-    parameters: np.ndarray
-
-
-@dataclass(frozen=True)
 class GeodesicPath:
     """The samples of one geodesic, as arrays with one row per sample.
 
     s (m,), position and velocity (m, n), normal_accel (m,) and parameters
-    (m, n-1); `path[i]` is sample i as a GeodesicSample, and iteration and
-    len() run over the samples.
+    (m, n-1); len() is m.  The acceleration at sample i is normal_accel[i]
+    times the surface normal there; its sign is meaningful (negative when
+    the surface curves away from the normal).
     """
     s: np.ndarray
     position: np.ndarray
@@ -240,14 +230,6 @@ class GeodesicPath:
 
     def __len__(self):
         return len(self.s)
-
-    def __getitem__(self, i):
-        return GeodesicSample(float(self.s[i]), self.position[i],
-                              self.velocity[i], float(self.normal_accel[i]),
-                              self.parameters[i])
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 def _geodesic_series(h: Hypersurface, p, pdot):
@@ -290,7 +272,8 @@ def geodesic(h: Hypersurface, start, tangent, length: float,
     _TAYLOR_TOL and gives the samples s_i = i * length / steps in reach, so
     `steps` (default: spacing <= GEODESIC_STEP) does not move expansions.
     Samples lie on the surface by construction, at unit ambient speed.
-    Raises if a sample or an expansion point leaves the parameter box.
+    Raises if a sample or an expansion point leaves the parameter box, or
+    if steps + 1 samples would be more than GEODESIC_MAX_SAMPLES.
     """
     p = np.asarray(start, dtype=float)
     if p.shape != (h.dim - 1,):
@@ -310,6 +293,9 @@ def geodesic(h: Hypersurface, start, tangent, length: float,
         steps = max(1, int(math.ceil(length / GEODESIC_STEP)))
     elif steps < 1:
         raise SurfaceError("steps must be positive")
+    if steps + 1 > GEODESIC_MAX_SAMPLES:
+        raise SurfaceError(f"{steps + 1} geodesic samples exceed the limit "
+                           f"of {GEODESIC_MAX_SAMPLES}")
     svals = np.append(np.arange(steps) * (length / steps), length)
 
     # least-squares pullback of the ambient tangent to parameter space

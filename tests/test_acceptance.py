@@ -166,17 +166,15 @@ def test_criterion_8_surface_geodesic_theorems():
 
     # integrated geodesics against their closed forms
     pos_err = 0.0
-    for pitch, samples in zip(CYLINDER_PITCH_ANGLES, cylinder_geodesics()):
-        svals = np.array([smp.s for smp in samples])
-        pts = np.stack([smp.position for smp in samples])
+    for pitch, path in zip(CYLINDER_PITCH_ANGLES, cylinder_geodesics()):
+        svals, pts = path.s, path.position
         exact = np.stack([np.cos(math.cos(pitch) * svals),
                           np.sin(math.cos(pitch) * svals),
                           math.sin(pitch) * svals], axis=1)
         pos_err = max(pos_err, float(np.abs(pts - exact).max()))
-    for degrees, samples in zip(CONE_HEADING_DEGREES, cone_geodesics()):
+    for degrees, path in zip(CONE_HEADING_DEGREES, cone_geodesics()):
         psi = math.radians(degrees)
-        svals = np.array([smp.s for smp in samples])
-        pts = np.stack([smp.position for smp in samples])
+        svals, pts = path.s, path.position
         radial = 1.5 * math.sqrt(2.0) + svals * math.sin(psi)
         tangential = svals * math.cos(psi)
         ell = np.hypot(radial, tangential)
@@ -241,10 +239,9 @@ def test_criterion_9_internal_consistency_cross_checks():
                 np.abs(interp[inside] - fd_vals[inside]).max()))
 
     speed = 0.0
-    for samples in itertools.chain(cylinder_geodesics(), cone_geodesics()):
-        vels = np.stack([smp.velocity for smp in samples])
+    for path in itertools.chain(cylinder_geodesics(), cone_geodesics()):
         speed = max(speed, float(
-            np.abs(np.linalg.norm(vels, axis=1) - 1.0).max()))
+            np.abs(np.linalg.norm(path.velocity, axis=1) - 1.0).max()))
 
     ok = (orth <= 1e-8 and ode <= 1e-4
           and formula <= 1e-6 and speed <= 1e-8)

@@ -352,6 +352,27 @@ def test_geodesic_scenario_rejects_non_numeric_entries(capsys, tmp_path,
     assert err.startswith("error: geodesic 1 ") and err.count("\n") == 1
 
 
+def test_geodesic_grid_over_the_cap_exits_2(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "surface": CYLINDER_SPEC,
+        "geodesics": [{"start": [0.0, 0.0], "tangent": [0.0, 0.6, 0.8],
+                       "length": 0.5, "steps": 10**6}],
+    }))
+    assert run(capsys, "geodesic", str(path)) == (
+        2, "", "error: 1000001 geodesic samples exceed the limit of "
+        "1000000\n")
+
+
+def test_curve_literal_that_overflows_exits_1(capsys, tmp_path):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"dim": 3, "domain": [0.0, 2.0],
+                                "components": ["0.6*s", "0.8*s", "1e400"]}))
+    assert run(capsys, "analyze", str(path)) == (
+        1, "", "error: bad analytic curve: number 1e400 out of range "
+        "(at offset 0)\n")
+
+
 @pytest.mark.parametrize("field, value", [
     ("tangent", [0.8, 0.6]), ("tangent", [0.0, 0.6, 0.8, 0.0]),
     ("start", [0.0, 0.0, 0.0]), ("start", 0.0)])

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helixkit.curve import (
-    AnalyticCurve, DerivativeJet, ReparametrizedCurve, SampledCurve,
-    arclength_reparametrize, finite_difference_weights, jet, load_curve,
+    AnalyticCurve, ReparametrizedCurve, SampledCurve, arclength_reparametrize,
+    finite_difference_weights, load_curve,
 )
 from helixkit.errors import CurveError, CurveFormatError, NonRegularCurveError
 
@@ -75,12 +75,12 @@ def test_weight_rows_do_not_depend_on_maxorder(maxorder, seed, lead, extra):
 def test_analytic_jet_values():
     c = AnalyticCurve(WAVE, WAVE_DOMAIN)
     j = c.jet(math.pi / 2, 1)
-    assert np.allclose(j.derivatives[0], [-1.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(j[0], [-1.0, 0.0, 0.0], atol=1e-12)
 
     line = AnalyticCurve(["s", "0", "0"], (0.0, 2.0))
     j = line.jet(1.3, 2)
-    assert np.allclose(j.derivatives[0], [1, 0, 0])
-    assert np.allclose(j.derivatives[1], [0, 0, 0])
+    assert np.allclose(j[0], [1, 0, 0])
+    assert np.allclose(j[1], [0, 0, 0])
 
 
 def test_analytic_unit_speed_is_measured():
@@ -97,7 +97,7 @@ def test_analytic_jet_grid_matches_pointwise():
     grid = np.linspace(*WAVE_DOMAIN, 23)[1:-1]
     g = c.jet_grid(grid, 3)
     for i, s in enumerate(grid):
-        assert np.allclose(g[i], c.jet(float(s), 3).derivatives, rtol=1e-13)
+        assert np.allclose(g[i], c.jet(float(s), 3), rtol=1e-13)
 
 
 def test_analytic_domain_enforced():
@@ -118,8 +118,8 @@ def _sampled_helix(m=2001):
 
 def test_sampled_jet_order1():
     c = _sampled_helix()
-    j = jet(c, math.pi, 1)
-    assert np.allclose(j.derivatives[0], [0.0, -3.0, 4.0], atol=1e-6)
+    j = c.jet(math.pi, 1)
+    assert np.allclose(j[0], [0.0, -3.0, 4.0], atol=1e-6)
 
 
 def test_sampled_jets_match_closed_form():
@@ -136,12 +136,12 @@ def test_sampled_jets_match_closed_form():
         return np.array([fx(tt), fy(tt), z])
 
     for tt in [0.7, 1.5, 2.2]:
-        d = c.jet(tt, 4).derivatives
+        d = c.jet(tt, 4)
         for k in range(1, 5):
             assert np.allclose(d[k - 1], exact(tt, k), atol=1e-6), (tt, k)
     # shifted stencils near the ends lose symmetry; d4 is the worst case
     for tt in [0.005, 2.995]:
-        d = c.jet(tt, 4).derivatives
+        d = c.jet(tt, 4)
         for k in range(1, 5):
             assert np.allclose(d[k - 1], exact(tt, k), atol=1e-4), (tt, k)
 
@@ -192,7 +192,7 @@ def test_reparametrize_circular_helix():
 
     # exact unit-speed form is (3cos(s/5), 3sin(s/5), 4s/5)
     for s in [0.0, 3.1, 12.0, 10 * math.pi]:
-        d = uc.jet(s, 4).derivatives
+        d = uc.jet(s, 4)
         want1 = np.array([-0.6 * math.sin(s / 5), 0.6 * math.cos(s / 5), 0.8])
         want2 = np.array([-3 / 25 * math.cos(s / 5),
                           -3 / 25 * math.sin(s / 5), 0.0])
@@ -211,8 +211,8 @@ def test_reparametrized_d1_is_original_over_speed():
     uc = arclength_reparametrize(helix)
     for s in np.linspace(0.0, uc.total_length, 9):
         t = float(uc.parameter_of_arclength(s))
-        orig = helix.jet(t, 1).derivatives[0]
-        got = uc.jet(float(s), 1).derivatives[0]
+        orig = helix.jet(t, 1)[0]
+        got = uc.jet(float(s), 1)[0]
         assert np.allclose(got, orig / np.linalg.norm(orig), atol=1e-6)
 
 
@@ -229,7 +229,7 @@ def test_reparametrize_jets_consistent_with_differences():
             stencil = s + h * np.arange(-2, 3)
             vals = uc.jet_grid(stencil, lower)[:, lower - 1, :]
             fd = (vals[0] - 8 * vals[1] + 8 * vals[3] - vals[4]) / (12 * h)
-            got = uc.jet(float(s), k).derivatives[k - 1]
+            got = uc.jet(float(s), k)[k - 1]
             assert np.allclose(got, fd, atol=1e-7), (k, s)
 
 
@@ -275,7 +275,7 @@ def test_reparametrize_sampled():
     assert uc.unit_speed
     assert uc.domain[1] == pytest.approx(10 * math.pi, rel=1e-4)
     s = 0.37 * uc.domain[1]
-    d1 = uc.jet(s, 1).derivatives[0]
+    d1 = uc.jet(s, 1)[0]
     assert np.linalg.norm(d1) == pytest.approx(1.0, abs=1e-4)
 
 
@@ -427,6 +427,16 @@ def test_sampled_grids_equal_per_point_stencils(case):
         assert np.array_equal(c.jet_grid(svals, order), jets[:, :order])
 
 
-def test_jet_rejects_nonfinite():
-    with pytest.raises(CurveError):
-        DerivativeJet(0.0, np.array([[np.inf, 0.0]]))
+def test_sampled_jet_grid_rejects_nonfinite_without_warning():
+    # at spacing 1e-78 the order-4 stencils overflow to inf and nan; the grid
+    # raises at the first such row, as the analytic grids do, and numpy's
+    # warnings (errors under this suite's settings) stay silent
+    h = 1e-78
+    t = h * np.arange(40)
+    c = SampledCurve(t, np.stack([np.cos(t / h / 10), np.sin(t / h / 10),
+                                  t / h / 10], axis=1))
+    with pytest.raises(CurveError, match=r"non-finite derivative at s=5e-78$"):
+        c.jet_grid(c.params[5:8], 4)
+    with pytest.raises(CurveError, match=r"non-finite derivative at s=6e-78$"):
+        c.jet(c.params[6], 4)
+    assert np.isfinite(c.jet_grid(c.params[5:8], 1)).all()

@@ -1,0 +1,50 @@
+"""The public names: every exported name resolves, the package exports what
+its __init__ imports, and the array results carry no per-sample views."""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import helixkit
+from helixkit import helix, hypersurf
+from conftest import cylinder_geodesics
+
+MODULES = ["helixkit"] + [f"helixkit.{m.name}"
+                          for m in pkgutil.iter_modules(helixkit.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported)
+    assert [x for x in exported if not hasattr(module, x)] == []
+
+
+def test_package_exports_what_it_imports():
+    tree = ast.parse(Path(helixkit.__file__).read_text())
+    imported = {alias.asname or alias.name
+                for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert set(helixkit.__all__) == {x for x in imported
+                                     if not x.startswith("_")}
+
+
+def test_results_are_read_as_arrays(wave_curve):
+    for name in ("DerivativeJet", "GeodesicSample", "jet"):
+        assert not hasattr(helixkit, name)
+    grid = helixkit.frenet_grid(wave_curve, 16)
+    path = cylinder_geodesics()[0]
+    for result in (grid, path):
+        with pytest.raises(TypeError):
+            result[0]
+        with pytest.raises(TypeError):
+            iter(result)
+    assert len(grid) == 16 and len(path) == len(path.s)
+    assert wave_curve.jet(1.5, 2).shape == (2, 3)
+    for fn in (hypersurf.is_helix_surface, helix.recursion_mask):
+        assert len(inspect.signature(fn).parameters) == 1

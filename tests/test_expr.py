@@ -3,14 +3,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helixkit import hypersurf
 from helixkit.curve import AnalyticCurve, arclength_reparametrize
 from helixkit.errors import ExprDomainError, ExprParseError
 from helixkit.expr import (
     Add, Call, Const, Div, Expression, Mul, Neg, Pow, Sub, Var,
-    ValueNumbering, compile_array, compile_scalar, differentiate, evaluate,
-    parse, to_source,
+    FUNCTIONS, ValueNumbering, compile_array, compile_scalar, differentiate,
+    evaluate, parse, to_source,
 )
 from helixkit.helix import tangent_indicatrix
 from conftest import CONE_SPEC, CYLINDER_SPEC, SPHERE_SPEC, WAVE, WAVE_DOMAIN
@@ -122,9 +123,52 @@ def test_domain_errors_name_the_subexpression():
         evaluate(parse("s", variables=("s",)), {"t": 1.0})
 
 
+@pytest.mark.parametrize("src,offset", [
+    ("1e400", 0), ("1e400 - 1e400", 0), ("log(s - 1e400)", 8),
+    ("2 * 1e999", 4),
+])
+def test_literals_that_overflow_are_refused(src, offset):
+    with pytest.raises(ExprParseError, match="out of range") as info:
+        parse(src)
+    assert info.value.offset == offset
+
+
+@pytest.mark.parametrize("src,tree", [
+    ("1e308*10", Mul(Const(1e308), Const(10.0))),
+    ("1e308 + 1e308", Add(Const(1e308), Const(1e308))),
+    ("1/1e-320", Div(Const(1.0), Const(1e-320))),
+    ("0/0", Div(Const(0.0), Const(0.0))),
+])
+def test_folding_leaves_non_finite_results_unfolded(src, tree):
+    # every constant a parse makes is finite, so every tree prints
+    assert parse(src) == tree
+    assert parse(to_source(tree)) == tree
+
+
+def test_printing_keeps_the_sign_of_a_zero():
+    cases = [(Mul(Const(-0.0), Var("s")), "-0 * s", -1.0, 0.0),
+             (Pow(Const(-0.0), 3.0), "(-0)^3", 0.0, -0.0),
+             (Pow(Const(-0.0), 2.0), "(-0)^2", 0.0, 0.0),
+             (Sub(Var("s"), Const(-0.0)), "s - -0", -0.0, 0.0)]
+    for tree, src, s, want in cases:
+        assert to_source(tree) == src
+        for e in (tree, parse(src)):
+            assert _identical(evaluate(e, s), want), (src, e)
+
+
+def _identical(a, b):
+    """Equal to the bit, the sign of a zero included; nan matches nan."""
+    if isinstance(a, float) and isinstance(b, float):
+        return (a != a and b != b) or (
+            a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+    return a == b
+
+
 def _random_tree(rng, depth, variables):
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.5:
+            if rng.random() < 0.1:
+                return Const(rng.choice([0.0, -0.0]))
             return Const(round(rng.uniform(-3, 3), 3))
         return Var(rng.choice(variables))
     kind = rng.choice(["add", "sub", "mul", "div", "neg", "pow", "sin",
@@ -147,26 +191,49 @@ def _value_or_error(e, s):
         return "domain error"
 
 
+_ROUND_TRIP_POINTS = [-1.7, -0.6, -0.0, 0.0, 0.1, 0.9, 1.8]
+
+
 def test_print_parse_round_trip():
     # to_source must reparse to the same operations in the same order, so to
-    # the same values bit for bit (nan matching nan) and the same domain
-    # errors; a right operand of equal precedence keeps its parentheses
+    # the same values bit for bit (nan matching nan, the sign of a zero kept)
+    # and the same domain errors; a right operand of equal precedence keeps
+    # its parentheses
     assert to_source(Mul(Var("a"), Div(Var("b"), Var("c")))) == "a * (b / c)"
     assert to_source(Add(Var("a"), Add(Var("b"), Var("c")))) == "a + (b + c)"
     assert to_source(Add(Add(Var("a"), Var("b")), Var("c"))) == "a + b + c"
     rng = random.Random(20240817)
-    pts = [-1.7, -0.6, 0.1, 0.9, 1.8]
     checked = 0
     for _ in range(2000):
         tree = _random_tree(rng, 4, ("s",))
         src = to_source(tree)
         back = parse(src, variables=("s",))
-        for s in pts:
+        for s in _ROUND_TRIP_POINTS:
             want = _value_or_error(tree, s)
             got = _value_or_error(back, s)
-            assert got == want or (got != got and want != want), (src, s)
+            assert _identical(got, want), (src, s)
             checked += want != "domain error"
-    assert checked > 9000
+    assert checked > 12600
+
+
+_TREES = st.recursive(
+    st.builds(Const, st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0]))
+    | st.just(Var("s")),
+    lambda sub: (st.builds(Neg, sub)
+                 | st.builds(lambda op, a, b: op(a, b),
+                             st.sampled_from([Add, Sub, Mul, Div]), sub, sub)
+                 | st.builds(Pow, sub,
+                             st.sampled_from([2.0, 3.0, -1.0, 0.5, -0.0]))
+                 | st.builds(Call, st.sampled_from(FUNCTIONS), sub)),
+    max_leaves=12)
+
+
+@settings(max_examples=300)
+@given(tree=_TREES, s=st.sampled_from(_ROUND_TRIP_POINTS))
+def test_print_parse_round_trip_property(tree, s):
+    # constants that can be -0.0 and no tolerance: to the bit
+    back = parse(to_source(tree))
+    assert _identical(_value_or_error(back, s), _value_or_error(tree, s))
 
 
 def test_compiled_forms_agree():

@@ -16,6 +16,13 @@ WAVE_DOMAIN = (math.pi / 3, 2 * math.pi / 3)
 WAVE_TRIMMED = (math.pi / 3 + 0.05, 2 * math.pi / 3 - 0.05)
 
 
+def _assert_orthonormal_oriented(frames):
+    """Every frame of (m, n, n) orthonormal within 1e-8, det 1 within 1e-6."""
+    gram = frames @ np.swapaxes(frames, 1, 2)
+    assert np.abs(gram - np.eye(frames.shape[1])).max() <= 1e-8
+    assert np.abs(np.linalg.det(frames) - 1.0).max() <= 1e-6
+
+
 @pytest.fixture(scope="module")
 def wave():
     return AnalyticCurve(WAVE, WAVE_DOMAIN)
@@ -44,9 +51,7 @@ def test_wave_curvatures_on_grid(wave_grid):
 
 
 def test_wave_frames_orthonormal_oriented(wave_grid):
-    for f in wave_grid:
-        assert f.orthonormality_error() <= 1e-8
-        assert f.orientation() == pytest.approx(1.0, abs=1e-6)
+    _assert_orthonormal_oriented(wave_grid.frames)
 
 
 def test_wave_ode_residual(wave_grid):
@@ -77,21 +82,16 @@ def test_planar_circle_is_rank_two():
     assert np.all(g.degenerate_ranks == 2)
     assert np.allclose(g.curvatures[:, 0], 0.5, atol=1e-12)
     assert np.allclose(g.curvatures[:, 1], 0.0, atol=1e-12)
-    for f in g:
-        assert f.degenerate_rank == 2
-        assert f.orthonormality_error() <= 1e-8
-        assert f.orientation() == pytest.approx(1.0, abs=1e-6)
-        # the binormal of a planar curve is the plane normal
-        assert np.allclose(np.abs(f.frame[2]), [0, 0, 1], atol=1e-9)
+    _assert_orthonormal_oriented(g.frames)
+    # the binormal of a planar curve is the plane normal
+    assert np.allclose(np.abs(g.frames[:, 2]), [0, 0, 1], atol=1e-9)
 
 
 def test_straight_line_is_rank_one():
     c = AnalyticCurve(["s", "0", "0"], (0.0, 5.0))
     g = frenet_grid(c, 16)
     assert np.all(g.degenerate_ranks == 1)
-    for f in g:
-        assert f.orthonormality_error() <= 1e-8
-        assert f.orientation() == pytest.approx(1.0, abs=1e-6)
+    _assert_orthonormal_oriented(g.frames)
 
 
 def test_planar_curve_in_dim4_gets_completed_frame():
@@ -100,9 +100,7 @@ def test_planar_curve_in_dim4_gets_completed_frame():
                        f"{r}*cos(s)", f"{r}*sin(s)"], (0.0, 6.0))
     g = frenet_grid(c, 16)
     assert np.all(g.degenerate_ranks == 2)
-    for f in g:
-        assert f.orthonormality_error() <= 1e-8
-        assert f.orientation() == pytest.approx(1.0, abs=1e-6)
+    _assert_orthonormal_oriented(g.frames)
 
 
 def test_dim4_curve_frames_and_residual():
@@ -118,9 +116,7 @@ def test_dim4_curve_frames_and_residual():
     assert np.all(g.curvatures[:, 1] > 0)
     assert np.allclose(g.curvatures[:, 0],
                        math.sqrt(a * a + 16 * b * b), atol=1e-9)
-    for f in (g[0], g[255], g[511]):
-        assert f.orthonormality_error() <= 1e-8
-        assert f.orientation() == pytest.approx(1.0, abs=1e-6)
+    _assert_orthonormal_oriented(g.frames[[0, 255, 511]])
     kmax = float(np.abs(g.curvatures).max())
     assert frenet_ode_residual(g) <= 1e-4 * max(1.0, kmax)
     fd = g.fd_curvatures()

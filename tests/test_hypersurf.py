@@ -110,14 +110,11 @@ def test_cylinder_geodesic_matches_circular_helix(sphere):
                     + np.sin(s)[:, None] * tangent)),
     ]
     for surface, start, lam_exact, exact in cases:
-        samples = hypersurf.geodesic(surface, start, tangent, 2.0, steps=1000)
-        assert len(samples) == 1001
-        svals = np.array([smp.s for smp in samples])
-        pts = np.stack([smp.position for smp in samples])
-        assert np.abs(pts - exact(svals)).max() <= 1e-6
-        lam = np.array([smp.normal_accel for smp in samples])
-        assert np.abs(lam - lam_exact).max() <= 1e-13
-        assert samples[0].parameters.shape == (2,)
+        path = hypersurf.geodesic(surface, start, tangent, 2.0, steps=1000)
+        assert len(path) == 1001
+        assert np.abs(path.position - exact(path.s)).max() <= 1e-6
+        assert np.abs(path.normal_accel - lam_exact).max() <= 1e-13
+        assert path.parameters.shape == (1001, 2)
 
 
 def test_cylinder_geodesic_is_exact_at_any_step_count():
@@ -126,26 +123,22 @@ def test_cylinder_geodesic_is_exact_at_any_step_count():
     pitch = 0.6
     tangent = [0.0, math.cos(pitch), math.sin(pitch)]
     for steps in (1, 4, 16):
-        samples = hypersurf.geodesic(cylinder_surface(), [0.0, 0.0], tangent,
-                                     1.6, steps=steps)
-        assert len(samples) == steps + 1
-        svals = np.array([smp.s for smp in samples])
-        pts = np.stack([smp.position for smp in samples])
-        exact = np.stack([np.cos(math.cos(pitch) * svals),
-                          np.sin(math.cos(pitch) * svals),
-                          math.sin(pitch) * svals], axis=1)
-        assert np.abs(pts - exact).max() <= 1e-14
-        lam = np.array([smp.normal_accel for smp in samples])
-        assert np.abs(lam + math.cos(pitch) ** 2).max() <= 1e-15
+        path = hypersurf.geodesic(cylinder_surface(), [0.0, 0.0], tangent,
+                                  1.6, steps=steps)
+        assert len(path) == steps + 1
+        exact = np.stack([np.cos(math.cos(pitch) * path.s),
+                          np.sin(math.cos(pitch) * path.s),
+                          math.sin(pitch) * path.s], axis=1)
+        assert np.abs(path.position - exact).max() <= 1e-14
+        assert np.abs(path.normal_accel + math.cos(pitch) ** 2).max() <= 1e-15
 
 
 def test_cone_geodesic_matches_unrolled_line():
     # unrolling the cone is an isometry onto a plane sector; geodesics of
     # the cone map to straight lines P0 + s e in polar coordinates
     # (ell, phi) = (w sqrt(2), u / sqrt(2))
-    for degrees, samples in zip(CONE_HEADING_DEGREES, cone_geodesics()):
-        svals = np.array([smp.s for smp in samples])
-        pts = np.stack([smp.position for smp in samples])
+    for degrees, path in zip(CONE_HEADING_DEGREES, cone_geodesics()):
+        svals = path.s
         psi = math.radians(degrees)
         radial = 1.5 * math.sqrt(2.0) + svals * math.sin(psi)
         tangential = svals * math.cos(psi)
@@ -154,7 +147,7 @@ def test_cone_geodesic_matches_unrolled_line():
         u = math.sqrt(2.0) * phi
         w = ell / math.sqrt(2.0)
         exact = np.stack([w * np.cos(u), w * np.sin(u), w], axis=1)
-        assert np.abs(pts - exact).max() <= 1e-12
+        assert np.abs(path.position - exact).max() <= 1e-12
 
 
 def test_dense_output_does_not_depend_on_step_count():
@@ -163,12 +156,10 @@ def test_dense_output_does_not_depend_on_step_count():
     cone = cone_surface()
     coarse, fine = (hypersurf.geodesic(cone, [0.0, 1.5], cone_tangent(25.0),
                                        2.0, steps=steps) for steps in (8, 1000))
-    fine_s = np.array([smp.s for smp in fine])
-    for smp in coarse:
-        k = int(np.argmin(np.abs(fine_s - smp.s)))
-        assert abs(fine_s[k] - smp.s) <= 1e-15
-        assert np.abs(fine[k].parameters - smp.parameters).max() <= 1e-13
-        assert np.abs(fine[k].position - smp.position).max() <= 1e-13
+    k = np.argmin(np.abs(fine.s - coarse.s[:, None]), axis=1)
+    assert np.abs(fine.s[k] - coarse.s).max() <= 1e-15
+    assert np.abs(fine.parameters[k] - coarse.parameters).max() <= 1e-13
+    assert np.abs(fine.position[k] - coarse.position).max() <= 1e-13
 
 
 def test_great_circle_off_the_equator_matches_closed_form(sphere, monkeypatch):
@@ -182,24 +173,21 @@ def test_great_circle_off_the_equator_matches_closed_form(sphere, monkeypatch):
     series = hypersurf._geodesic_series
     monkeypatch.setattr(hypersurf, "_geodesic_series",
                         lambda *args: expansions.append(args) or series(*args))
-    samples = hypersurf.geodesic(sphere, start, tangent, 2.0, steps=500)
+    path = hypersurf.geodesic(sphere, start, tangent, 2.0, steps=500)
     assert len(expansions) >= 3
-    svals = np.array([smp.s for smp in samples])
-    pts = np.stack([smp.position for smp in samples])
-    exact = (np.cos(svals)[:, None] * sphere.point(start)
-             + np.sin(svals)[:, None] * tangent)
-    assert np.abs(pts - exact).max() <= 1e-12
-    lam = np.array([smp.normal_accel for smp in samples])
-    assert np.abs(lam + 1.0).max() <= 1e-13
+    exact = (np.cos(path.s)[:, None] * sphere.point(start)
+             + np.sin(path.s)[:, None] * tangent)
+    assert np.abs(path.position - exact).max() <= 1e-12
+    assert np.abs(path.normal_accel + 1.0).max() <= 1e-13
 
 
 def test_geodesics_stay_unit_speed_and_on_surface():
-    for samples in [cylinder_geodesics()[0], cone_geodesics()[1]]:
-        vels = np.stack([smp.velocity for smp in samples])
-        assert np.abs(np.linalg.norm(vels, axis=1) - 1.0).max() <= 1e-8
-    cyl_pts = np.stack([smp.position for smp in cylinder_geodesics()[0]])
+    for path in [cylinder_geodesics()[0], cone_geodesics()[1]]:
+        speeds = np.linalg.norm(path.velocity, axis=1)
+        assert np.abs(speeds - 1.0).max() <= 1e-8
+    cyl_pts = cylinder_geodesics()[0].position
     assert np.abs(np.hypot(cyl_pts[:, 0], cyl_pts[:, 1]) - 1.0).max() <= 1e-8
-    cone_pts = np.stack([smp.position for smp in cone_geodesics()[1]])
+    cone_pts = cone_geodesics()[1].position
     assert np.abs(np.hypot(cone_pts[:, 0], cone_pts[:, 1])
                   - cone_pts[:, 2]).max() <= 1e-8
 
@@ -267,25 +255,22 @@ def test_normal_accel_matches_the_second_fundamental_form(name, a, b, heading):
 
 
 def test_plane_geodesics_are_straight_lines(plane):
-    samples = hypersurf.geodesic(plane, [0.0, 0.0], [0.6, 0.8, 0.0],
-                                 1.5, steps=500)
-    svals = np.array([smp.s for smp in samples])
-    pts = np.stack([smp.position for smp in samples])
-    line = np.stack([0.6 * svals, 0.8 * svals, np.zeros(len(svals))], axis=1)
-    assert np.abs(pts - line).max() <= 1e-8
-    assert max(abs(smp.normal_accel) for smp in samples) <= 1e-12
+    path = hypersurf.geodesic(plane, [0.0, 0.0], [0.6, 0.8, 0.0],
+                              1.5, steps=500)
+    line = np.stack([0.6 * path.s, 0.8 * path.s, 0.0 * path.s], axis=1)
+    assert np.abs(path.position - line).max() <= 1e-8
+    assert np.abs(path.normal_accel).max() <= 1e-12
 
 
 def test_surface_normal_matches_principal_normal_up_to_sign():
-    samples = cone_geodesics()[0]
+    path = cone_geodesics()[0]
     cone = cone_surface()
-    svals = np.array([smp.s for smp in samples])
-    params = np.stack([smp.parameters for smp in samples])
-    curve = hypersurf.samples_to_curve(samples)
+    curve = hypersurf.samples_to_curve(path)
     grid = frenet_grid(arclength_reparametrize(curve), 128, margin=0.02)
     worst = 0.0
     for s, frame in zip(grid.svals, grid.frames):
-        u = np.array([np.interp(s, svals, params[:, j]) for j in range(2)])
+        u = np.array([np.interp(s, path.s, path.parameters[:, j])
+                      for j in range(2)])
         xi = cone.normal(u)
         dot = abs(float(frame[1] @ xi))
         worst = max(worst, math.acos(min(1.0, dot)))
@@ -293,42 +278,33 @@ def test_surface_normal_matches_principal_normal_up_to_sign():
 
 
 def test_samples_to_curve_thins_to_sampled_curve():
-    samples = cylinder_geodesics()[0]
-    curve = hypersurf.samples_to_curve(samples)
+    path = cylinder_geodesics()[0]
+    curve = hypersurf.samples_to_curve(path)
     assert curve.dim == 3
     assert curve.unit_speed
-    assert len(curve.params) < len(samples)
-    assert curve.domain[0] == samples[0].s
-    assert abs(curve.domain[1] - samples[-1].s) <= 1e-12
+    assert len(curve.params) < len(path)
+    assert curve.domain[0] == path.s[0]
+    assert abs(curve.domain[1] - path.s[-1]) <= 1e-12
 
 
-def _samples_to_curve_reference(samples, spacing=5e-3):
-    """The thinning one GeodesicSample at a time."""
-    svals = np.array([smp.s for smp in samples])
-    pts = np.stack([smp.position for smp in samples])
+def _samples_to_curve_reference(svals, pts, spacing=5e-3):
+    """The thinning written out: every stride-th sample, and the last one."""
     stride = max(1, int(round(spacing / float(np.median(np.diff(svals))))))
-    idx = list(range(0, len(samples), stride))
-    if idx[-1] != len(samples) - 1:
-        idx.append(len(samples) - 1)
+    idx = list(range(0, len(svals), stride))
+    if idx[-1] != len(svals) - 1:
+        idx.append(len(svals) - 1)
     return SampledCurve(svals[idx], pts[idx])
 
 
 @pytest.mark.parametrize("family", ["cylinder", "cone"])
 def test_geodesic_path_reads_as_its_samples(family):
+    # len() counts the rows of every array; the thinning reads those rows
     path = (cylinder_geodesics() if family == "cylinder"
             else cone_geodesics())[0]
-    fields = ("s", "position", "velocity", "normal_accel", "parameters")
-    assert len(path) == len(path.s) == len(list(path))
-    for i, smp in [(0, path[0]), (len(path) - 1, path[-1])] + list(
-            enumerate(path)):
-        assert isinstance(smp, hypersurf.GeodesicSample)
-        for field in fields:
-            assert np.array_equal(getattr(smp, field),
-                                  getattr(path, field)[i])
-        assert type(smp.s) is float and type(smp.normal_accel) is float
-
+    for field in ("s", "position", "velocity", "normal_accel", "parameters"):
+        assert len(getattr(path, field)) == len(path)
     curve = hypersurf.samples_to_curve(path)
-    want = _samples_to_curve_reference(list(path))
+    want = _samples_to_curve_reference(path.s, path.position)
     assert np.array_equal(curve.params, want.params)
     assert np.array_equal(curve.points, want.points)
 
@@ -512,3 +488,18 @@ def test_geodesic_reports_leaving_the_box():
     cyl = cylinder_surface()
     with pytest.raises(SurfaceError, match=r"parameter box near s=1\.005$"):
         hypersurf.geodesic(cyl, [0.0, 5.0], [0.0, 0.0, 1.0], 2.0, steps=400)
+
+
+def test_geodesic_output_grid_is_capped(monkeypatch):
+    # refused before any sample is allocated: steps + 1 samples, one over
+    cyl, start, tangent = cylinder_surface(), [0.0, 0.0], [0.0, 0.8, 0.6]
+    cap = hypersurf.GEODESIC_MAX_SAMPLES
+    assert cap == 10**6
+    with pytest.raises(SurfaceError, match=rf"^{cap + 1} geodesic samples "
+                       rf"exceed the limit of {cap}$"):
+        hypersurf.geodesic(cyl, start, tangent, 1.0, steps=cap)
+    # at a small cap, the default steps are held to it too
+    monkeypatch.setattr(hypersurf, "GEODESIC_MAX_SAMPLES", 100)
+    assert len(hypersurf.geodesic(cyl, start, tangent, 1.0, steps=99)) == 100
+    with pytest.raises(SurfaceError, match="^101 geodesic samples"):
+        hypersurf.geodesic(cyl, start, tangent, 0.1)
