@@ -17,7 +17,10 @@ class ExprParseError(HelixkitError):
 
 
 class ExprDomainError(HelixkitError):
-    """Evaluation hit a singularity (division by zero, log/sqrt domain, overflow)."""
+    """An expression was evaluated with a variable left unbound.
+
+    Singular points are not errors: they evaluate to inf or nan.
+    """
 
     def __init__(self, message, node=None):
         super().__init__(message)

@@ -7,9 +7,9 @@ are immutable trees.  `taylor` evaluates all derivatives of a tree up to a
 given order in one pass of truncated Taylor arithmetic over its distinct
 subexpressions (`ValueNumbering`), each evaluated once and dropped after its
 last use; `differentiate` builds the exact first derivative as a new tree.
-`compile_scalar` and `compile_array` are both order-0 `taylor` callables,
-unchecked and unwarned, over floats or arrays; `evaluate` is the checked
-reference that names the subexpression at fault at a singular point.
+`taylor` is the only evaluator: `compile_scalar` and `compile_array` are
+both order-0 `taylor` callables over floats or arrays, and a singular point
+gives inf or nan, unwarned.
 
 Operator precedence is ``^`` over unary minus over ``*``/``/`` over ``+``/``-``,
 everything left-associative except ``^`` which is right-associative, so
@@ -20,8 +20,9 @@ in the plain ``c * u^(c-1) * u'`` form.
 Constant folding in `parse` is deliberately light: an operation whose
 operands are all constants is folded where its result is finite, nothing
 else is rewritten, and a literal that overflows is refused, so every
-constant is finite; `differentiate` also leaves out the 0 terms and 1
-factors of its rules.
+constant is finite.  A folded constant is the order-0 `taylor` value of the
+node it replaces, so folding never changes a value.  `differentiate` also
+leaves out the 0 terms and 1 factors of its rules.
 """
 
 import math
@@ -34,7 +35,7 @@ from .errors import ExprDomainError, ExprParseError
 
 __all__ = [
     "Expression", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
-    "Call", "parse", "differentiate", "evaluate", "to_source",
+    "Call", "parse", "differentiate", "to_source",
     "compile_scalar", "compile_array", "taylor", "TaylorSeries",
     "ValueNumbering", "FUNCTIONS",
 ]
@@ -136,21 +137,21 @@ def _neg(a):
 
 
 def _pow(base, exponent):
-    if isinstance(base, Const):
-        try:
-            return Const(_checked_pow(base.value, exponent, None))
-        except ExprDomainError:
-            pass
-    return Pow(base, exponent)
+    return _fold(Pow(base, exponent), base)
 
 
 def _call(fn, arg):
-    if isinstance(arg, Const):
-        try:
-            return Const(_apply_fn(fn, arg.value, None))
-        except ExprDomainError:
-            pass
-    return Call(fn, arg)
+    return _fold(Call(fn, arg), arg)
+
+
+def _fold(node, operand):
+    # a constant operand folds to the node's own order-0 value, so folding
+    # never changes a value
+    if isinstance(operand, Const):
+        value = float(ValueNumbering([node]).taylor({}, 0)[0, 0])
+        if math.isfinite(value):
+            return Const(value)
+    return node
 
 
 # ------------------------------------------------------------------- parser
@@ -373,81 +374,6 @@ def differentiate(e: Expression, var: str = "s") -> Expression:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-# ---------------------------------------------------------------- evaluate
-
-def _checked_pow(base, exponent, node):
-    if base == 0.0 and exponent < 0.0:
-        raise ExprDomainError(
-            f"zero raised to negative power in {_describe(node)}", node)
-    try:
-        r = math.pow(base, exponent)
-    except (ValueError, OverflowError) as exc:
-        raise ExprDomainError(
-            f"power out of domain ({exc}) in {_describe(node)}", node) from None
-    return r
-
-
-def _apply_fn(fn, x, node):
-    try:
-        if fn == "log":
-            if x <= 0.0:
-                raise ValueError("log of non-positive value")
-            return math.log(x)
-        if fn == "sqrt":
-            if x < 0.0:
-                raise ValueError("sqrt of negative value")
-            return math.sqrt(x)
-        r = getattr(math, fn)(x)
-    except (ValueError, OverflowError) as exc:
-        raise ExprDomainError(f"{exc} in {_describe(node)}", node) from None
-    if not math.isfinite(r):
-        raise ExprDomainError(f"non-finite result in {_describe(node)}", node)
-    return r
-
-
-def _describe(node):
-    return "constant folding" if node is None else repr(to_source(node))
-
-
-def evaluate(e: Expression, value) -> float:
-    """Evaluate at a point.
-
-    `value` is a float (bound to variable ``s``) or a mapping of variable
-    names to floats.  Raises ExprDomainError at singular points, naming the
-    offending subexpression.
-    """
-    env = value if isinstance(value, dict) else {"s": float(value)}
-    return _eval(e, env)
-
-
-def _eval(e, env):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise ExprDomainError(f"unbound variable {e.name!r}", e) from None
-    if isinstance(e, Neg):
-        return -_eval(e.arg, env)
-    if isinstance(e, Add):
-        return _eval(e.left, env) + _eval(e.right, env)
-    if isinstance(e, Sub):
-        return _eval(e.left, env) - _eval(e.right, env)
-    if isinstance(e, Mul):
-        return _eval(e.left, env) * _eval(e.right, env)
-    if isinstance(e, Div):
-        d = _eval(e.right, env)
-        if d == 0.0:
-            raise ExprDomainError(f"division by zero in {_describe(e)}", e)
-        return _eval(e.left, env) / d
-    if isinstance(e, Pow):
-        return _checked_pow(_eval(e.base, env), e.exponent, e)
-    if isinstance(e, Call):
-        return _apply_fn(e.fn, _eval(e.arg, env), e)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 # ------------------------------------------------------------ pretty print
 
 _PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4,
@@ -463,8 +389,8 @@ def _fmt_const(v):
 
 
 def to_source(e: Expression) -> str:
-    """Render as source; reparsing gives the same operations in the same order
-    (up to `parse`'s folding of constants), so the same values to the bit."""
+    """Render as source; reparsing gives the same operations in the same order,
+    or a folded constant with the same value, so the same values to the bit."""
     p = _PREC[type(e)]
     if isinstance(e, Const):
         return _fmt_const(e.value)
@@ -509,8 +435,9 @@ def taylor(e: Expression, env, order: int) -> np.ndarray:
     `env` binds each variable to the normalized Taylor coefficients of the
     path it follows, e.g. ``{"s": [svals, 1.0]}`` for s itself; missing
     trailing coefficients are zero, and coefficients are floats or arrays.
-    The result has shape (order + 1, *broadcast shape).  Unchecked like
-    `compile_array`: singular points give inf or nan.
+    The result has shape (order + 1, *broadcast shape).  Unchecked:
+    singular points give inf or nan.  An unbound variable raises
+    ExprDomainError.
     """
     return ValueNumbering([e]).taylor(env, order)[..., 0]
 
@@ -664,7 +591,9 @@ _RULES = {
     "neg": lambda u, v, c, k, w: -u[k],
     "add": lambda u, v, c, k, w: u[k] + v[k],
     "sub": lambda u, v, c, k, w: u[k] - v[k],
-    "mul": lambda u, v, c, k, w: sum(u[j] * v[k - j] for j in range(k + 1)),
+    # started from the first product: 0 + -0.0 would give +0.0
+    "mul": lambda u, v, c, k, w: sum(
+        (u[j] * v[k - j] for j in range(1, k + 1)), u[0] * v[k]),
     "div": lambda u, v, c, k, w: (
         u[k] - sum(v[j] * w[k - j] for j in range(1, k + 1))) / v[0],
     # w = u^c satisfies u w' = c u' w
@@ -685,11 +614,7 @@ def _chain(u, g, k):
 # ----------------------------------------------------------------- compile
 
 def compile_scalar(e: Expression, variables=("s",)):
-    """Callable over floats or numpy arrays (unchecked): order-0 `taylor`.
-
-    The same evaluator as `compile_array`; use `evaluate` when errors must
-    be caught and attributed.
-    """
+    """Callable over floats or numpy arrays (unchecked): `compile_array`."""
     return compile_array(e, variables)
 
 

@@ -370,6 +370,38 @@ def test_cone_family_verifies_with_common_axis():
     assert rep.pairwise_axis_angle <= 2e-3
 
 
+CONE_E4_SPEC = {
+    "dim": 4, "parameters": ["u", "v", "w"],
+    "components": ["w*sin(u)*cos(v)", "w*sin(u)*sin(v)", "w*cos(u)", "w"],
+    "domain": [[0.5, 2.6], [-3.0, 3.0], [0.5, 3.0]],
+    "direction": [0.0, 0.0, 0.0, 1.0],
+}
+
+
+def test_cone_over_the_sphere_in_e4_verifies_with_axis_e4():
+    # each geodesic lies in a hyperplane of E^4 that holds e_4, so its
+    # indicatrix is planar with a normal orthogonal to the axis; read as
+    # the E^3 cos(theta) = 0 case, every angle was pi/2
+    h = hypersurf.load_surface(CONE_E4_SPEC)
+    p = np.array([1.5, 0.0, 1.5])
+    jac = h.jacobian(p)
+    paths = []
+    for d in ([1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, -1.0, 2.0]):
+        t = jac @ np.array(d)
+        paths.append(hypersurf.geodesic(h, p, t / np.linalg.norm(t), 1.0,
+                                        steps=1000))
+    rep = hypersurf.verify_geodesic_theorems(h, paths)
+    assert rep.surface["constant"] and rep.surface["residual"] <= 1e-15
+    assert rep.passed
+    for check in rep.checks:
+        assert check.passed and check.error is None
+        assert check.normal_dot_std <= 1e-8
+        # reads 5.3e-11 at most (the third geodesic, 1.0e-5 rad)
+        assert abs(check.indicatrix_axis[3]) >= 1.0 - 1e-9
+        assert check.indicatrix_angle <= hypersurf.INDICATRIX_AXIS_TOL
+    assert rep.pairwise_axis_angle <= hypersurf.PAIRWISE_AXIS_TOL
+
+
 def test_plane_geodesics_report_degenerate(plane):
     samples = hypersurf.geodesic(plane, [0.0, 0.0], [0.6, 0.8, 0.0],
                                  1.5, steps=500)
