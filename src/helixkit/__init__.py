@@ -6,8 +6,8 @@ from .errors import (AxisHintError, ClassificationError, CurveError,
                      CurveFormatError, DegenerateCurveError, ExprDomainError,
                      ExprParseError, HelixkitError, NonRegularCurveError,
                      NotUnitSpeedError, SurfaceError, UnreliableResultError)
-from .frenet import (FrenetApparatus, FrenetGrid, frenet_at, frenet_grid,
-                     frenet_ode_residual, generalized_cross)
+from .frenet import (FrenetGrid, frenet_at, frenet_grid, frenet_ode_residual,
+                     generalized_cross)
 from .helix import (AxisComparison, HelixFunctions, HelixReport, axis_field,
                     classify, general_functions, harmonic_curvatures,
                     helix_axis_field_3d, indicatrix_curvatures_3d,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticCurve", "AxisComparison", "AxisHintError", "ClassificationError",
     "Curve", "CurveError", "CurveFormatError", "DegenerateCurveError",
-    "ExprDomainError", "ExprParseError", "FrenetApparatus", "FrenetGrid",
+    "ExprDomainError", "ExprParseError", "FrenetGrid",
     "GeodesicCheck", "GeodesicPath", "HelixFunctions", "HelixReport",
     "HelixkitError", "Hypersurface", "NonRegularCurveError",
     "NotUnitSpeedError", "SampledCurve", "SurfaceError",

@@ -8,23 +8,22 @@ The first n-2 curvatures are ratios of consecutive Gram-Schmidt norms
 the oriented V_n, so in E^3 it is the usual signed torsion.
 
 A sample where some curvature magnitude drops below eps_curv gets a
-degenerate_rank marker: the frame vectors past that rank are not determined
+degenerate rank: the frame vectors past that rank are not determined
 by the curve; the QR factor already fills them with an orthonormal completion
 (keeping the orthonormality and det=+1 invariants) and the remaining
 curvatures are reported as zero.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .curve import Curve
-from .errors import DegenerateCurveError, NotUnitSpeedError
+from .errors import CurveError, DegenerateCurveError, NotUnitSpeedError
 
 __all__ = [
-    "FrenetApparatus", "FrenetGrid", "frenet_at", "frenet_grid",
-    "frenet_ode_residual", "generalized_cross", "EPS_CURV",
+    "FrenetGrid", "frenet_at", "frenet_grid", "frenet_ode_residual",
+    "generalized_cross", "EPS_CURV",
 ]
 
 EPS_CURV = 1e-9
@@ -50,23 +49,6 @@ def generalized_cross(vectors):
         cols = [c for c in range(n) if c != k]
         out[:, k] = (-1.0) ** k * np.linalg.det(vectors[:, :, cols])
     return out
-
-
-@dataclass(frozen=True)
-class FrenetApparatus:
-    """Frame and curvatures at one arc-length value.
-
-    frame[i] is V_{i+1}; curvatures[i] is k_{i+1}.  degenerate_rank, when
-    set, is the smallest i with |k_i| < eps_curv.
-    """
-    s: float
-    frame: np.ndarray
-    curvatures: np.ndarray
-    degenerate_rank: Optional[int] = None
-
-    @property
-    def dim(self):
-        return self.frame.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,34 +135,37 @@ def _require_unit_speed(c):
             "reparametrize by arc length first")
 
 
-def frenet_at(c: Curve, s: float) -> FrenetApparatus:
-    """Frenet apparatus of a unit-speed curve at one parameter value."""
+def _trimmed_domain(c: Curve, margin: float):
+    """c.domain less `margin` of its length at each end, margin in [0, 0.5)."""
+    if not 0.0 <= margin < 0.5:
+        raise CurveError(f"margin {margin} must lie in [0, 0.5)")
+    a, b = c.domain
+    trim = margin * (b - a)
+    return a + trim, b - trim
+
+
+def frenet_at(c: Curve, s: float) -> FrenetGrid:
+    """Frame and curvatures at one parameter value, as a one-sample grid.
+
+    Read frames[0], curvatures[0] and degenerate_ranks[0] (0 where valid).
+    """
     _require_unit_speed(c)
-    frames, curv, ranks = _frames_from_jets(c.jet_grid([s], c.dim))
-    r = int(ranks[0])
-    return FrenetApparatus(float(s), frames[0], curv[0], r if r else None)
+    svals = np.array([float(s)])
+    return FrenetGrid(svals, *_frames_from_jets(c.jet_grid(svals, c.dim)))
 
 
-def frenet_grid(c: Curve, m: int, domain=None, margin: float = 0.0) -> FrenetGrid:
-    """Frames at m uniform parameter values.
+def frenet_grid(c: Curve, m: int, margin: float = 0.0) -> FrenetGrid:
+    """Frames at m uniform parameter values over the curve's own domain.
 
     `margin` trims that fraction of the domain length off each end before
-    sampling; `domain` overrides the sampling interval outright.
+    sampling; a margin outside [0, 0.5) raises CurveError.  To analyse a
+    sub-interval, build the curve on it.
     """
     _require_unit_speed(c)
     if m < 16:
         raise ValueError("need at least 16 grid samples")
-    if domain is None:
-        a, b = c.domain
-        trim = margin * (b - a)
-        a, b = a + trim, b - trim
-    else:
-        a, b = float(domain[0]), float(domain[1])
-        if not (a < b):
-            raise ValueError(f"bad grid domain [{a}, {b}]")
-    svals = np.linspace(a, b, m)
-    frames, curv, ranks = _frames_from_jets(c.jet_grid(svals, c.dim))
-    return FrenetGrid(svals, frames, curv, ranks)
+    svals = np.linspace(*_trimmed_domain(c, margin), m)
+    return FrenetGrid(svals, *_frames_from_jets(c.jet_grid(svals, c.dim)))
 
 
 def frenet_ode_residual(grid: FrenetGrid) -> float:

@@ -36,7 +36,7 @@ from .errors import (
     AxisHintError, ClassificationError, DegenerateCurveError,
     NonRegularCurveError, UnreliableResultError,
 )
-from .frenet import EPS_CURV, FrenetGrid, frenet_grid
+from .frenet import EPS_CURV, FrenetGrid, _trimmed_domain, frenet_grid
 from . import expr
 
 __all__ = [
@@ -435,12 +435,13 @@ def _detect_hyperplane(grid):
     return False, None
 
 
-def classify(c: Curve, axis_hint=None, grid_size: int = 512, domain=None,
+def classify(c: Curve, axis_hint=None, grid_size: int = 512,
              margin: float = 0.0, tol_axis: float = TOL_AXIS,
              tol_const: float = TOL_CONST) -> HelixReport:
     """Run both helix detection paths on a curve.
 
-    The curve is reparametrized by arc length first if needed.  When an
+    The curve is reparametrized by arc length first if needed and sampled
+    on its own domain, as frenet_grid samples it with `margin`.  When an
     axis_hint direction is given, the report additionally carries the
     constancy statistics of the frame angles against that direction, which
     is the only way to see the cos(theta) = 0 degenerate helices; a hint
@@ -456,7 +457,7 @@ def classify(c: Curve, axis_hint=None, grid_size: int = 512, domain=None,
         d = d / np.abs(d).max()         # keeps the norm from over/underflowing
         d = d / np.linalg.norm(d)
     uc = curvemod.arclength_reparametrize(c)
-    grid = frenet_grid(uc, grid_size, domain=domain, margin=margin)
+    grid = frenet_grid(uc, grid_size, margin=margin)
 
     mask = recursion_mask(grid)
     masked_fraction = 1.0 - float(np.mean(mask))
@@ -493,24 +494,16 @@ def classify(c: Curve, axis_hint=None, grid_size: int = 512, domain=None,
 
 # ------------------------------------------------------------- indicatrix
 
-def _restrict_domain(c, domain, margin):
-    a, b = c.domain
-    if domain is not None:
-        a, b = float(domain[0]), float(domain[1])
-    trim = margin * (b - a)
-    return a + trim, b - trim
-
-
-def tangent_indicatrix(c: Curve, domain=None, margin: float = 0.0) -> Curve:
+def tangent_indicatrix(c: Curve, margin: float = 0.0) -> Curve:
     """Unit tangent image of the curve, reparametrized by its own arc length.
 
     The indicatrix consumes arc length at rate k_1, so the construction
-    needs k_1 > 0 on the (optionally restricted) domain; a vanishing first
-    curvature is reported as degeneracy.  Every returned point lies on the
-    unit sphere.
+    needs k_1 > 0 on the domain, trimmed by `margin` as in frenet_grid; a
+    vanishing first curvature is reported as degeneracy.  Every returned
+    point lies on the unit sphere.
     """
     uc = curvemod.arclength_reparametrize(c)
-    a, b = _restrict_domain(uc, domain, margin)
+    a, b = _trimmed_domain(uc, margin)
 
     try:
         if isinstance(uc, AnalyticCurve):
@@ -554,9 +547,8 @@ class AxisComparison:
         }
 
 
-def verify_same_axis(c: Curve, grid_size: int = 512, domain=None,
-                     margin: float = 0.0, tol_axis: float = TOL_AXIS,
-                     tol_const: float = TOL_CONST,
+def verify_same_axis(c: Curve, grid_size: int = 512, margin: float = 0.0,
+                     tol_axis: float = TOL_AXIS, tol_const: float = TOL_CONST,
                      indicatrix: Optional[Curve] = None) -> AxisComparison:
     """Compare the slant axis of a curve with its indicatrix's general axis.
 
@@ -564,10 +556,10 @@ def verify_same_axis(c: Curve, grid_size: int = 512, domain=None,
     classified as a general helix and the two ambient directions are
     compared.  A failed precondition raises with the offending report
     attached.  `indicatrix` passes in the tangent indicatrix on the same
-    domain and margin when the caller has built it already.
+    margin when the caller has built it already.
     """
     c = curvemod.arclength_reparametrize(c)
-    report = classify(c, grid_size=grid_size, domain=domain, margin=margin,
+    report = classify(c, grid_size=grid_size, margin=margin,
                       tol_axis=tol_axis, tol_const=tol_const)
     if report.classification not in ("slant-helix", "both"):
         raise ClassificationError(
@@ -576,7 +568,7 @@ def verify_same_axis(c: Curve, grid_size: int = 512, domain=None,
 
     beta = indicatrix
     if beta is None:
-        beta = tangent_indicatrix(c, domain=domain, margin=margin)
+        beta = tangent_indicatrix(c, margin=margin)
     beta_report = classify(beta, grid_size=grid_size, margin=0.02,
                            tol_axis=tol_axis, tol_const=tol_const)
     if beta_report.general.axis is None:

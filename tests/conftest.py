@@ -34,10 +34,20 @@ WAVE = ["(2/5)*sin(2*s) - (1/40)*sin(8*s)",
 WAVE_DOMAIN = (math.pi / 3, 2 * math.pi / 3)
 WAVE_TRIMMED = (math.pi / 3 + 0.05, 2 * math.pi / 3 - 0.05)
 
+# Unit-speed W-curve in E^5: constant curvatures, so a general helix with
+# cos(theta) = sqrt(0.39) against e_5.
+W_CURVE = ["0.6*sin(s)", "-0.6*cos(s)", "(0.5/2.3)*sin(2.3*s)",
+           "-(0.5/2.3)*cos(2.3*s)", "sqrt(0.39)*s"]
+
 
 @pytest.fixture(scope="session")
 def wave_curve():
     return AnalyticCurve(WAVE, WAVE_DOMAIN)
+
+
+@pytest.fixture(scope="session")
+def wave_trimmed():
+    return AnalyticCurve(WAVE, WAVE_TRIMMED)
 
 
 def unit_speed_circular_helix(radius, pitch):
@@ -142,7 +152,7 @@ def equivalence_corpus():
     slant flag, classify kwargs).
     """
     def wave():
-        return AnalyticCurve(WAVE, WAVE_DOMAIN)
+        return AnalyticCurve(WAVE, WAVE_TRIMMED)
 
     def helix34():
         return unit_speed_circular_helix(3.0, 4.0)
@@ -162,7 +172,7 @@ def equivalence_corpus():
         return synthesize_slant4()[0]
 
     return [
-        ("slant wave", wave, True, {"domain": WAVE_TRIMMED}),
+        ("slant wave", wave, True, {}),
         ("circular helix 3-4", helix34, False, {}),
         ("circular helix 1-2", helix12, False, {}),
         ("planar circle", circle, False, {}),

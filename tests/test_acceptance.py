@@ -36,18 +36,18 @@ def verdict(num, label, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def wave_grid(wave_curve):
-    return frenet_grid(wave_curve, 512, domain=WAVE_TRIMMED)
+def wave_grid(wave_trimmed):
+    return frenet_grid(wave_trimmed, 512)
 
 
 @pytest.fixture(scope="module")
-def wave_report(wave_curve):
-    return classify(wave_curve, domain=WAVE_TRIMMED)
+def wave_report(wave_trimmed):
+    return classify(wave_trimmed)
 
 
 @pytest.fixture(scope="module")
-def wave_beta(wave_curve):
-    return tangent_indicatrix(wave_curve, domain=WAVE_TRIMMED)
+def wave_beta(wave_trimmed):
+    return tangent_indicatrix(wave_trimmed)
 
 
 def test_criterion_1_wave_curvatures_match_closed_forms(wave_grid):
@@ -127,8 +127,7 @@ def test_criterion_6_slant_iff_indicatrix_general():
     for name, factory, expected, kwargs in equivalence_corpus():
         curve = factory()
         rep = classify(curve, **kwargs)
-        beta = tangent_indicatrix(curve, domain=kwargs.get("domain"),
-                                  margin=kwargs.get("margin", 0.0))
+        beta = tangent_indicatrix(curve, margin=kwargs.get("margin", 0.0))
         rep_b = classify(beta, margin=0.02)
         if not (rep.slant.passed == expected == rep_b.general.passed):
             mismatches.append(
@@ -213,9 +212,8 @@ def test_criterion_9_internal_consistency_cross_checks():
     orth = ode = formula = 0.0
     for name, factory, _, kwargs in equivalence_corpus():
         curve = factory()
-        dom = kwargs.get("domain")
         margin = kwargs.get("margin", 0.0)
-        grid = frenet_grid(curve, 512, domain=dom, margin=margin)
+        grid = frenet_grid(curve, 512, margin=margin)
         eye = np.eye(grid.dim)
         orth = max(orth, max(float(np.abs(f @ f.T - eye).max())
                              for f in grid.frames))
@@ -227,7 +225,7 @@ def test_criterion_9_internal_consistency_cross_checks():
         kb, tb = indicatrix_curvatures_3d(grid)
         sb = cumulative_simpson(grid.curvatures[:, 0], x=grid.svals,
                                 initial=0.0)
-        beta = tangent_indicatrix(curve, domain=dom, margin=margin)
+        beta = tangent_indicatrix(curve, margin=margin)
         bgrid = frenet_grid(beta, 512)
         keep = np.isfinite(kb) & np.isfinite(tb)
         inside = ((bgrid.svals >= sb[keep][0])

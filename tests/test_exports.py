@@ -48,3 +48,12 @@ def test_results_are_read_as_arrays(wave_curve):
     assert wave_curve.jet(1.5, 2).shape == (2, 3)
     for fn in (hypersurf.is_helix_surface, helix.recursion_mask):
         assert len(inspect.signature(fn).parameters) == 1
+
+
+def test_frames_are_one_record_on_the_curve_domain():
+    # frenet_at returns a one-sample FrenetGrid; a curve is analysed on its
+    # own domain, so no entry point takes a sampling interval
+    assert not hasattr(helixkit, "FrenetApparatus")
+    for fn in (helixkit.frenet_grid, helixkit.classify,
+               helixkit.tangent_indicatrix, helixkit.verify_same_axis):
+        assert "domain" not in inspect.signature(fn).parameters

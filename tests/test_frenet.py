@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from conftest import W_CURVE
 from helixkit.curve import AnalyticCurve, SampledCurve, arclength_reparametrize
 from helixkit.errors import NotUnitSpeedError
 from helixkit.frenet import (
@@ -15,7 +16,6 @@ WAVE = ["(2/5)*sin(2*s) - (1/40)*sin(8*s)",
         "-(2/5)*cos(2*s) + (1/40)*cos(8*s)",
         "(4/15)*sin(3*s)"]
 WAVE_DOMAIN = (math.pi / 3, 2 * math.pi / 3)
-WAVE_TRIMMED = (math.pi / 3 + 0.05, 2 * math.pi / 3 - 0.05)
 
 
 def _assert_orthonormal_oriented(frames):
@@ -31,16 +31,16 @@ def wave():
 
 
 @pytest.fixture(scope="module")
-def wave_grid(wave):
-    return frenet_grid(wave, 512, domain=WAVE_TRIMMED)
+def wave_grid(wave_trimmed):
+    return frenet_grid(wave_trimmed, 512)
 
 
 def test_wave_curvatures_at_point(wave):
     f = frenet_at(wave, 5 * math.pi / 12)
     root8 = 2 * math.sqrt(2)
-    assert f.curvatures[0] == pytest.approx(root8, abs=1e-9)
-    assert f.curvatures[1] == pytest.approx(-root8, abs=1e-9)
-    assert f.degenerate_rank is None
+    assert f.curvatures[0, 0] == pytest.approx(root8, abs=1e-9)
+    assert f.curvatures[0, 1] == pytest.approx(-root8, abs=1e-9)
+    assert f.degenerate_ranks[0] == 0
 
 
 def test_wave_curvatures_on_grid(wave_grid):
@@ -74,8 +74,8 @@ def test_circular_helix_curvatures():
     assert np.allclose(g.curvatures[:, 0], 3 / 25, atol=1e-10)
     assert np.allclose(g.curvatures[:, 1], 4 / 25, atol=1e-10)
     f = frenet_at(c, 7.0)
-    assert f.curvatures[0] == pytest.approx(3 / 25, abs=1e-12)
-    assert f.curvatures[1] == pytest.approx(4 / 25, abs=1e-12)
+    assert f.curvatures[0, 0] == pytest.approx(3 / 25, abs=1e-12)
+    assert f.curvatures[0, 1] == pytest.approx(4 / 25, abs=1e-12)
 
 
 def test_planar_circle_is_rank_two():
@@ -108,11 +108,11 @@ def test_planar_curve_in_dim4_gets_completed_frame():
 def test_dim4_curve_frames_and_residual():
     a, b = math.sqrt(0.4), math.sqrt(0.15)
     c = AnalyticCurve([f"{a}*cos(s)", f"{a}*sin(s)",
-                       f"{b}*cos(2*s)", f"{b}*sin(2*s)"], (0.0, 2 * math.pi))
+                       f"{b}*cos(2*s)", f"{b}*sin(2*s)"], (0.0, 1.5))
     assert c.unit_speed
     # grid fine enough that the residual check sees frame error, not the
     # h^2 truncation of the difference stencil itself
-    g = frenet_grid(c, 512, domain=(0.0, 1.5))
+    g = frenet_grid(c, 512)
     assert np.all(g.valid)
     assert np.all(g.curvatures[:, 0] > 0)
     assert np.all(g.curvatures[:, 1] > 0)
@@ -189,10 +189,6 @@ def test_generalized_cross_orthogonal_in_4d():
 
 # ------------------------------------------- E^5-E^7 against Gram determinants
 
-W_CURVE = ["0.6*sin(s)", "-0.6*cos(s)", "(0.5/2.3)*sin(2.3*s)",
-           "-(0.5/2.3)*cos(2.3*s)", "sqrt(0.39)*s"]
-
-
 def _gram_curvatures(components):
     """k_1..k_{n-1} at a parameter value, without helixkit's QR.
 
@@ -257,7 +253,7 @@ def test_curvatures_match_gram_determinants(components, domain, bound):
     for s in rng.uniform(*uc.domain, 4):
         t = s if uc is c else float(uc.parameter_of_arclength(s))
         want = oracle(t)
-        got = frenet_at(uc, s).curvatures
+        got = frenet_at(uc, s).curvatures[0]
         err = max(err, float(np.max(np.abs(got - want)
                                     / np.maximum(1.0, np.abs(want)))))
     assert err <= bound

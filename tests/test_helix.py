@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (WAVE_TRIMMED, count_stencil_passes, equivalence_corpus,
-                      unit_speed_circular_helix)
-from helixkit.curve import AnalyticCurve
-from helixkit.errors import (ClassificationError, DegenerateCurveError,
-                             UnreliableResultError)
+from conftest import (W_CURVE, WAVE_TRIMMED, count_stencil_passes,
+                      equivalence_corpus, unit_speed_circular_helix)
+from helixkit.curve import AnalyticCurve, SampledCurve
+from helixkit.errors import (ClassificationError, CurveError,
+                             DegenerateCurveError, UnreliableResultError)
 from helixkit.frenet import FrenetGrid, frenet_grid
 from helixkit.helix import (axis_field, classify, general_functions,
                             harmonic_curvatures, helix_axis_field_3d,
@@ -26,13 +26,13 @@ def angle_to(u, v):
 
 
 @pytest.fixture(scope="module")
-def wave_grid(wave_curve):
-    return frenet_grid(wave_curve, 512, domain=WAVE_TRIMMED)
+def wave_grid(wave_trimmed):
+    return frenet_grid(wave_trimmed, 512)
 
 
 @pytest.fixture(scope="module")
-def wave_report(wave_curve):
-    return classify(wave_curve, domain=WAVE_TRIMMED)
+def wave_report(wave_trimmed):
+    return classify(wave_trimmed)
 
 
 @pytest.fixture(scope="module")
@@ -74,10 +74,10 @@ def test_slant_sum_of_squares_constant(wave_grid):
     assert np.abs(total - 25.0 / 9.0).max() / (25.0 / 9.0) <= 1e-4
 
 
-def test_slant_mask_excludes_vanishing_torsion(wave_curve):
+def test_slant_mask_excludes_vanishing_torsion(wave_trimmed):
     # an odd-size grid on the symmetric window lands a sample where the
     # torsion crosses zero; that sample must be masked, the rest kept
-    grid = frenet_grid(wave_curve, 513, domain=WAVE_TRIMMED)
+    grid = frenet_grid(wave_trimmed, 513)
     sf = slant_functions(grid)
     tau = grid.curvatures[:, 1]
     assert np.array_equal(sf.mask, np.abs(tau) >= 1e-6)
@@ -153,6 +153,21 @@ def test_general_functions_extend_harmonic_ones(helix34_grid, slant4_grid):
         hf = harmonic_curvatures(grid)
         assert np.abs(gf.values[gf.mask, 1:] - want[gf.mask]).max() <= 1e-12
         assert np.abs(hf.values[hf.mask] - want[hf.mask]).max() <= 1e-12
+
+
+def test_w_curve_in_e5_is_a_general_helix():
+    # the recursions run to G*_5 and H_3 here; readings 1.2e-15 (cos),
+    # 2.2e-15 (axis off e_5) and a largest G* spread of 9.7e-12, the
+    # second-order np.gradient noise on constants; bounds 1e-13 and 1e-9
+    c = AnalyticCurve(W_CURVE, (0.0, 6.0))
+    rep = classify(c)
+    assert rep.classification == "general-helix"
+    assert abs(rep.cos_theta - math.sqrt(0.39)) <= 1e-13
+    assert np.abs(rep.axis[:4]).max() <= 1e-13 and rep.axis[4] > 0.0
+    grid = frenet_grid(c, 512)
+    for funcs in (general_functions(grid), harmonic_curvatures(grid)):
+        assert np.all(funcs.mask)
+        assert np.ptp(funcs.values, axis=0).max() <= 1e-9
 
 
 @st.composite
@@ -239,10 +254,23 @@ def test_invariant_zero_for_planar_curve(planar_circle):
     assert np.abs(sigma).max() <= 1e-12
 
 
+# --- margins ---
+
+@pytest.mark.parametrize("margin", [0.6, -0.1, 0.5, float("nan")])
+def test_margin_outside_zero_to_half_is_refused(wave_trimmed, margin):
+    # one check serves all four, where 0.6 used to classify a reversed grid
+    for call in (lambda: frenet_grid(wave_trimmed, 16, margin=margin),
+                 lambda: classify(wave_trimmed, margin=margin),
+                 lambda: tangent_indicatrix(wave_trimmed, margin=margin),
+                 lambda: verify_same_axis(wave_trimmed, margin=margin)):
+        with pytest.raises(CurveError, match=f"margin {margin} "):
+            call()
+
+
 # --- tangent indicatrix ---
 
-def test_indicatrix_wave_matches_closed_form(wave_curve):
-    beta = tangent_indicatrix(wave_curve, domain=WAVE_TRIMMED)
+def test_indicatrix_wave_matches_closed_form(wave_trimmed):
+    beta = tangent_indicatrix(wave_trimmed)
     a = WAVE_TRIMMED[0]
     s = np.linspace(WAVE_TRIMMED[0], WAVE_TRIMMED[1], 201)[1:-1]
     # indicatrix arc length grows as the integral of the curvature
@@ -255,24 +283,24 @@ def test_indicatrix_wave_matches_closed_form(wave_curve):
     assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() <= 1e-9
 
 
-def test_indicatrix_length_is_curvature_integral(wave_curve):
-    beta = tangent_indicatrix(wave_curve, domain=WAVE_TRIMMED)
+def test_indicatrix_length_is_curvature_integral(wave_trimmed):
+    beta = tangent_indicatrix(wave_trimmed)
     a, b = WAVE_TRIMMED
     want = (4.0 / 3.0) * (np.cos(3 * b) - np.cos(3 * a))
     assert abs(beta.domain[1] - want) <= 1e-9
 
 
-def test_indicatrix_builds_stay_small_in_memory(wave_curve):
+def test_indicatrix_builds_stay_small_in_memory(wave_trimmed):
     # each series is dropped after its last use; tracemalloc peaks measured
     # 1.77 MiB (wave) and 1.69 MiB (tilted spiral), 2.62 and 2.98 MiB when
     # every repeated subtree was evaluated again, 5.79 and 5.51 MiB if
     # nothing is released
     tilted = AnalyticCurve(["cos(s)", "sin(s)", "s^2/2"], (0.2, 1.5))
-    for curve, domain in ((wave_curve, WAVE_TRIMMED), (tilted, None)):
-        tangent_indicatrix(curve, domain=domain)
+    for curve in (wave_trimmed, tilted):
+        tangent_indicatrix(curve)
         tracemalloc.start()
         try:
-            tangent_indicatrix(curve, domain=domain)
+            tangent_indicatrix(curve)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -292,7 +320,7 @@ def test_indicatrix_of_line_degenerate():
         tangent_indicatrix(line)
 
 
-def test_indicatrix_curvature_formulas(wave_curve, wave_grid):
+def test_indicatrix_curvature_formulas(wave_trimmed, wave_grid):
     # formulas from the source curve and direct frames of the built
     # indicatrix must both land on the closed forms, hence on each other
     kb, tb = indicatrix_curvatures_3d(wave_grid)
@@ -300,7 +328,7 @@ def test_indicatrix_curvature_formulas(wave_curve, wave_grid):
     assert np.abs(kb + 1.0 / np.sin(3 * s)).max() <= 1e-8
     assert np.abs(tb + 3.0 / (4.0 * np.sin(3 * s))).max() <= 1e-8
 
-    beta = tangent_indicatrix(wave_curve, domain=WAVE_TRIMMED)
+    beta = tangent_indicatrix(wave_trimmed)
     gb = frenet_grid(beta, 512, margin=0.02)
     c3 = np.clip(np.cos(3 * WAVE_TRIMMED[0]) + 0.75 * gb.svals, -1.0, 1.0)
     s_of = (2 * math.pi - np.arccos(c3)) / 3.0
@@ -308,8 +336,8 @@ def test_indicatrix_curvature_formulas(wave_curve, wave_grid):
     assert np.abs(gb.curvatures[:, 1] + 3.0 / (4.0 * np.sin(3 * s_of))).max() <= 1e-8
 
 
-def test_classify_wave_indicatrix_general(wave_curve):
-    beta = tangent_indicatrix(wave_curve, domain=WAVE_TRIMMED)
+def test_classify_wave_indicatrix_general(wave_trimmed):
+    beta = tangent_indicatrix(wave_trimmed)
     rep = classify(beta, margin=0.02)
     assert rep.general.passed
     assert abs(rep.general.cos_theta - 0.6) <= 1e-6
@@ -318,8 +346,8 @@ def test_classify_wave_indicatrix_general(wave_curve):
 
 # --- axis constructions ---
 
-def test_axis_field_three_constructions_agree(wave_curve, helix34_grid):
-    beta = tangent_indicatrix(wave_curve, domain=WAVE_TRIMMED)
+def test_axis_field_three_constructions_agree(wave_trimmed, helix34_grid):
+    beta = tangent_indicatrix(wave_trimmed)
     grids = (frenet_grid(beta, 512, margin=0.02), helix34_grid)
     for grid in grids:
         gf = general_functions(grid)
@@ -363,8 +391,8 @@ def test_axis_hint_of_extreme_magnitude_is_normalized(helix34):
 
 # --- indicatrix axis agreement ---
 
-def test_verify_same_axis_wave(wave_curve):
-    comp = verify_same_axis(wave_curve, domain=WAVE_TRIMMED)
+def test_verify_same_axis_wave(wave_trimmed):
+    comp = verify_same_axis(wave_trimmed)
     assert comp.angle_between <= 1e-4
     assert angle_to(comp.axis_of_curve, EZ) <= 1e-4
     assert angle_to(comp.axis_of_indicatrix, EZ) <= 1e-4
@@ -407,10 +435,13 @@ def test_dim4_recursion_columns(slant4, slant4_grid):
 
 def test_classify_dim4_slant_on_short_window(slant4):
     # on a tenth of the domain the integral I of k_1 spans little, and the
-    # fitted constant is about 27 max|I|
+    # fitted constant is about 27 max|I|; C reads 1.3e-4 on the samples
+    # inside the window, whose stencils shift inwards at its ends
     curve, info = slant4
     a, b = curve.domain
-    rep = classify(curve, domain=(a + 0.3 * (b - a), a + 0.4 * (b - a)))
+    t = curve.params
+    keep = (t >= a + 0.3 * (b - a)) & (t <= a + 0.4 * (b - a))
+    rep = classify(SampledCurve(t[keep], curve.points[keep]))
     assert rep.classification == "slant-helix"
     assert abs(rep.C - info["C"]) / info["C"] <= 1e-3
 
@@ -438,7 +469,6 @@ def test_slant_iff_indicatrix_general_over_corpus():
         curve = factory()
         rep = classify(curve, **kwargs)
         assert rep.slant.passed == expected, name
-        beta = tangent_indicatrix(curve, domain=kwargs.get("domain"),
-                                  margin=kwargs.get("margin", 0.0))
+        beta = tangent_indicatrix(curve, margin=kwargs.get("margin", 0.0))
         rep_b = classify(beta, margin=0.02)
         assert rep_b.general.passed == expected, name
