@@ -55,8 +55,9 @@ def generalized_cross(vectors):
 class FrenetGrid:
     """Frames and curvatures at m arc-length samples, stored as arrays.
 
-    svals (m,), frames (m, n, n) with frames[i, j] = V_{j+1} at svals[i],
-    curvatures (m, n-1), and degenerate_ranks (m,), 0 where the sample has
+    svals (m,), frames (m, r, n) with frames[i, j] = V_{j+1} at svals[i]
+    in E^n coordinates (r = n, or n - 1 read in a hyperplane; `dim` is r),
+    curvatures (m, r-1), and degenerate_ranks (m,), 0 where the sample has
     no degeneracy.  `valid` marks those samples; `fd_curvatures` is the
     independent estimate obtained by differencing the frame across the grid
     (a cross-check on the primary QR extraction, not an input to

@@ -399,10 +399,8 @@ def _run_path(kind, grid, tol_axis, tol_const):
     passed = (residual <= tol_const and axis_resid <= tol_axis
               and axis is not None)
     cos_theta = 1.0 / math.sqrt(C) if C >= 1.0 else None
-    r = PathResult(passed, cos_theta, C, axis, residual, axis_resid)
-    if kind == "slant":
-        r.integration_constant = funcs.integration_constant
-    return r
+    return PathResult(passed, cos_theta, C, axis, residual, axis_resid,
+                      funcs.integration_constant)
 
 
 def _detect_hyperplane(grid):
@@ -447,7 +445,11 @@ def classify(c: Curve, axis_hint=None, grid_size: int = 512,
     is the only way to see the cos(theta) = 0 degenerate helices; a hint
     that is not a finite non-zero vector of the curve's dimension raises
     AxisHintError.  Heavy masking or degeneracy is reported in the result,
-    not raised.
+    not raised.  The recursions divide by k_{n-1}, so a curve in a
+    hyperplane of E^n, n >= 4, is run on V_1..V_{n-1} and k_1..k_{n-2}, its
+    apparatus there in ambient coordinates, unless the hyperplane's normal
+    is within tol_axis of the hint (the cos(theta) = 0 case); planar,
+    planar_normal and hint describe the curve in E^n.
     """
     if axis_hint is not None:
         d = np.asarray(axis_hint, dtype=float)
@@ -458,12 +460,18 @@ def classify(c: Curve, axis_hint=None, grid_size: int = 512,
         d = d / np.linalg.norm(d)
     uc = curvemod.arclength_reparametrize(c)
     grid = frenet_grid(uc, grid_size, margin=margin)
+    planar, planar_normal = _detect_hyperplane(grid)
 
-    mask = recursion_mask(grid)
-    masked_fraction = 1.0 - float(np.mean(mask))
+    rgrid, n, ranks = grid, grid.dim, grid.degenerate_ranks
+    if planar and n >= 4 and (axis_hint is None
+                              or abs(planar_normal @ d) < math.cos(tol_axis)):
+        rgrid = FrenetGrid(grid.svals, grid.frames[:, :-1],
+                           grid.curvatures[:, :-1],
+                           np.where(ranks == n - 1, 0, ranks))
+    masked_fraction = 1.0 - float(np.mean(recursion_mask(rgrid)))
 
-    slant = _run_path("slant", grid, tol_axis, tol_const)
-    general = _run_path("general", grid, tol_axis, tol_const)
+    slant = _run_path("slant", rgrid, tol_axis, tol_const)
+    general = _run_path("general", rgrid, tol_axis, tol_const)
 
     if slant.passed and general.passed:
         classification = "both"
@@ -474,11 +482,8 @@ def classify(c: Curve, axis_hint=None, grid_size: int = 512,
     else:
         classification = "neither"
 
-    planar, planar_normal = _detect_hyperplane(grid)
-
     hint = None
     if axis_hint is not None:
-        ranks = grid.degenerate_ranks
         v1 = grid.frames[:, 0, :] @ d       # V_1 defined at every sample
         ok2 = (ranks == 0) | (ranks >= 2)   # V_2 needs rank at least 2
         v2 = grid.frames[ok2, 1, :] @ d if np.any(ok2) else None

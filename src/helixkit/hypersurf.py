@@ -417,7 +417,9 @@ def verify_geodesic_theorems(h: Hypersurface, geodesics) -> SurfaceGeodesicRepor
     constant inner product with the direction; (b) the tangent indicatrix
     lies on the unit sphere and is a general helix whose axis matches the
     direction within 1e-3; (c) indicatrix axes of different geodesics agree
-    pairwise within 2e-3.  Straight segments are reported as degenerate and
+    pairwise within 2e-3.  Both curves are classified with the direction as
+    hint, so in a hyperplane of E^n that holds it they read on its frame
+    (see helix.classify).  Straight segments are reported as degenerate and
     excluded; any other check error fails the verdict.  The overall verdict
     also requires the surface itself to pass the constant-angle test.
     """
@@ -443,18 +445,9 @@ def verify_geodesic_theorems(h: Hypersurface, geodesics) -> SurfaceGeodesicRepor
         check.normal_dot_mean = hint.v2_mean
         check.normal_dot_std = hint.v2_std
 
-        basis = None
         try:
             beta = tangent_indicatrix(curve, margin=0.02)
-            rep_b = classify(beta, margin=0.02)
-            if h.dim >= 4 and rep_b.planar and _axis_angle(
-                    rep_b.planar_normal, h.direction) > INDICATRIX_AXIS_TOL:
-                # past E^3 the hyperplane can hold the axis: classify the
-                # indicatrix in an orthonormal basis of the hyperplane, the
-                # leading right singular vectors of its unit-vector samples
-                basis = np.linalg.svd(beta.points, full_matrices=False)[2][:-1]
-                rep_b = classify(SampledCurve(beta.params, beta.points @ basis.T),
-                                 margin=0.02)
+            rep_b = classify(beta, axis_hint=h.direction, margin=0.02)
         except HelixkitError as exc:
             check.error = f"indicatrix failed: {exc}"
             continue
@@ -472,8 +465,6 @@ def verify_geodesic_theorems(h: Hypersurface, geodesics) -> SurfaceGeodesicRepor
             check.error = ("indicatrix did not classify as a general helix: "
                            f"{rep_b.general.error or rep_b.classification}")
             continue
-        if basis is not None:
-            axis = axis @ basis
         check.indicatrix_axis = axis
         check.indicatrix_angle = _axis_angle(axis, h.direction)
         axes.append(axis)

@@ -39,6 +39,11 @@ def files(tmp_path_factory):
         "components": [re.sub(r"\bs\b", "(2*s)", c) for c in WAVE],
         "domain": [x / 2 for x in WAVE_TRIMMED],
     })
+    # the same wave in the hyperplane x_4 = 0 of E^4
+    wave4 = dump("wave4.json", {
+        "dim": 4, "parameter": "s", "components": WAVE + ["0"],
+        "domain": list(WAVE_TRIMMED),
+    })
     helix34 = dump("helix34.json", {
         "dim": 3, "parameter": "s",
         "components": ["3*cos(s/5)", "3*sin(s/5)", "4*s/5"],
@@ -71,7 +76,8 @@ def files(tmp_path_factory):
                        "length": 1.2, "steps": 300}],
     })
     return {
-        "root": root, "wave": wave, "wave2": wave2, "helix34": helix34,
+        "root": root, "wave": wave, "wave2": wave2, "wave4": wave4,
+        "helix34": helix34,
         "line": line,
         "circle2d": circle2d, "broken": broken,
         "cylinder": cylinder_scenario, "sphere": sphere_scenario,
@@ -262,6 +268,27 @@ def test_axis_wave_axes_agree(files, capsys):
     payload = json.loads(out)
     assert payload["angle_between"] <= 1e-4
     assert abs(payload["axis_of_curve"][2]) > 0.999999
+
+
+def test_wave_in_a_hyperplane_of_e4_reads_as_in_e3(files, capsys):
+    # its k_3 vanishes, so the recursions run on V_1..V_3, k_1 and k_2,
+    # which are the E^3 apparatus: C reads 2.77776933374 and the axes
+    # 3.80490581238e-07 apart, as for the wave itself
+    outputs = {}
+    for name in ("wave", "wave4"):
+        for sub in ("analyze", "axis", "indicatrix"):
+            code, out, _ = run(capsys, sub, files[name])
+            assert code == 0, (name, sub)
+            outputs[name, sub] = json.loads(out)
+    for key in ("classification", "C"):
+        assert (outputs["wave4", "analyze"][key]
+                == outputs["wave", "analyze"][key])
+    assert outputs["wave4", "analyze"]["planar"]
+    assert (outputs["wave4", "axis"]["angle_between"]
+            == outputs["wave", "axis"]["angle_between"])
+    assert outputs["wave4", "indicatrix"]["same_axis_error"] is None
+    assert (outputs["wave4", "indicatrix"]["same_axis"]["angle_between"]
+            == outputs["wave", "axis"]["angle_between"])
 
 
 def test_axis_rejects_non_slant_curve(files, capsys):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import tracemalloc
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (W_CURVE, WAVE_TRIMMED, count_stencil_passes,
+from conftest import (W_CURVE, WAVE, WAVE_TRIMMED, count_stencil_passes,
                       equivalence_corpus, unit_speed_circular_helix)
 from helixkit.curve import AnalyticCurve, SampledCurve
 from helixkit.errors import (ClassificationError, CurveError,
@@ -460,6 +461,82 @@ def test_sampled_indicatrix_reads_the_curve_velocities(slant4, monkeypatch):
     beta = tangent_indicatrix(slant4[0])
     assert beta.unit_speed
     assert len(calls) == 2
+
+
+# --- isometries: rigid motions of E^3 and embeddings into E^4 ---
+
+# (components, domain) of the analytic corpus curves; the tilted spiral
+# (cos t, sin t, t^2/2) is not unit speed and is no helix
+ISOMETRY_CURVES = {
+    "wave": (WAVE, WAVE_TRIMMED),
+    "circular helix": (["3*cos(s/5)", "3*sin(s/5)", "4*s/5"],
+                       (0.0, 20 * math.pi)),
+    "tilted spiral": (["cos(s)", "sin(s)", "s^2/2"], (0.2, 1.5)),
+}
+WAVE_SAMPLES = np.linspace(*WAVE_TRIMMED, 951)
+
+
+def _isometric_image(name, rot, shift):
+    """The corpus curve `name` under x -> rot x + shift, rot of shape (n, 3).
+
+    An analytic image keeps its components analytic, as linear combinations
+    of the E^3 ones; the sampled wave maps its points.
+    """
+    if name == "sampled wave":
+        pts = AnalyticCurve(WAVE, WAVE_TRIMMED).point_grid(WAVE_SAMPLES)
+        return SampledCurve(WAVE_SAMPLES, pts @ rot.T + shift)
+    comps, domain = ISOMETRY_CURVES[name]
+    return AnalyticCurve(
+        [" + ".join([f"({float(q)!r})*({c})" for q, c in zip(row, comps)]
+                    + [repr(float(t))]) for row, t in zip(rot, shift)],
+        domain)
+
+
+@functools.lru_cache(maxsize=None)
+def _e3_report(name):
+    return classify(_isometric_image(name, np.eye(3), np.zeros(3)))
+
+
+@st.composite
+def orthogonal_matrices(draw, n):
+    """Rotations of E^n: the Q factor of a Gaussian matrix, det fixed to +1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+@pytest.mark.parametrize("name", [*ISOMETRY_CURVES, "sampled wave"])
+@pytest.mark.parametrize("target", ["E^4", "E^3"])
+@settings(max_examples=20)
+@given(q4=orthogonal_matrices(4), q3=orthogonal_matrices(3),
+       shift=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_classification_follows_isometries(name, target, q4, q3, shift):
+    # E^4: x -> Q(x, 0) puts the curve in the hyperplane normal to Q e_4,
+    # where the recursions run on V_1..V_3 and k_1, k_2.  E^3: x -> Rx + t.
+    # Worst of 150 draws of each, over both paths' C and axes and the
+    # hyperplane normal: analytic C 1.7e-13 relative, axes 6.8e-14, normal
+    # 9.9e-15; the sampled wave C 2.3e-7, axes 7.0e-10, normal 4.2e-11,
+    # derivative noise on the mapped points (C and axes worst under E^3
+    # with its shift)
+    if target == "E^4":
+        rot, offset = q4[:, :3], np.zeros(4)
+    else:
+        rot, offset = q3, np.array(shift)
+    want = _e3_report(name)
+    rep = classify(_isometric_image(name, rot, offset))
+    c_tol, axis_tol = (2e-6, 1e-8) if name == "sampled wave" else (1e-12,
+                                                                   1e-12)
+    assert rep.classification == want.classification
+    assert rep.planar == (target == "E^4")
+    if rep.planar:
+        normal = rep.planar_normal * np.sign(rep.planar_normal @ q4[:, 3])
+        assert np.linalg.norm(normal - q4[:, 3]) <= axis_tol
+    for path, ref in ((rep.slant, want.slant), (rep.general, want.general)):
+        assert abs(path.C - ref.C) <= c_tol * abs(ref.C)
+        assert np.linalg.norm(path.axis - rot @ ref.axis) <= axis_tol
 
 
 # --- the equivalence across the corpus ---

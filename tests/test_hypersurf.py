@@ -25,6 +25,7 @@ from helixkit.errors import (
     CurveFormatError, DegenerateCurveError, SurfaceError,
 )
 from helixkit.frenet import frenet_grid
+from helixkit.helix import classify
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -379,9 +380,11 @@ CONE_E4_SPEC = {
 
 
 def test_cone_over_the_sphere_in_e4_verifies_with_axis_e4():
-    # each geodesic lies in a hyperplane of E^4 that holds e_4, so its
-    # indicatrix is planar with a normal orthogonal to the axis; read as
-    # the E^3 cos(theta) = 0 case, every angle was pi/2
+    # each geodesic lies in a hyperplane of E^4 that holds e_4, so it and
+    # its indicatrix are planar with a normal orthogonal to the axis; read
+    # as the E^3 cos(theta) = 0 case, every angle was pi/2, and with the
+    # recursions run in E^4 the vanishing k_3 masked the geodesics
+    e4 = np.array([0.0, 0.0, 0.0, 1.0])
     h = hypersurf.load_surface(CONE_E4_SPEC)
     p = np.array([1.5, 0.0, 1.5])
     jac = h.jacobian(p)
@@ -399,7 +402,17 @@ def test_cone_over_the_sphere_in_e4_verifies_with_axis_e4():
         # reads 5.3e-11 at most (the third geodesic, 1.0e-5 rad)
         assert abs(check.indicatrix_axis[3]) >= 1.0 - 1e-9
         assert check.indicatrix_angle <= hypersurf.INDICATRIX_AXIS_TOL
+        assert check.classification == "slant-helix"
     assert rep.pairwise_axis_angle <= hypersurf.PAIRWISE_AXIS_TOL
+    for path in paths:
+        # C = sec^2(pi/4) = 2; the worst reads |C - 2| = 2.0e-6 and an
+        # axis 4.9e-7 rad from e_4 (the third geodesic)
+        geo = classify(hypersurf.samples_to_curve(path), axis_hint=e4,
+                       margin=0.02)
+        assert geo.classification == "slant-helix"
+        assert geo.masked_fraction == 0.0
+        assert abs(geo.C - 2.0) <= 1e-5
+        assert hypersurf._axis_angle(geo.axis, e4) <= 5e-6
 
 
 def test_plane_geodesics_report_degenerate(plane):
