@@ -7,7 +7,10 @@ finite-difference stencils on the sample nodes).  The primitive is
 `jet_grid`, derivatives 1..order on an array of parameter values as one
 (m, order, dim) array, which feeds the frame computation; the `jet` and
 `point` methods are one row of the grids.  A jet grid raises `CurveError`
-at the first parameter where a derivative comes out inf or nan.
+for an order below 1 and at the first parameter where a derivative comes
+out inf or nan.  Each representation also builds its own unit tangent over
+a sub-interval of its parameter (`_unit_tangent`), the curve that
+`helix.tangent_indicatrix` reparametrizes into the tangent indicatrix.
 
 Analytic and sampled curves carry a measured `unit_speed` flag, never taken
 from input metadata: an analytic curve's is established on a 1000-point
@@ -24,7 +27,9 @@ import sys
 import numpy as np
 
 from . import expr
-from .errors import CurveError, CurveFormatError, NonRegularCurveError
+from .errors import (
+    CurveError, CurveFormatError, DegenerateCurveError, NonRegularCurveError,
+)
 
 __all__ = [
     "Curve", "AnalyticCurve", "SampledCurve", "ReparametrizedCurve",
@@ -97,15 +102,12 @@ class Curve:
 
     def jet(self, s, order):
         """Derivatives 1..order at s, (order, dim): one row of `jet_grid`."""
-        if order < 1:
-            raise CurveError("jet order must be >= 1")
         return self.jet_grid([s], order)[0]
 
     def jet_grid(self, svals, order):
         """Derivatives 1..order at each of svals; shape (m, order, dim)."""
+        _check_order(order)
         svals = self._grid(svals)
-        if order < 1:
-            raise CurveError("jet order must be >= 1")
         # an inf or nan stencil is reported below, not warned about
         with np.errstate(all="ignore"):
             rows = self._derivatives(svals, range(1, order + 1))
@@ -122,6 +124,12 @@ class Curve:
 
     def length(self):
         raise NotImplementedError
+
+    def _unit_tangent(self, a, b):
+        """The unit tangent over [a, b] of the parameter, as a curve; each
+        representation builds its own."""
+        raise DegenerateCurveError(
+            f"cannot build an indicatrix for {type(self).__name__}")
 
     def _grid(self, svals):
         """svals as a float array; raises unless every value is in the domain."""
@@ -178,6 +186,7 @@ class AnalyticCurve(Curve):
         return self._numbering.taylor({self.parameter: series}, order)
 
     def jet_grid(self, svals, order):
+        _check_order(order)
         svals = self._grid(svals)
         return _jets(self._coefficients([svals, 1.0], order), svals,
                      self.parameter)
@@ -194,9 +203,23 @@ class AnalyticCurve(Curve):
             total = p if total is None else expr.Add(total, p)
         return expr.Call("sqrt", total)
 
+    def _unit_tangent(self, a, b):
+        """The velocity over [a, b], divided by the speed unless unit speed."""
+        velocity = self.velocity
+        if not self.unit_speed:
+            v = self.speed_expression()
+            velocity = tuple(expr.Div(e, v) for e in velocity)
+        return AnalyticCurve(velocity, (a, b), self.parameter)
+
     def length(self):
         """Total of the arc-length table; raises as the reparametrization."""
         return float(_arc_length_table(self)[2][-1])
+
+
+def _check_order(order):
+    """CurveError unless a jet of this order has a derivative to hold."""
+    if order < 1:
+        raise CurveError("jet order must be >= 1")
 
 
 def _jets(coeffs, svals, name):
@@ -326,6 +349,13 @@ class SampledCurve(Curve):
                                 (len(self.params) - 1) // (_WINDOW[k] - 1)))
         return _WINDOW[k], stride
 
+    def _unit_tangent(self, a, b):
+        """The normalized velocities at the samples in [a, b]."""
+        keep = (self.params >= a) & (self.params <= b)
+        rows = self.velocities[keep]
+        return SampledCurve(self.params[keep],
+                            rows / np.linalg.norm(rows, axis=1, keepdims=True))
+
     def length(self):
         speeds = np.linalg.norm(self.velocities, axis=1)
         return float(np.trapezoid(speeds, self.params))
@@ -370,6 +400,7 @@ class ReparametrizedCurve(Curve):
         return np.clip(t, a, b)
 
     def jet_grid(self, svals, order):
+        _check_order(order)
         svals = self._grid(svals)
         t = [self.parameter_of_arclength(svals)]
         series = expr.TaylorSeries(self._speed, {self.parameter: []})
@@ -382,6 +413,13 @@ class ReparametrizedCurve(Curve):
     def point_grid(self, svals):
         t = self.parameter_of_arclength(self._grid(svals))
         return self.source.point_grid(t)
+
+    def _unit_tangent(self, a, b):
+        """The source's unit tangent over the source parameters of arc
+        lengths a and b.  The source of `arclength_reparametrize` is never
+        unit speed; over a unit-speed source the velocity stays undivided."""
+        t0, t1 = self.parameter_of_arclength([a, b])
+        return self.source._unit_tangent(float(t0), float(t1))
 
     def length(self):
         return self.total_length

@@ -17,12 +17,13 @@ everything left-associative except ``^`` which is right-associative, so
 must be constant (no parameter inside), which keeps differentiation of powers
 in the plain ``c * u^(c-1) * u'`` form.
 
-Constant folding in `parse` is deliberately light: an operation whose
-operands are all constants is folded where its result is finite, nothing
-else is rewritten, and a literal that overflows is refused, so every
-constant is finite.  A folded constant is the order-0 `taylor` value of the
-node it replaces, so folding never changes a value.  `differentiate` also
-leaves out the 0 terms and 1 factors of its rules.
+Constant folding is deliberately light, and one rule folds every node that
+`parse` and `differentiate` build: an operation whose operands are all
+constants becomes the order-0 `taylor` value of the node it replaces, where
+that value is finite, so folding never changes a value, the sign of a zero
+included.  Nothing else is rewritten, and a literal that overflows is
+refused, so every constant is finite.  `differentiate` also leaves out the
+0 terms and 1 factors of its rules.
 """
 
 import math
@@ -102,52 +103,11 @@ class Call(Expression):
 
 # ------------------------------------------------------------------ folding
 
-def _fold2(cls, op, a, b):
-    # c (op) c -> c where the result is finite; nothing else is rewritten
-    if isinstance(a, Const) and isinstance(b, Const):
-        try:
-            value = op(a.value, b.value)
-        except (ZeroDivisionError, ValueError, OverflowError):
-            value = math.nan
-        if math.isfinite(value):
-            return Const(value)
-    return cls(a, b)
-
-
-def _add(a, b):
-    return _fold2(Add, lambda x, y: x + y, a, b)
-
-
-def _sub(a, b):
-    return _fold2(Sub, lambda x, y: x - y, a, b)
-
-
-def _mul(a, b):
-    return _fold2(Mul, lambda x, y: x * y, a, b)
-
-
-def _div(a, b):
-    return _fold2(Div, lambda x, y: x / y, a, b)
-
-
-def _neg(a):
-    if isinstance(a, Const):
-        return Const(-a.value)
-    return Neg(a)
-
-
-def _pow(base, exponent):
-    return _fold(Pow(base, exponent), base)
-
-
-def _call(fn, arg):
-    return _fold(Call(fn, arg), arg)
-
-
-def _fold(node, operand):
-    # a constant operand folds to the node's own order-0 value, so folding
-    # never changes a value
-    if isinstance(operand, Const):
+def _fold(node):
+    # an operator whose operands are all constants folds to its own order-0
+    # value where that is finite, so folding never changes a value
+    if all(isinstance(x, Const) for x in vars(node).values()
+           if isinstance(x, Expression)):
         value = float(ValueNumbering([node]).taylor({}, 0)[0, 0])
         if math.isfinite(value):
             return Const(value)
@@ -221,7 +181,7 @@ class _Parser:
             if kind == "op" and text in "+-":
                 self.advance()
                 rhs = self.term()
-                e = _add(e, rhs) if text == "+" else _sub(e, rhs)
+                e = _fold((Add if text == "+" else Sub)(e, rhs))
             else:
                 return e
 
@@ -232,7 +192,7 @@ class _Parser:
             if kind == "op" and text in "*/":
                 self.advance()
                 rhs = self.unary()
-                e = _mul(e, rhs) if text == "*" else _div(e, rhs)
+                e = _fold((Mul if text == "*" else Div)(e, rhs))
             else:
                 return e
 
@@ -240,7 +200,7 @@ class _Parser:
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return _neg(self.unary())
+            return _fold(Neg(self.unary()))
         return self.power()
 
     def power(self):
@@ -252,7 +212,7 @@ class _Parser:
             exponent = self.unary()
             if not isinstance(exponent, Const):
                 raise ExprParseError("non-constant exponent", offset)
-            return _pow(base, exponent.value)
+            return _fold(Pow(base, exponent.value))
         return base
 
     def atom(self):
@@ -269,7 +229,7 @@ class _Parser:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
-                return _call(text, arg)
+                return _fold(Call(text, arg))
             raise ExprParseError(f"unknown identifier {text!r}", offset)
         if kind == "op" and text == "(":
             e = self.expr()
@@ -307,17 +267,18 @@ def _is(e, c):
 
 
 def _dadd(a, b):
-    return b if _is(a, 0.0) else a if _is(b, 0.0) else _add(a, b)
+    return b if _is(a, 0.0) else a if _is(b, 0.0) else _fold(Add(a, b))
 
 
 def _dsub(a, b):
-    return a if _is(b, 0.0) else _neg(b) if _is(a, 0.0) else _sub(a, b)
+    return (a if _is(b, 0.0) else _fold(Neg(b)) if _is(a, 0.0)
+            else _fold(Sub(a, b)))
 
 
 def _dmul(a, b):
     if _is(a, 0.0) or _is(b, 0.0):
         return Const(0.0)
-    return b if _is(a, 1.0) else a if _is(b, 1.0) else _mul(a, b)
+    return b if _is(a, 1.0) else a if _is(b, 1.0) else _fold(Mul(a, b))
 
 
 def differentiate(e: Expression, var: str = "s") -> Expression:
@@ -331,7 +292,7 @@ def differentiate(e: Expression, var: str = "s") -> Expression:
     if isinstance(e, Var):
         return Const(1.0 if e.name == var else 0.0)
     if isinstance(e, Neg):
-        return _neg(differentiate(e.arg, var))
+        return _fold(Neg(differentiate(e.arg, var)))
     if isinstance(e, Add):
         return _dadd(differentiate(e.left, var), differentiate(e.right, var))
     if isinstance(e, Sub):
@@ -342,7 +303,8 @@ def differentiate(e: Expression, var: str = "s") -> Expression:
     if isinstance(e, Div):
         num = _dsub(_dmul(differentiate(e.left, var), e.right),
                     _dmul(e.left, differentiate(e.right, var)))
-        return num if _is(num, 0.0) else _div(num, _pow(e.right, 2.0))
+        return (num if _is(num, 0.0)
+                else _fold(Div(num, _fold(Pow(e.right, 2.0)))))
     if not isinstance(e, (Pow, Call)):
         raise TypeError(f"not an expression node: {e!r}")
     u = e.base if isinstance(e, Pow) else e.arg
@@ -357,20 +319,20 @@ def differentiate(e: Expression, var: str = "s") -> Expression:
             return du
         # keep u^1 and u^0 out of the result: repeated differentiation would
         # otherwise breed 0 * u^-1 terms that evaluate to nan at zeros of u
-        lowered = u if c - 1.0 == 1.0 else _pow(u, c - 1.0)
-        return _dmul(_mul(Const(c), lowered), du)
+        lowered = u if c - 1.0 == 1.0 else _fold(Pow(u, c - 1.0))
+        return _dmul(_fold(Mul(Const(c), lowered)), du)
     if e.fn == "sin":
-        return _dmul(_call("cos", u), du)
+        return _dmul(_fold(Call("cos", u)), du)
     if e.fn == "cos":
-        return _neg(_dmul(_call("sin", u), du))
+        return _fold(Neg(_dmul(_fold(Call("sin", u)), du)))
     if e.fn == "tan":
-        return _div(du, _pow(_call("cos", u), 2.0))
+        return _fold(Div(du, _fold(Pow(_fold(Call("cos", u)), 2.0))))
     if e.fn == "exp":
-        return _dmul(_call("exp", u), du)
+        return _dmul(_fold(Call("exp", u)), du)
     if e.fn == "log":
-        return _div(du, u)
+        return _fold(Div(du, u))
     if e.fn == "sqrt":
-        return _div(du, _mul(Const(2.0), _call("sqrt", u)))
+        return _fold(Div(du, _fold(Mul(Const(2.0), _fold(Call("sqrt", u))))))
     raise TypeError(f"not an expression node: {e!r}")
 
 

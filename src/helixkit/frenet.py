@@ -159,12 +159,12 @@ def frenet_grid(c: Curve, m: int, margin: float = 0.0) -> FrenetGrid:
     """Frames at m uniform parameter values over the curve's own domain.
 
     `margin` trims that fraction of the domain length off each end before
-    sampling; a margin outside [0, 0.5) raises CurveError.  To analyse a
-    sub-interval, build the curve on it.
+    sampling; a margin outside [0, 0.5) or m below 16 raises CurveError.
+    To analyse a sub-interval, build the curve on it.
     """
     _require_unit_speed(c)
     if m < 16:
-        raise ValueError("need at least 16 grid samples")
+        raise CurveError("need at least 16 grid samples")
     svals = np.linspace(*_trimmed_domain(c, margin), m)
     return FrenetGrid(svals, *_frames_from_jets(c.jet_grid(svals, c.dim)))
 

@@ -31,13 +31,12 @@ from typing import Optional
 import numpy as np
 
 from . import curve as curvemod
-from .curve import AnalyticCurve, Curve, ReparametrizedCurve, SampledCurve
+from .curve import Curve
 from .errors import (
     AxisHintError, ClassificationError, DegenerateCurveError,
     NonRegularCurveError, UnreliableResultError,
 )
 from .frenet import EPS_CURV, FrenetGrid, _trimmed_domain, frenet_grid
-from . import expr
 
 __all__ = [
     "HelixFunctions", "HelixReport", "PathResult", "HintResult",
@@ -504,35 +503,19 @@ def tangent_indicatrix(c: Curve, margin: float = 0.0) -> Curve:
 
     The indicatrix consumes arc length at rate k_1, so the construction
     needs k_1 > 0 on the domain, trimmed by `margin` as in frenet_grid; a
-    vanishing first curvature is reported as degeneracy.  Every returned
-    point lies on the unit sphere.
+    vanishing first curvature is reported as degeneracy.  The curve's own
+    representation builds its unit tangent: the velocity expressions over
+    the speed for an analytic curve, the normalized velocities for a sampled
+    one; any other raises DegenerateCurveError.  Every returned point lies
+    on the unit sphere.
     """
     uc = curvemod.arclength_reparametrize(c)
-    a, b = _trimmed_domain(uc, margin)
-
     try:
-        if isinstance(uc, AnalyticCurve):
-            beta = AnalyticCurve(uc.velocity, (a, b), uc.parameter)
-            return curvemod.arclength_reparametrize(beta)
-        if isinstance(uc, ReparametrizedCurve):
-            src = uc.source
-            v = src.speed_expression()
-            comps = tuple(expr.Div(e, v) for e in src.velocity)
-            t0 = float(uc.parameter_of_arclength(a))
-            t1 = float(uc.parameter_of_arclength(b))
-            beta = AnalyticCurve(comps, (t0, t1), src.parameter)
-            return curvemod.arclength_reparametrize(beta)
-        if isinstance(uc, SampledCurve):
-            keep = (uc.params >= a) & (uc.params <= b)
-            rows = uc.velocities[keep]
-            rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-            beta = SampledCurve(uc.params[keep], rows)
-            return curvemod.arclength_reparametrize(beta)
+        return curvemod.arclength_reparametrize(
+            uc._unit_tangent(*_trimmed_domain(uc, margin)))
     except NonRegularCurveError as exc:
         raise DegenerateCurveError(
             f"tangent indicatrix needs k_1 > 0 on the domain: {exc}") from exc
-    raise DegenerateCurveError(
-        f"cannot build an indicatrix for {type(uc).__name__}")
 
 
 @dataclass

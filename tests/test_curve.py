@@ -254,6 +254,20 @@ def test_reparametrize_unit_speed_input_unchanged():
     assert arclength_reparametrize(c) is c
 
 
+@pytest.mark.parametrize("order", [0, -1])
+def test_every_jet_grid_rejects_an_order_below_one(order):
+    t = np.linspace(0.0, 1.0, 40)
+    curves = [AnalyticCurve(WAVE, WAVE_DOMAIN),
+              arclength_reparametrize(
+                  AnalyticCurve(["cos(s)", "sin(s)", "s^2/2"], (0.2, 1.5))),
+              SampledCurve(t, np.stack([np.cos(t), np.sin(t), t], axis=1))]
+    for c in curves:
+        s = float(np.mean(c.domain))
+        for call in (lambda: c.jet_grid([s], order), lambda: c.jet(s, order)):
+            with pytest.raises(CurveError, match="jet order must be >= 1"):
+                call()
+
+
 def test_reparametrize_rejects_nonregular():
     cusp = AnalyticCurve(["s^3", "0"], (-1.0, 1.0), parameter="s")
     with pytest.raises(NonRegularCurveError):

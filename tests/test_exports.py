@@ -57,3 +57,21 @@ def test_frames_are_one_record_on_the_curve_domain():
     for fn in (helixkit.frenet_grid, helixkit.classify,
                helixkit.tangent_indicatrix, helixkit.verify_same_axis):
         assert "domain" not in inspect.signature(fn).parameters
+
+
+def test_helix_leaves_the_unit_tangent_to_each_curve_class():
+    # tangent_indicatrix asks the curve for its unit tangent, so helix
+    # neither builds expression trees nor dispatches on the curve classes
+    tree = ast.parse(Path(helix.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not imported & {"expr", "helixkit.expr", "AnalyticCurve",
+                           "ReparametrizedCurve", "SampledCurve"}
+    body, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name == "tangent_indicatrix"]
+    assert "isinstance" not in {node.id for node in ast.walk(body)
+                                if isinstance(node, ast.Name)}

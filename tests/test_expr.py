@@ -162,25 +162,38 @@ def _constant_node(rng):
                                         0.5, 1.5, -0.5, 1 / 3, 0.0, -0.0]))
 
 
+_EDGE_CONSTANTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                   1e-200, 0.1, 1.5, -2.75, 3.0, 1e200, 1e308, -1e308,
+                   1.7976931348623157e308]
+
+
 def test_folding_never_changes_a_value():
-    # a constant power or call parses to the Const of the node's own order-0
-    # value, bit for bit, where that value is finite; math.pow(1.1, 3) is
-    # 1.331, while the square-and-multiply products give 1.3310000000000004
+    # a constant operation parses to the Const of the node's own order-0
+    # value, bit for bit with the sign of a zero, where that value is finite;
+    # math.pow(1.1, 3) is 1.331, while the square-and-multiply products give
+    # 1.3310000000000004.  A node that overflows, or divides by a zero of
+    # either sign, stays as it is.
     assert _value(parse("1.1^3"), 0.0) == _value(Pow(Const(1.1), 3.0), 0.0)
     rng = random.Random(20261019)
+    nodes = [_constant_node(rng) for _ in range(6000)]
+    nodes += [Neg(Const(x)) for x in _EDGE_CONSTANTS]
+    nodes += [op(Const(x), Const(y)) for op in (Add, Sub, Mul, Div)
+              for x in _EDGE_CONSTANTS for y in _EDGE_CONSTANTS]
     folded = 0
-    for _ in range(6000):
-        node = _constant_node(rng)
+    for node in nodes:
         want = _value(node, 0.0)
         got = parse(to_source(node))
         if math.isfinite(want):
             assert isinstance(got, Const) and _identical(got.value, want), node
             folded += 1
         else:
-            assert got == node
-    assert folded > 5000
+            assert got == node and to_source(got) == to_source(node), node
+    assert folded > 5800 and len(nodes) - folded > 950
     # a product's order 0 keeps the sign of a zero
     assert _identical(_value(parse("-0.0*s"), 1.0), -0.0)
+    # differentiate folds by the same rule
+    assert differentiate(parse("s/2")) == Const(0.5)
+    assert _identical(differentiate(parse("-(0*s)")).value, -0.0)
 
 
 def test_printing_keeps_the_sign_of_a_zero():

@@ -7,10 +7,11 @@ import sympy as sp
 
 from conftest import W_CURVE
 from helixkit.curve import AnalyticCurve, SampledCurve, arclength_reparametrize
-from helixkit.errors import NotUnitSpeedError
+from helixkit.errors import CurveError, NotUnitSpeedError
 from helixkit.frenet import (
     frenet_at, frenet_grid, frenet_ode_residual, generalized_cross,
 )
+from helixkit.helix import classify, verify_same_axis
 
 WAVE = ["(2/5)*sin(2*s) - (1/40)*sin(8*s)",
         "-(2/5)*cos(2*s) + (1/40)*cos(8*s)",
@@ -144,8 +145,10 @@ def test_non_unit_speed_rejected():
 
 def test_grid_size_and_margin():
     c = AnalyticCurve(["3*cos(s/5)", "3*sin(s/5)", "4*s/5"], (0.0, 10.0))
-    with pytest.raises(ValueError):
-        frenet_grid(c, 8)
+    for call in (lambda: frenet_grid(c, 8), lambda: classify(c, grid_size=8),
+                 lambda: verify_same_axis(c, grid_size=8)):
+        with pytest.raises(CurveError, match="at least 16 grid samples"):
+            call()
     g = frenet_grid(c, 16, margin=0.1)
     assert g.svals[0] == pytest.approx(1.0)
     assert g.svals[-1] == pytest.approx(9.0)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (W_CURVE, WAVE, WAVE_TRIMMED, count_stencil_passes,
                       equivalence_corpus, unit_speed_circular_helix)
-from helixkit.curve import AnalyticCurve, SampledCurve
+from helixkit.curve import AnalyticCurve, Curve, SampledCurve
 from helixkit.errors import (ClassificationError, CurveError,
                              DegenerateCurveError, UnreliableResultError)
 from helixkit.frenet import FrenetGrid, frenet_grid
@@ -313,6 +313,15 @@ def test_indicatrix_circular_helix_is_latitude_circle(helix34):
     pts = beta.point_grid(np.linspace(*beta.domain, 100))
     assert np.abs(pts[:, 2] - 0.8).max() <= 1e-12
     assert np.abs(pts[:, 0] ** 2 + pts[:, 1] ** 2 - 0.36).max() <= 1e-12
+
+
+def test_indicatrix_of_a_curve_without_a_unit_tangent_is_refused():
+    class Bare(Curve):
+        dim, domain, unit_speed = 3, (0.0, 1.0), True
+
+    with pytest.raises(DegenerateCurveError,
+                       match="cannot build an indicatrix for Bare"):
+        tangent_indicatrix(Bare())
 
 
 def test_indicatrix_of_line_degenerate():

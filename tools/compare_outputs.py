@@ -89,11 +89,16 @@ def _number(x):
 
 
 def json_changes(a, b, path, changes):
-    """Largest |b - a| per field path, list indices folded into []."""
+    """Largest |b - a| per field path, list indices folded into [].
+
+    A "changed" (of type or shape) or a nan change (one side nan), once
+    recorded for a path, is kept.
+    """
     if _number(a) and _number(b):
         same = a == b or (math.isnan(a) and math.isnan(b))
         d = 0.0 if same else abs(b - a)      # nan where one side is nan
-        if not d <= changes.get(path, 0.0):
+        old = changes.get(path, 0.0)
+        if not (isinstance(old, str) or math.isnan(old) or d <= old):
             changes[path] = d
     elif isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
         for key in a:
