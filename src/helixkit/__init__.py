@@ -6,13 +6,10 @@ from .errors import (AxisHintError, ClassificationError, CurveError,
                      CurveFormatError, DegenerateCurveError, ExprDomainError,
                      ExprParseError, HelixkitError, NonRegularCurveError,
                      NotUnitSpeedError, SurfaceError, UnreliableResultError)
-from .frenet import (FrenetGrid, frenet_at, frenet_grid, frenet_ode_residual,
-                     generalized_cross)
+from .frenet import FrenetGrid, frenet_at, frenet_grid, generalized_cross
 from .helix import (AxisComparison, HelixFunctions, HelixReport, axis_field,
                     classify, general_functions, harmonic_curvatures,
-                    helix_axis_field_3d, indicatrix_curvatures_3d,
-                    slant_functions, slant_invariant_3d, tangent_indicatrix,
-                    verify_same_axis)
+                    slant_functions, tangent_indicatrix, verify_same_axis)
 from .hypersurf import (GeodesicCheck, GeodesicPath, Hypersurface,
                         SurfaceGeodesicReport, geodesic, is_helix_surface,
                         load_surface, samples_to_curve,
@@ -29,10 +26,8 @@ __all__ = [
     "NotUnitSpeedError", "SampledCurve", "SurfaceError",
     "SurfaceGeodesicReport", "UnreliableResultError",
     "arclength_reparametrize", "axis_field", "classify", "frenet_at",
-    "frenet_grid", "frenet_ode_residual", "general_functions",
-    "generalized_cross", "geodesic", "harmonic_curvatures",
-    "helix_axis_field_3d", "indicatrix_curvatures_3d", "is_helix_surface",
-    "load_curve", "load_surface", "samples_to_curve", "slant_functions",
-    "slant_invariant_3d", "tangent_indicatrix", "verify_geodesic_theorems",
-    "verify_same_axis",
+    "frenet_grid", "general_functions", "generalized_cross", "geodesic",
+    "harmonic_curvatures", "is_helix_surface", "load_curve", "load_surface",
+    "samples_to_curve", "slant_functions", "tangent_indicatrix",
+    "verify_geodesic_theorems", "verify_same_axis",
 ]

@@ -49,17 +49,18 @@ _PANELS = 4096
 def finite_difference_weights(x0, nodes, maxorder):
     """Weights for derivatives 0..maxorder at x0 from values on `nodes`.
 
-    Fornberg's recursive construction on arbitrary (distinct) nodes; row k
-    dotted with the function values gives the k-th derivative at x0, and it
-    is the same to the bit for any maxorder >= k.  It broadcasts over
-    leading axes: x0 (...) and nodes (..., w) give C-contiguous weights
-    (..., maxorder+1, w), bit for bit those of one point at a time.
+    Fornberg's recursive construction on arbitrary (distinct) nodes, more
+    of them than maxorder (CurveError otherwise); row k dotted with the
+    function values gives the k-th derivative at x0, and it is the same to
+    the bit for any maxorder >= k.  It broadcasts over leading axes: x0
+    (...) and nodes (..., w) give C-contiguous weights (..., maxorder+1, w),
+    bit for bit those of one point at a time.
     """
     x = np.asarray(nodes, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     n = x.shape[-1]
     if maxorder >= n:
-        raise ValueError("need more nodes than derivative order")
+        raise CurveError("need more nodes than derivative order")
     lead = np.broadcast_shapes(x0.shape, x.shape[:-1])
     # the recurrence runs on (order, node, *points): the points, on the last
     # axis, are contiguous in every update

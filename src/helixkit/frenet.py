@@ -19,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import Curve
-from .errors import CurveError, DegenerateCurveError, NotUnitSpeedError
+from .errors import CurveError, NotUnitSpeedError
 
 __all__ = [
-    "FrenetGrid", "frenet_at", "frenet_grid", "frenet_ode_residual",
-    "generalized_cross", "EPS_CURV",
+    "FrenetGrid", "frenet_at", "frenet_grid", "generalized_cross", "EPS_CURV",
 ]
 
 EPS_CURV = 1e-9
@@ -32,16 +31,17 @@ EPS_CURV = 1e-9
 def generalized_cross(vectors):
     """Vector orthogonal to n-1 given vectors in E^n, batched.
 
-    `vectors` has shape (m, n-1, n).  Each output row w is a cofactor
-    expansion, so det[v_1..v_{n-1}, w] = (-1)^{n-1} |w|^2; for orthonormal
-    inputs it is a unit vector.  In E^3 the three 2x2 cofactors are the
-    ordinary cross product v_1 x v_2, taken as such; other dimensions take
-    one batched determinant per cofactor.
+    `vectors` has shape (m, n-1, n); any other raises CurveError.  Each
+    output row w is a cofactor expansion, so det[v_1..v_{n-1}, w] =
+    (-1)^{n-1} |w|^2; for orthonormal inputs it is a unit vector.  In E^3
+    the three 2x2 cofactors are the ordinary cross product v_1 x v_2, taken
+    as such; other dimensions take one batched determinant per cofactor.
     """
     vectors = np.asarray(vectors, dtype=float)
-    m, n1, n = vectors.shape
-    if n1 != n - 1:
-        raise ValueError(f"need {n - 1} vectors in dimension {n}")
+    if vectors.ndim != 3 or vectors.shape[1] != vectors.shape[2] - 1:
+        raise CurveError(f"need a stack of n-1 vectors in E^n, shape "
+                         f"(m, n-1, n), not {vectors.shape}")
+    m, _, n = vectors.shape
     if n == 3:
         return np.cross(vectors[:, 0], vectors[:, 1])
     out = np.empty((m, n))
@@ -58,10 +58,7 @@ class FrenetGrid:
     svals (m,), frames (m, r, n) with frames[i, j] = V_{j+1} at svals[i]
     in E^n coordinates (r = n, or n - 1 read in a hyperplane; `dim` is r),
     curvatures (m, r-1), and degenerate_ranks (m,), 0 where the sample has
-    no degeneracy.  `valid` marks those samples; `fd_curvatures` is the
-    independent estimate obtained by differencing the frame across the grid
-    (a cross-check on the primary QR extraction, not an input to
-    classification).
+    no degeneracy.  `valid` marks those samples.
     """
     svals: np.ndarray
     frames: np.ndarray
@@ -78,15 +75,6 @@ class FrenetGrid:
     @property
     def valid(self):
         return self.degenerate_ranks == 0
-
-    def fd_curvatures(self):
-        """Curvatures re-estimated as <dV_i/ds, V_{i+1}> with grid differences."""
-        n = self.dim
-        dV = np.gradient(self.frames, self.svals, axis=0)
-        out = np.empty((len(self), n - 1))
-        for i in range(n - 1):
-            out[:, i] = np.sum(dV[:, i, :] * self.frames[:, i + 1, :], axis=1)
-        return out
 
 
 def _frames_from_jets(jets):
@@ -167,34 +155,3 @@ def frenet_grid(c: Curve, m: int, margin: float = 0.0) -> FrenetGrid:
         raise CurveError("need at least 16 grid samples")
     svals = np.linspace(*_trimmed_domain(c, margin), m)
     return FrenetGrid(svals, *_frames_from_jets(c.jet_grid(svals, c.dim)))
-
-
-def frenet_ode_residual(grid: FrenetGrid) -> float:
-    """Max residual of the frame against the structural ODE of the frame.
-
-    Differences each V_i across the grid and compares with
-    -k_{i-1} V_{i-1} + k_i V_{i+1} (first and last rows truncated
-    accordingly).  Samples whose difference stencil touches a degenerate
-    record are skipped, as are the one-sided endpoints; returns 0 if nothing
-    can be checked.
-    """
-    n = grid.dim
-    if len(grid) < 3:
-        raise DegenerateCurveError("need at least 3 samples for the residual")
-    dV = np.gradient(grid.frames, grid.svals, axis=0)
-    k = grid.curvatures
-    rhs = np.zeros_like(grid.frames)
-    for i in range(n):
-        if i > 0:
-            rhs[:, i, :] -= k[:, i - 1, None] * grid.frames[:, i - 1, :]
-        if i < n - 1:
-            rhs[:, i, :] += k[:, i, None] * grid.frames[:, i + 1, :]
-    resid = np.linalg.norm(dV - rhs, axis=2).max(axis=1)
-
-    ok = grid.valid
-    usable = ok.copy()
-    usable[1:-1] &= ok[:-2] & ok[2:]
-    usable[0] = usable[-1] = False
-    if not np.any(usable):
-        return 0.0
-    return float(resid[usable].max())

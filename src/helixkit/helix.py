@@ -1,4 +1,4 @@
-"""Helix characterizations: recursion functions, invariants, axes, indicatrix.
+"""Helix characterizations: recursion functions, axes, indicatrix.
 
 Two families of curves are detected.  A general helix keeps a constant angle
 between its tangent V_1 and a fixed direction; a slant helix keeps a constant
@@ -33,17 +33,16 @@ import numpy as np
 from . import curve as curvemod
 from .curve import Curve
 from .errors import (
-    AxisHintError, ClassificationError, DegenerateCurveError,
+    AxisHintError, ClassificationError, CurveError, DegenerateCurveError,
     NonRegularCurveError, UnreliableResultError,
 )
-from .frenet import EPS_CURV, FrenetGrid, _trimmed_domain, frenet_grid
+from .frenet import FrenetGrid, _trimmed_domain, frenet_grid
 
 __all__ = [
     "HelixFunctions", "HelixReport", "PathResult", "HintResult",
     "AxisComparison", "recursion_mask", "slant_functions",
-    "general_functions", "harmonic_curvatures", "axis_field",
-    "slant_invariant_3d", "indicatrix_curvatures_3d", "helix_axis_field_3d",
-    "classify", "tangent_indicatrix", "verify_same_axis",
+    "general_functions", "harmonic_curvatures", "axis_field", "classify",
+    "tangent_indicatrix", "verify_same_axis",
     "EPS_MASK", "TOL_AXIS", "TOL_CONST",
 ]
 
@@ -176,6 +175,8 @@ def axis_field(funcs: HelixFunctions, grid: FrenetGrid):
     slant:    B = sum G_i V_i
     general:  A = sum G*_i V_i
     harmonic: X = V_1 + sum_{i>=1} H_i V_{i+2}
+
+    Any other kind raises CurveError.
     """
     if funcs.kind in ("slant", "general"):
         return np.einsum("mi,mij->mj", funcs.values, grid.frames)
@@ -184,7 +185,7 @@ def axis_field(funcs: HelixFunctions, grid: FrenetGrid):
         for i in range(1, grid.dim - 1):
             out += funcs.values[:, i, None] * grid.frames[:, i + 1, :]
         return out
-    raise ValueError(f"unknown kind {funcs.kind!r}")
+    raise CurveError(f"no axis field for functions of kind {funcs.kind!r}")
 
 
 def _axis_statistics(field_rows, mask):
@@ -202,70 +203,6 @@ def _axis_statistics(field_rows, mask):
     mean /= nm
     dots = np.clip(units @ mean, -1.0, 1.0)
     return mean, float(np.max(np.arccos(dots)))
-
-
-def _dds(values, s):
-    """First derivative of a sampled function, five-point stencils."""
-    m = len(s)
-    if m < 5:
-        return np.gradient(values, s, edge_order=2 if m >= 3 else 1)
-    # the five nodes nearest each sample, shifted inwards at the ends
-    idx = np.clip(np.arange(m) - 2, 0, m - 5)[:, None] + np.arange(5)
-    w = curvemod.finite_difference_weights(s, s[idx], 1)[:, 1]
-    return np.matmul(w[:, None, :], values[idx][:, :, None])[:, 0, 0]
-
-
-def slant_invariant_3d(grid: FrenetGrid):
-    """The scalar invariant whose constancy characterizes 3D slant helices.
-
-    Computed in the expanded form (k t' - k' t) / (k^2 + t^2)^(3/2) with the
-    curvature derivatives taken by five-point differences; algebraically this
-    equals k^2/(k^2+t^2)^(3/2) * (t/k)', but the expanded form stays accurate
-    where t/k blows up.  Samples with k_1 below eps_curv come back as nan.
-    """
-    if grid.dim != 3:
-        raise DegenerateCurveError("the scalar invariant is defined in E^3")
-    s = grid.svals
-    kappa = grid.curvatures[:, 0]
-    tau = grid.curvatures[:, 1]
-    dk = _dds(kappa, s)
-    dt = _dds(tau, s)
-    denom = (kappa ** 2 + tau ** 2) ** 1.5
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sigma = (kappa * dt - dk * tau) / denom
-    sigma[kappa < EPS_CURV] = np.nan
-    return sigma
-
-
-def indicatrix_curvatures_3d(grid: FrenetGrid):
-    """Curvature and torsion of the tangent indicatrix, from the curve's own.
-
-    kappa_b = sqrt(k^2 + t^2)/k and t_b = (k t' - k' t)/(k (k^2 + t^2)),
-    with derivatives by five-point differences.  Valid where k_1 > 0.
-    """
-    if grid.dim != 3:
-        raise DegenerateCurveError("indicatrix formulas are for E^3")
-    s = grid.svals
-    kappa = grid.curvatures[:, 0]
-    tau = grid.curvatures[:, 1]
-    dk = _dds(kappa, s)
-    dt = _dds(tau, s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kb = np.sqrt(kappa ** 2 + tau ** 2) / kappa
-        tb = (kappa * dt - dk * tau) / (kappa * (kappa ** 2 + tau ** 2))
-    return kb, tb
-
-
-def helix_axis_field_3d(grid: FrenetGrid):
-    """Direct axis field (t V_1 + k V_3)/sqrt(k^2+t^2) for 3D general helices."""
-    if grid.dim != 3:
-        raise DegenerateCurveError("direct axis formula is for E^3")
-    kappa = grid.curvatures[:, 0]
-    tau = grid.curvatures[:, 1]
-    denom = np.sqrt(kappa ** 2 + tau ** 2)
-    denom = np.maximum(denom, 1e-300)
-    return (tau[:, None] * grid.frames[:, 0, :]
-            + kappa[:, None] * grid.frames[:, 2, :]) / denom[:, None]
 
 
 # ---------------------------------------------------------- classification

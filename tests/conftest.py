@@ -7,6 +7,7 @@ from hypothesis import settings
 
 from helixkit import curve as curvemod, hypersurf
 from helixkit.curve import AnalyticCurve, SampledCurve, arclength_reparametrize
+from helixkit.frenet import EPS_CURV
 
 # Property tests draw the same examples on every run and have no per-example
 # deadline, which a loaded machine would miss.
@@ -24,6 +25,78 @@ def count_stencil_passes(monkeypatch):
 
     monkeypatch.setattr(curvemod, "finite_difference_weights", counted)
     return calls
+
+
+# ------------------------------------------------------------ frame oracles
+#
+# Cross-checks that helixkit itself does not run: the frame ODE, curvatures
+# read back from differenced frames, and the classical E^3 formulas.  Every
+# derivative along the grid is a five-point stencil.
+
+def grid_derivative(values, s):
+    """d/ds of values sampled on the grid s along their first axis.
+
+    Each sample takes the stencil on its five nearest nodes, shifted
+    inwards at the ends.
+    """
+    m = len(s)
+    idx = np.clip(np.arange(m) - 2, 0, m - 5)[:, None] + np.arange(5)
+    w = curvemod.finite_difference_weights(s, s[idx], 1)[:, 1]
+    rows = values[idx].reshape(m, 5, -1)
+    return np.matmul(w[:, None, :], rows)[:, 0].reshape(values.shape)
+
+
+def frame_ode_residual(grid):
+    """Largest entry of dV_i/ds - (-k_{i-1} V_{i-1} + k_i V_{i+1})."""
+    i = np.arange(grid.dim - 1)
+    cartan = np.zeros((len(grid), grid.dim, grid.dim))
+    cartan[:, i, i + 1] = grid.curvatures
+    cartan[:, i + 1, i] = -grid.curvatures
+    dv = grid_derivative(grid.frames, grid.svals)
+    return float(np.abs(dv - cartan @ grid.frames).max())
+
+
+def fd_curvatures(grid):
+    """Curvatures read back as <dV_i/ds, V_{i+1}> from differenced frames."""
+    dv = grid_derivative(grid.frames, grid.svals)
+    return np.diagonal(dv @ np.swapaxes(grid.frames, 1, 2), offset=1,
+                       axis1=1, axis2=2)
+
+
+def _e3_terms(grid):
+    """k, t and k t' - k' t, the term both E^3 formulas share."""
+    kappa, tau = grid.curvatures.T
+    return kappa, tau, (kappa * grid_derivative(tau, grid.svals)
+                        - grid_derivative(kappa, grid.svals) * tau)
+
+
+def slant_invariant_3d(grid):
+    """(k t' - k' t) / (k^2 + t^2)^(3/2), constant on E^3 slant helices.
+
+    This is k^2/(k^2+t^2)^(3/2) * (t/k)' in a form that stays accurate
+    where t/k blows up.  Samples with k below EPS_CURV come back as nan.
+    """
+    kappa, tau, w = _e3_terms(grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigma = w / (kappa ** 2 + tau ** 2) ** 1.5
+    sigma[kappa < EPS_CURV] = np.nan
+    return sigma
+
+
+def indicatrix_curvatures_3d(grid):
+    """Curvature sqrt(k^2 + t^2)/k and torsion (k t' - k' t)/(k (k^2 + t^2))
+    of the tangent indicatrix, predicted from the E^3 curve's own."""
+    kappa, tau, w = _e3_terms(grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (np.sqrt(kappa ** 2 + tau ** 2) / kappa,
+                w / (kappa * (kappa ** 2 + tau ** 2)))
+
+
+def helix_axis_field_3d(grid):
+    """Classical axis field (t V_1 + k V_3)/sqrt(k^2 + t^2) in E^3."""
+    kappa, tau = grid.curvatures.T
+    rows = tau[:, None] * grid.frames[:, 0] + kappa[:, None] * grid.frames[:, 2]
+    return rows / np.maximum(np.hypot(kappa, tau), 1e-300)[:, None]
 
 
 # Unit-speed curve in E^3 whose principal normal keeps a constant angle with

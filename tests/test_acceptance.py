@@ -17,11 +17,11 @@ from scipy.interpolate import CubicSpline
 from conftest import (CONE_HEADING_DEGREES, CYLINDER_PITCH_ANGLES,
                       WAVE_TRIMMED, cone_geodesics, cone_report,
                       cylinder_geodesics, cylinder_report, equivalence_corpus,
-                      unit_speed_circular_helix)
+                      frame_ode_residual, indicatrix_curvatures_3d,
+                      slant_invariant_3d, unit_speed_circular_helix)
 from helixkit.frenet import frenet_grid
-from helixkit.helix import (_dds, axis_field, classify, harmonic_curvatures,
-                            indicatrix_curvatures_3d, slant_functions,
-                            slant_invariant_3d, tangent_indicatrix)
+from helixkit.helix import (axis_field, classify, harmonic_curvatures,
+                            slant_functions, tangent_indicatrix)
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -192,22 +192,6 @@ def test_criterion_8_surface_geodesic_theorems():
             f"integrator {pos_err:.3g}/1e-05")
 
 
-def _frame_ode_residual(grid):
-    # d V_i / ds = -k_{i-1} V_{i-1} + k_i V_{i+1}
-    frames, curv = grid.frames, grid.curvatures
-    worst = 0.0
-    for i in range(grid.dim):
-        dv = np.column_stack(
-            [_dds(frames[:, i, j], grid.svals) for j in range(grid.dim)])
-        expect = np.zeros_like(dv)
-        if i > 0:
-            expect -= curv[:, i - 1][:, None] * frames[:, i - 1, :]
-        if i < grid.dim - 1:
-            expect += curv[:, i][:, None] * frames[:, i + 1, :]
-        worst = max(worst, float(np.abs(dv - expect).max()))
-    return worst
-
-
 def test_criterion_9_internal_consistency_cross_checks():
     orth = ode = formula = 0.0
     for name, factory, _, kwargs in equivalence_corpus():
@@ -217,7 +201,7 @@ def test_criterion_9_internal_consistency_cross_checks():
         eye = np.eye(grid.dim)
         orth = max(orth, max(float(np.abs(f @ f.T - eye).max())
                              for f in grid.frames))
-        ode = max(ode, _frame_ode_residual(grid))
+        ode = max(ode, frame_ode_residual(grid))
         if grid.dim != 3:
             continue
         # curvatures of the indicatrix predicted from the source curve

@@ -1,5 +1,6 @@
 """The public names: every exported name resolves, the package exports what
-its __init__ imports, and the array results carry no per-sample views."""
+its __init__ imports, the array results carry no per-sample views, and a bad
+argument raises a typed error."""
 
 import ast
 import importlib
@@ -7,10 +8,11 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import helixkit
-from helixkit import helix, hypersurf
+from helixkit import curve, frenet, helix, hypersurf
 from conftest import cylinder_geodesics
 
 MODULES = ["helixkit"] + [f"helixkit.{m.name}"
@@ -75,3 +77,25 @@ def test_helix_leaves_the_unit_tangent_to_each_curve_class():
              and node.name == "tangent_indicatrix"]
     assert "isinstance" not in {node.id for node in ast.walk(body)
                                 if isinstance(node, ast.Name)}
+
+
+def test_cross_check_formulas_are_test_oracles():
+    # the E^3 formulas and the frame differencing live in tests/conftest.py
+    moved = ("slant_invariant_3d", "indicatrix_curvatures_3d",
+             "helix_axis_field_3d", "_dds", "fd_curvatures",
+             "frenet_ode_residual")
+    for module in (helixkit, helix, frenet):
+        assert [x for x in moved if hasattr(module, x)] == []
+    assert not hasattr(helixkit.FrenetGrid, "fd_curvatures")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: frenet.generalized_cross(np.zeros((2, 3, 3))),
+    lambda: frenet.generalized_cross(np.zeros((3, 3))),
+    lambda: curve.finite_difference_weights(0.0, [0.0, 1.0], 2),
+    lambda: helix.axis_field(helix.HelixFunctions(
+        "binormal", np.zeros(16), np.zeros((16, 3)), np.ones(16, bool)), None),
+], ids=["cross-count", "cross-shape", "weights", "axis-kind"])
+def test_bad_arguments_raise_typed_errors(call):
+    with pytest.raises(helixkit.CurveError):
+        call()

@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from conftest import W_CURVE
+from conftest import W_CURVE, fd_curvatures, frame_ode_residual
 from helixkit.curve import AnalyticCurve, SampledCurve, arclength_reparametrize
 from helixkit.errors import CurveError, NotUnitSpeedError
-from helixkit.frenet import (
-    frenet_at, frenet_grid, frenet_ode_residual, generalized_cross,
-)
+from helixkit.frenet import frenet_at, frenet_grid, generalized_cross
 from helixkit.helix import classify, verify_same_axis
 
 WAVE = ["(2/5)*sin(2*s) - (1/40)*sin(8*s)",
@@ -59,11 +57,11 @@ def test_wave_frames_orthonormal_oriented(wave_grid):
 
 def test_wave_ode_residual(wave_grid):
     kmax = float(np.abs(wave_grid.curvatures).max())
-    assert frenet_ode_residual(wave_grid) <= 1e-4 * max(1.0, kmax)
+    assert frame_ode_residual(wave_grid) <= 1e-4 * max(1.0, kmax)
 
 
 def test_wave_fd_cross_check(wave_grid):
-    fd = wave_grid.fd_curvatures()
+    fd = fd_curvatures(wave_grid)
     diff = np.abs(fd[1:-1] - wave_grid.curvatures[1:-1])
     assert float(diff.max()) < 1e-3
 
@@ -112,7 +110,7 @@ def test_dim4_curve_frames_and_residual():
                        f"{b}*cos(2*s)", f"{b}*sin(2*s)"], (0.0, 1.5))
     assert c.unit_speed
     # grid fine enough that the residual check sees frame error, not the
-    # h^2 truncation of the difference stencil itself
+    # h^4 truncation of the five-point stencil itself
     g = frenet_grid(c, 512)
     assert np.all(g.valid)
     assert np.all(g.curvatures[:, 0] > 0)
@@ -121,8 +119,8 @@ def test_dim4_curve_frames_and_residual():
                        math.sqrt(a * a + 16 * b * b), atol=1e-9)
     _assert_orthonormal_oriented(g.frames[[0, 255, 511]])
     kmax = float(np.abs(g.curvatures).max())
-    assert frenet_ode_residual(g) <= 1e-4 * max(1.0, kmax)
-    fd = g.fd_curvatures()
+    assert frame_ode_residual(g) <= 1e-4 * max(1.0, kmax)
+    fd = fd_curvatures(g)
     assert float(np.abs(fd[2:-2] - g.curvatures[2:-2]).max()) < 1e-3
 
 

