@@ -5,9 +5,9 @@ samples plus the same-axis comparison), axis (curve axis against indicatrix
 axis), geodesic (surface scenario verification), plotdata (curve and
 indicatrix traces for external plotting).
 
-Exit codes: 0 success, 1 I/O or format problems, 2 mathematically degenerate
-or failed verdicts.  Output is deterministic: floats are printed with 12
-significant digits, lines end with LF.
+Exit codes: 0 success, 1 I/O or format problems, 2 any other HelixkitError:
+degenerate input or failed verdicts.  Output is deterministic: floats are
+printed with 12 significant digits, lines end with LF.
 """
 
 import argparse
@@ -19,14 +19,11 @@ import sys
 import numpy as np
 
 from . import helix, hypersurf
-from .curve import arclength_reparametrize, load_curve, _load_json
+from .curve import arclength_reparametrize, load_curve, _load_json, _numbers
 from .errors import (
-    AxisHintError, ClassificationError, CurveError, CurveFormatError,
-    DegenerateCurveError, ExprDomainError, SurfaceError, UnreliableResultError,
+    AxisHintError, ClassificationError, CurveFormatError, HelixkitError,
+    UnreliableResultError,
 )
-
-_MATH_ERRORS = (ClassificationError, CurveError, DegenerateCurveError,
-                ExprDomainError, SurfaceError, UnreliableResultError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -228,32 +225,19 @@ def _scenario_geodesics(h, entries):
     for i, g in enumerate(entries):
         if not isinstance(g, dict):
             raise CurveFormatError(f"geodesic {i} must be an object")
-        try:
-            # float() and numpy would take JSON true and false for 1 and 0
-            values = [g["length"], g.get("steps")]
-            for field in (g["start"], g["tangent"]):
-                values += field if isinstance(field, list) else [field]
-            if any(isinstance(x, bool) for x in values):
-                raise ValueError("boolean")
-            start = np.asarray(g["start"], dtype=float)
-            tangent = np.asarray(g["tangent"], dtype=float)
-            length = float(g["length"])
-            steps = g.get("steps")
-            if steps is not None:
-                # int() alone would truncate 1.7
-                if int(steps) != steps or steps < 1:
-                    raise ValueError(steps)
-                steps = int(steps)
-            # a JSON null converts to nan
-            valid = (start.shape == (h.dim - 1,) and tangent.shape == (h.dim,)
-                     and np.isfinite(start).all() and np.isfinite(tangent).all())
-        except (KeyError, TypeError, ValueError, OverflowError):
-            valid = False
-        if not valid:
-            raise CurveFormatError(
-                f'geodesic {i} needs numeric "start" of length {h.dim - 1}, '
-                f'"tangent" of length {h.dim} and "length", and a positive '
-                'integer "steps" if any')
+        message = (f'geodesic {i} needs numeric "start" of length '
+                   f'{h.dim - 1}, "tangent" of length {h.dim} and "length", '
+                   'and a positive integer "steps" if any')
+        start = _numbers(g.get("start"), message, (h.dim - 1,))
+        tangent = _numbers(g.get("tangent"), message, (h.dim,))
+        length = float(_numbers(g.get("length"), message, ()))
+        steps = g.get("steps")
+        if steps is not None:
+            steps = _numbers(steps, message, ())
+            # int() alone would truncate 1.7
+            if steps % 1 or steps < 1:
+                raise CurveFormatError(message)
+            steps = int(steps)
         out.append(hypersurf.geodesic(h, start, tangent, length, steps=steps))
     return out
 
@@ -306,7 +290,7 @@ def main(argv=None) -> int:
     except (CurveFormatError, AxisHintError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _MATH_ERRORS as exc:
+    except HelixkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

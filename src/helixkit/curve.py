@@ -14,10 +14,10 @@ a sub-interval of its parameter (`_unit_tangent`), the curve that
 
 Analytic and sampled curves carry a measured `unit_speed` flag, never taken
 from input metadata: an analytic curve's is established on a 1000-point
-verification grid at construction, a sampled curve's at its own samples,
-from the velocities it keeps.  `arclength_reparametrize` converts any
-regular curve to unit speed and is a no-op on curves that already are; an
-analytic curve's reparametrization is unit speed by construction.
+verification grid at construction (to roundoff), a sampled curve's at its
+own samples (to 1e-4).  `arclength_reparametrize` converts any regular
+curve to unit speed, flagged so by construction, and is a no-op on curves
+that already are; only `frenet_grid` and `frenet_at` require one.
 """
 
 import json
@@ -36,7 +36,8 @@ __all__ = [
     "arclength_reparametrize", "load_curve", "finite_difference_weights",
 ]
 
-UNIT_SPEED_TOL_ANALYTIC = 1e-8
+# a roundoff bound: a speed error above it would reach every curvature
+UNIT_SPEED_TOL_ANALYTIC = 1e-14
 UNIT_SPEED_TOL_SAMPLED = 1e-4
 EPS_REGULAR = 1e-10
 
@@ -443,7 +444,9 @@ def arclength_reparametrize(c: Curve) -> Curve:
         s = np.concatenate([[0.0],
                             np.cumsum(np.diff(c.params)
                                       * 0.5 * (speeds[1:] + speeds[:-1]))])
-        return SampledCurve(s, c.points)
+        out = SampledCurve(s, c.points)
+        out.unit_speed = True   # the trapezoid's O(h^2) error may pass 1e-4
+        return out
     raise CurveError(f"cannot reparametrize {type(c).__name__}")
 
 
@@ -452,6 +455,8 @@ def load_curve(source) -> Curve:
 
     Analytic: {"dim": n, "parameter": "s", "components": [...], "domain": [a, b]}
     Sampled:  {"dim": n, "samples": [[t, x1, .., xn], ...]}
+
+    Every number is read by `_numbers`; a bad field raises CurveFormatError.
     """
     data = _load_json(source)
     if not isinstance(data, dict):
@@ -459,14 +464,10 @@ def load_curve(source) -> Curve:
     dim = _spec_dim(data, "curve")
 
     if "components" in data:
-        comps = data["components"]
-        domain = data.get("domain")
-        if (not isinstance(comps, list) or len(comps) != dim
-                or not all(isinstance(c, str) for c in comps)):
-            raise CurveFormatError(f'"components" must list {dim} expressions')
-        if (not isinstance(domain, list)) or len(domain) != 2:
-            raise CurveFormatError('"domain" must be [a, b]')
-        domain = _numbers(domain, '"domain"')
+        comps = _strings(data["components"],
+                         f'"components" must list {dim} expressions', dim)
+        domain = _numbers(data.get("domain"),
+                          '"domain" must be [a, b] of finite numbers', (2,))
         parameter = data.get("parameter", "s")
         if not isinstance(parameter, str):
             raise CurveFormatError('"parameter" must be a string')
@@ -476,16 +477,8 @@ def load_curve(source) -> Curve:
             raise CurveFormatError(f"bad analytic curve: {exc}") from exc
 
     if "samples" in data:
-        rows = data["samples"]
-        if not isinstance(rows, list) or not rows:
-            raise CurveFormatError('"samples" must be a non-empty list')
-        try:
-            arr = np.asarray(rows, dtype=float)
-        except (TypeError, ValueError):
-            raise CurveFormatError("samples must be numeric rows") from None
-        if arr.ndim != 2 or arr.shape[1] != dim + 1:
-            raise CurveFormatError(
-                f"each sample row must hold [t, x1..x{dim}]")
+        arr = _numbers(data["samples"], f'"samples" must be rows '
+                       f'[t, x1..x{dim}] of finite numbers', (None, dim + 1))
         try:
             return SampledCurve(arr[:, 0], arr[:, 1:])
         except CurveError as exc:
@@ -497,19 +490,40 @@ def load_curve(source) -> Curve:
 
 def _spec_dim(data, kind):
     """A spec's "dim"; int() alone would take 3.9 for 3 and true for 1."""
-    dim = data.get("dim")
-    if (isinstance(dim, bool) or not isinstance(dim, (int, float, np.integer))
-            or dim % 1):
-        raise CurveFormatError(f'{kind} spec needs an integer "dim"')
+    message = f'{kind} spec needs an integer "dim"'
+    dim = _numbers(data.get("dim"), message, ())
+    if dim % 1:
+        raise CurveFormatError(message)
     return int(dim)
 
 
-def _numbers(values, name):
-    """values as a list of floats; CurveFormatError naming them otherwise."""
+def _numbers(values, message, shape):
+    """values as a float array of `shape` (None: any length on that axis);
+    CurveFormatError(message) unless every entry is a finite JSON number, an
+    int or a float (numpy's too), never a bool, a string, None or an integer
+    that overflows a double.  Types are checked once per distinct type.
+    """
+    cells = np.array(values, dtype=object)
+    if (cells.ndim != len(shape)
+            or any(n not in (None, m) for n, m in zip(shape, cells.shape))
+            or not all(issubclass(t, (int, float, np.integer, np.floating))
+                       and t is not bool for t in set(map(type, cells.flat)))):
+        raise CurveFormatError(message)
     try:
-        return [float(x) for x in values]
-    except (TypeError, ValueError):
-        raise CurveFormatError(f"{name} must hold numbers") from None
+        out = cells.astype(float)
+    except OverflowError:
+        raise CurveFormatError(message) from None
+    if not np.isfinite(out).all():
+        raise CurveFormatError(message)
+    return out
+
+
+def _strings(values, message, n):
+    """values, a list of n strings; CurveFormatError(message) otherwise."""
+    if (not isinstance(values, list) or len(values) != n
+            or not all(isinstance(v, str) for v in values)):
+        raise CurveFormatError(message)
+    return values
 
 
 def _load_json(source):

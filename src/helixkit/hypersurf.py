@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
 from . import expr
-from .curve import SampledCurve, _load_json, _numbers, _spec_dim
+from .curve import SampledCurve, _load_json, _numbers, _spec_dim, _strings
 from .errors import CurveFormatError, HelixkitError, SurfaceError
 from .frenet import generalized_cross
 from .helix import classify, tangent_indicatrix
@@ -163,7 +163,8 @@ def load_surface(source) -> Hypersurface:
     """Build a hypersurface from a spec dict, a JSON string, or a file path.
 
     Schema: {"dim": n, "parameters": ["u", "v"], "components": [n exprs],
-    "domain": [[u0, u1], [v0, v1]], "direction": [d1..dn]}
+    "domain": [[u0, u1], [v0, v1]], "direction": [d1..dn]}, every number a
+    finite int or float as `curve._numbers` reads it.
     """
     data = _load_json(source)
     if not isinstance(data, dict):
@@ -172,24 +173,14 @@ def load_surface(source) -> Hypersurface:
     if dim < 2:
         raise CurveFormatError("surface dimension must be at least 2")
 
-    params = data.get("parameters")
-    if (not isinstance(params, list) or len(params) != dim - 1
-            or not all(isinstance(p, str) for p in params)):
-        raise CurveFormatError(f'"parameters" must list {dim - 1} names')
-    comps = data.get("components")
-    if not isinstance(comps, list) or len(comps) != dim:
-        raise CurveFormatError(f'"components" must list {dim} expressions')
-    if not all(isinstance(c, str) for c in comps):
-        raise CurveFormatError("surface components must be strings")
-    box = data.get("domain")
-    if (not isinstance(box, list) or len(box) != dim - 1
-            or not all(isinstance(pair, list) and len(pair) == 2 for pair in box)):
-        raise CurveFormatError(f'"domain" must list {dim - 1} intervals')
-    box = [_numbers(pair, '"domain" intervals') for pair in box]
-    direction = data.get("direction")
-    if not isinstance(direction, list) or len(direction) != dim:
-        raise CurveFormatError(f'"direction" must be a vector of length {dim}')
-    direction = _numbers(direction, '"direction"')
+    params = _strings(data.get("parameters"),
+                      f'"parameters" must list {dim - 1} names', dim - 1)
+    comps = _strings(data.get("components"),
+                     f'"components" must list {dim} expressions', dim)
+    box = _numbers(data.get("domain"), f'"domain" must list {dim - 1} '
+                   'intervals [lo, hi] of finite numbers', (dim - 1, 2))
+    direction = _numbers(data.get("direction"), '"direction" must be a '
+                         f'vector of {dim} finite numbers', (dim,))
 
     try:
         return Hypersurface(comps, params, box, direction)

@@ -14,9 +14,10 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import helixkit
-from helixkit import helix
+from helixkit import cli, helix
 from helixkit.cli import _csv_text, _g, _rounded, _rows_json_text, main
 from helixkit.curve import ReparametrizedCurve
+from helixkit.errors import HelixkitError
 from conftest import CYLINDER_SPEC, SPHERE_SPEC, WAVE, WAVE_TRIMMED
 
 
@@ -129,6 +130,16 @@ def test_analyze_line_is_degenerate(files, capsys):
 def test_analyze_bad_inputs_exit_1(files, capsys):
     assert run(capsys, "analyze", files["broken"])[0] == 1
     assert run(capsys, "analyze", str(files["root"] / "nope.json"))[0] == 1
+
+
+def test_any_library_error_exits_2(files, capsys, monkeypatch):
+    # every HelixkitError outside the format errors is exit 2, one line
+    def fail(args):
+        raise HelixkitError("no verdict")
+
+    monkeypatch.setitem(cli._COMMANDS, "analyze", fail)
+    assert run(capsys, "analyze", files["wave"]) == (
+        2, "", "error: no verdict\n")
 
 
 def test_dash_reads_stdin(files, capsys, monkeypatch):
@@ -415,6 +426,88 @@ def test_geodesic_scenario_rejects_wrong_lengths(capsys, tmp_path, field,
     assert (code, out) == (1, "")
     assert err.startswith('error: geodesic 0 needs numeric "start" of '
                           'length 2, "tangent" of length 3')
+
+
+# one number rule for every spec field: a finite int or float, never a bool,
+# a numeric string, null or an integer past the largest double
+_BIG = 10 ** 400
+_GEODESIC = {"start": [0.0, 0.0], "tangent": [0.0, 0.6, 0.8], "length": 0.5}
+_GEODESIC_ERROR = ('geodesic 0 needs numeric "start" of length 2, "tangent" '
+                   'of length 3 and "length", and a positive integer "steps" '
+                   'if any')
+
+
+def _curve(domain):
+    return "analyze", {"dim": 3, "components": WAVE, "domain": domain}
+
+
+def _sampled(cell):
+    rows = [[t, math.cos(t), math.sin(t), t]
+            for t in np.linspace(0.0, 2.0, 40).tolist()]
+    rows[3][2] = cell
+    return "analyze", {"dim": 3, "samples": rows}
+
+
+def _scenario(surface=(), **geodesic):
+    return "geodesic", {"surface": {**CYLINDER_SPEC, **dict(surface)},
+                        "geodesics": [{**_GEODESIC, **geodesic}]}
+
+
+_DOMAIN_ERROR = '"domain" must be [a, b] of finite numbers'
+_SAMPLES_ERROR = '"samples" must be rows [t, x1..x3] of finite numbers'
+_DIRECTION_ERROR = '"direction" must be a vector of 3 finite numbers'
+_BOX_ERROR = '"domain" must list 2 intervals [lo, hi] of finite numbers'
+
+
+@pytest.mark.parametrize("job, message", [
+    (_curve([False, 5]), _DOMAIN_ERROR),
+    (_curve(["0", "5"]), _DOMAIN_ERROR),
+    (_curve([0, _BIG]), _DOMAIN_ERROR),
+    (_curve([0.0, math.nan]), _DOMAIN_ERROR),
+    (_curve([0.0, math.inf]), _DOMAIN_ERROR),
+    (_sampled("0.3"), _SAMPLES_ERROR),
+    (_sampled(_BIG), _SAMPLES_ERROR),
+    (_sampled(math.nan), _SAMPLES_ERROR),
+    (_scenario({"direction": [False, False, True]}), _DIRECTION_ERROR),
+    (_scenario({"direction": ["0", "0", "1"]}), _DIRECTION_ERROR),
+    (_scenario({"direction": [0, 0, _BIG]}), _DIRECTION_ERROR),
+    (_scenario({"direction": [0.0, 0.0, math.inf]}), _DIRECTION_ERROR),
+    (_scenario({"domain": [[False, True], [-6.0, 6.0]]}), _BOX_ERROR),
+    (_scenario({"domain": [[-math.inf, 1.0], [-6.0, 6.0]]}), _BOX_ERROR),
+    (_scenario(start=["0", "0"]), _GEODESIC_ERROR),
+    (_scenario(length="0.5"), _GEODESIC_ERROR),
+    (_scenario(start=[math.nan, 0.0]), _GEODESIC_ERROR),
+    (_scenario(length=math.inf), _GEODESIC_ERROR),
+    (_scenario(steps=math.nan), _GEODESIC_ERROR),
+], ids=["domain-bool", "domain-str", "domain-big", "domain-nan",
+        "domain-inf", "samples-str", "samples-big", "samples-nan",
+        "direction-bool", "direction-str", "direction-big", "direction-inf",
+        "surface-domain-bool", "surface-domain-inf", "start-str",
+        "length-str", "start-nan", "length-inf", "steps-nan"])
+def test_spec_numbers_must_be_json_numbers(capsys, tmp_path, job, message):
+    sub, spec = job
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run(capsys, sub, str(path)) == (1, "", f"error: {message}\n")
+
+
+def test_spec_integers_and_integral_steps_read_as_numbers(capsys, tmp_path):
+    # JSON integers stand for floats; "steps": 100.0 is 100 and null is absent
+    def result(job):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(job[1]))
+        return run(capsys, job[0], str(path))
+
+    integral = {"domain": [[-12, 13], [-6, 6]], "direction": [0, 0, 1]}
+    floats = {"domain": [[-12.0, 13.0], [-6.0, 6.0]]}
+    want = result(_scenario(floats, steps=100))
+    assert want[0] == 0
+    assert result(_scenario(integral, start=[0, 0], tangent=[0, 0.6, 0.8],
+                            steps=100)) == want
+    assert result(_scenario(floats, steps=100.0)) == want
+    assert (result(_scenario(floats, steps=None))
+            == result(_scenario(floats)))
+    assert result(_curve([1, 2])) == result(_curve([1.0, 2.0]))
 
 
 def test_non_integral_dim_exits_1(capsys, tmp_path):
