@@ -56,7 +56,7 @@ class FrenetGrid:
     """Frames and curvatures at m arc-length samples, stored as arrays.
 
     svals (m,), frames (m, r, n) with frames[i, j] = V_{j+1} at svals[i]
-    in E^n coordinates (r = n, or n - 1 read in a hyperplane; `dim` is r),
+    in E^n coordinates (r <= n, the frame of the curve's span; `dim` is r),
     curvatures (m, r-1), and degenerate_ranks (m,), 0 where the sample has
     no degeneracy.  `valid` marks those samples.
     """
@@ -104,12 +104,9 @@ def _frames_from_jets(jets):
         / np.maximum(norms[:, n - 2], 1e-300)
     curv[~np.isfinite(curv)] = 0.0
 
-    ranks = np.zeros(m, dtype=int)
-    for i in range(n - 2):
-        hit = (ranks == 0) & (curv[:, i] < EPS_CURV)
-        ranks[hit] = i + 1
-    hit = (ranks == 0) & (np.abs(curv[:, n - 2]) < EPS_CURV)
-    ranks[hit] = n - 1
+    # the rank is the index of the first curvature below EPS_CURV
+    small = np.abs(curv) < EPS_CURV
+    ranks = np.where(small.any(1), small.argmax(1) + 1, 0)
 
     # past the degenerate rank the curvatures are not determined by the curve
     curv[(ranks[:, None] > 0) & (np.arange(n - 1) >= ranks[:, None])] = 0.0
@@ -147,11 +144,12 @@ def frenet_grid(c: Curve, m: int, margin: float = 0.0) -> FrenetGrid:
     """Frames at m uniform parameter values over the curve's own domain.
 
     `margin` trims that fraction of the domain length off each end before
-    sampling; a margin outside [0, 0.5) or m below 16 raises CurveError.
+    sampling; a margin outside [0, 0.5), or m not an integer of at least 16
+    (a bool is not one), raises CurveError.
     To analyse a sub-interval, build the curve on it.
     """
     _require_unit_speed(c)
-    if m < 16:
-        raise CurveError("need at least 16 grid samples")
+    if not np.issubdtype(type(m), np.integer) or m < 16:
+        raise CurveError("need an integer of at least 16 grid samples")
     svals = np.linspace(*_trimmed_domain(c, margin), m)
     return FrenetGrid(svals, *_frames_from_jets(c.jet_grid(svals, c.dim)))

@@ -339,34 +339,33 @@ def _run_path(kind, grid, tol_axis, tol_const):
                       funcs.integration_constant)
 
 
-def _detect_hyperplane(grid):
-    """Decide whether the curve stays in a hyperplane; return (flag, normal).
+def _span(grid):
+    """(r, normal): the dimension r <= n of the subspace the curve spans.
 
-    The direct signal is the jet rank dropping to n-1 (last curvature under
-    EPS_CURV).  Sampled curves can hide that drop in derivative noise, so a
-    constant last frame vector V_n also counts: it needs one derivative less
-    than the last curvature and is the hyperplane normal in both cases.
+    r < n - 1 is the dominant nonzero degenerate rank where it holds at more
+    than 90 % of the samples.  r = n - 1 needs V_n within TOL_PLANAR of its
+    sign-aligned mean at the samples of rank 0 or n - 1, over 90 %: it is
+    then the normal, returned for r = n - 1 only.  At rank n - 1 V_n is the
+    generalized cross product of V_1..V_{n-1}; a sampled curve hides that
+    rank drop in derivative noise, but not a constant V_n.
     """
-    n = grid.dim
-    ranks = grid.degenerate_ranks
-    flat = ranks == n - 1
-    usable = (ranks == 0) | flat
-    if not np.any(usable):
-        return False, None
-    rows = grid.frames[usable, n - 1, :]
-    rows = rows * np.where(rows @ rows[0] < 0.0, -1.0, 1.0)[:, None]
-    mean = rows.mean(axis=0)
-    nm = np.linalg.norm(mean)
-    if nm <= 1e-12:
-        return False, None
-    normal = mean / nm
-    if np.mean(flat) > 0.9:
-        return True, normal
+    n, ranks = grid.dim, grid.degenerate_ranks
+    counts = np.bincount(ranks, minlength=n)
+    r = int(np.argmax(counts[1:])) + 1
+    if r < n - 1 and counts[r] > 0.9 * len(ranks):
+        return r, None
+    usable = (ranks == 0) | (ranks == n - 1)
     if np.mean(usable) > 0.9:
-        dots = np.clip(np.abs(rows @ normal), -1.0, 1.0)
-        if float(np.arccos(dots).max()) <= TOL_PLANAR:
-            return True, normal
-    return False, None
+        rows = grid.frames[usable, n - 1, :]
+        rows = rows * np.where(rows @ rows[0] < 0.0, -1.0, 1.0)[:, None]
+        mean = rows.mean(axis=0)
+        nm = np.linalg.norm(mean)
+        if nm > 1e-12:
+            normal = mean / nm
+            dots = np.clip(np.abs(rows @ normal), -1.0, 1.0)
+            if float(np.arccos(dots).max()) <= TOL_PLANAR:
+                return n - 1, normal
+    return n, None
 
 
 def classify(c: Curve, axis_hint=None, grid_size: int = 512,
@@ -381,11 +380,12 @@ def classify(c: Curve, axis_hint=None, grid_size: int = 512,
     is the only way to see the cos(theta) = 0 degenerate helices; a hint
     that is not a finite non-zero vector of the curve's dimension raises
     AxisHintError.  Heavy masking or degeneracy is reported in the result,
-    not raised.  The recursions divide by k_{n-1}, so a curve in a
-    hyperplane of E^n, n >= 4, is run on V_1..V_{n-1} and k_1..k_{n-2}, its
-    apparatus there in ambient coordinates, unless the hyperplane's normal
-    is within tol_axis of the hint (the cos(theta) = 0 case); planar,
-    planar_normal and hint describe the curve in E^n.
+    not raised.  A curve that spans r dimensions of E^n, 3 <= r < n (_span),
+    has k_r = 0, so the recursions run on V_1..V_r and k_1..k_{r-1}, its
+    apparatus there in ambient coordinates, unless the hint's component in
+    span(V_1..V_r) is below sin(tol_axis) at every sample of rank 0 or r
+    (the cos(theta) = 0 case).  planar and planar_normal report r = n - 1;
+    they and hint describe the curve in E^n.
     """
     if axis_hint is not None:
         d = np.asarray(axis_hint, dtype=float)
@@ -396,14 +396,15 @@ def classify(c: Curve, axis_hint=None, grid_size: int = 512,
         d = d / np.linalg.norm(d)
     uc = curvemod.arclength_reparametrize(c)
     grid = frenet_grid(uc, grid_size, margin=margin)
-    planar, planar_normal = _detect_hyperplane(grid)
-
-    rgrid, n, ranks = grid, grid.dim, grid.degenerate_ranks
-    if planar and n >= 4 and (axis_hint is None
-                              or abs(planar_normal @ d) < math.cos(tol_axis)):
-        rgrid = FrenetGrid(grid.svals, grid.frames[:, :-1],
-                           grid.curvatures[:, :-1],
-                           np.where(ranks == n - 1, 0, ranks))
+    r, planar_normal = _span(grid)
+    ranks = grid.degenerate_ranks
+    if r < 3 or (axis_hint is not None and np.linalg.norm(
+            grid.frames[(ranks == 0) | (ranks == r), :r] @ d,
+            axis=1).max() < math.sin(tol_axis)):
+        r = grid.dim
+    rgrid = FrenetGrid(grid.svals, grid.frames[:, :r],
+                       grid.curvatures[:, :r - 1],
+                       np.where(ranks == r, 0, ranks))
     masked_fraction = 1.0 - float(np.mean(recursion_mask(rgrid)))
 
     slant = _run_path("slant", rgrid, tol_axis, tol_const)
@@ -430,7 +431,7 @@ def classify(c: Curve, axis_hint=None, grid_size: int = 512,
         )
 
     return HelixReport(classification, slant, general, masked_fraction,
-                       planar, planar_normal, hint)
+                       planar_normal is not None, planar_normal, hint)
 
 
 # ------------------------------------------------------------- indicatrix

@@ -263,8 +263,9 @@ def geodesic(h: Hypersurface, start, tangent, length: float,
     _TAYLOR_TOL and gives the samples s_i = i * length / steps in reach, so
     `steps` (default: spacing <= GEODESIC_STEP) does not move expansions.
     Samples lie on the surface by construction, at unit ambient speed.
-    Raises if a sample or an expansion point leaves the parameter box, or
-    if steps + 1 samples would be more than GEODESIC_MAX_SAMPLES.
+    Raises if a sample or an expansion point leaves the parameter box, if
+    steps is not a positive integer (a bool is not one), or if steps + 1
+    samples would be more than GEODESIC_MAX_SAMPLES.
     """
     p = np.asarray(start, dtype=float)
     if p.shape != (h.dim - 1,):
@@ -282,8 +283,8 @@ def geodesic(h: Hypersurface, start, tangent, length: float,
         raise SurfaceError("length must be positive")
     if steps is None:
         steps = max(1, int(math.ceil(length / GEODESIC_STEP)))
-    elif steps < 1:
-        raise SurfaceError("steps must be positive")
+    elif not np.issubdtype(type(steps), np.integer) or steps < 1:
+        raise SurfaceError("steps must be a positive integer")
     if steps + 1 > GEODESIC_MAX_SAMPLES:
         raise SurfaceError(f"{steps + 1} geodesic samples exceed the limit "
                            f"of {GEODESIC_MAX_SAMPLES}")

@@ -113,6 +113,18 @@ W_CURVE = ["0.6*sin(s)", "-0.6*cos(s)", "(0.5/2.3)*sin(2.3*s)",
            "-(0.5/2.3)*cos(2.3*s)", "sqrt(0.39)*s"]
 
 
+def trig_curve(n, rng):
+    """A random trigonometric polynomial curve in E^n, two terms a component."""
+    terms = []
+    for _ in range(n):
+        a, b, f = rng.uniform(-1, 1, (3, 2))
+        f = 1.5 + f
+        terms.append(" + ".join(f"{a[m]:.6f}*cos({f[m]:.6f}*s) + "
+                                f"{b[m]:.6f}*sin({f[m]:.6f}*s)"
+                                for m in range(2)))
+    return terms
+
+
 @pytest.fixture(scope="session")
 def wave_curve():
     return AnalyticCurve(WAVE, WAVE_DOMAIN)

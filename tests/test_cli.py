@@ -40,11 +40,12 @@ def files(tmp_path_factory):
         "components": [re.sub(r"\bs\b", "(2*s)", c) for c in WAVE],
         "domain": [x / 2 for x in WAVE_TRIMMED],
     })
-    # the same wave in the hyperplane x_4 = 0 of E^4
-    wave4 = dump("wave4.json", {
-        "dim": 4, "parameter": "s", "components": WAVE + ["0"],
+    # the same wave padded with zeros: in the hyperplane x_4 = 0 of E^4,
+    # and spanning three dimensions of E^5 and E^7
+    padded = {f"wave{n}": dump(f"wave{n}.json", {
+        "dim": n, "parameter": "s", "components": WAVE + ["0"] * (n - 3),
         "domain": list(WAVE_TRIMMED),
-    })
+    }) for n in (4, 5, 7)}
     helix34 = dump("helix34.json", {
         "dim": 3, "parameter": "s",
         "components": ["3*cos(s/5)", "3*sin(s/5)", "4*s/5"],
@@ -77,7 +78,7 @@ def files(tmp_path_factory):
                        "length": 1.2, "steps": 300}],
     })
     return {
-        "root": root, "wave": wave, "wave2": wave2, "wave4": wave4,
+        "root": root, "wave": wave, "wave2": wave2, **padded,
         "helix34": helix34,
         "line": line,
         "circle2d": circle2d, "broken": broken,
@@ -282,24 +283,26 @@ def test_axis_wave_axes_agree(files, capsys):
 
 
 def test_wave_in_a_hyperplane_of_e4_reads_as_in_e3(files, capsys):
-    # its k_3 vanishes, so the recursions run on V_1..V_3, k_1 and k_2,
-    # which are the E^3 apparatus: C reads 2.77776933374 and the axes
-    # 3.80490581238e-07 apart, as for the wave itself
+    # it spans three dimensions, so k_3.. vanish and the recursions run on
+    # V_1..V_3, k_1 and k_2, which are the E^3 apparatus: C reads
+    # 2.77776933374 and the axes 3.80490581238e-07 apart, as for the wave
+    # itself; only in E^4 is that span a hyperplane
     outputs = {}
-    for name in ("wave", "wave4"):
+    for name in ("wave", "wave4", "wave5", "wave7"):
         for sub in ("analyze", "axis", "indicatrix"):
             code, out, _ = run(capsys, sub, files[name])
             assert code == 0, (name, sub)
             outputs[name, sub] = json.loads(out)
-    for key in ("classification", "C"):
-        assert (outputs["wave4", "analyze"][key]
-                == outputs["wave", "analyze"][key])
-    assert outputs["wave4", "analyze"]["planar"]
-    assert (outputs["wave4", "axis"]["angle_between"]
-            == outputs["wave", "axis"]["angle_between"])
-    assert outputs["wave4", "indicatrix"]["same_axis_error"] is None
-    assert (outputs["wave4", "indicatrix"]["same_axis"]["angle_between"]
-            == outputs["wave", "axis"]["angle_between"])
+    for name in ("wave4", "wave5", "wave7"):
+        for key in ("classification", "C"):
+            assert (outputs[name, "analyze"][key]
+                    == outputs["wave", "analyze"][key])
+        assert outputs[name, "analyze"]["planar"] == (name == "wave4")
+        assert (outputs[name, "axis"]["angle_between"]
+                == outputs["wave", "axis"]["angle_between"])
+        assert outputs[name, "indicatrix"]["same_axis_error"] is None
+        assert (outputs[name, "indicatrix"]["same_axis"]["angle_between"]
+                == outputs["wave", "axis"]["angle_between"])
 
 
 def test_axis_rejects_non_slant_curve(files, capsys):

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from conftest import W_CURVE, fd_curvatures, frame_ode_residual
+from conftest import W_CURVE, fd_curvatures, frame_ode_residual, trig_curve
 from helixkit.curve import AnalyticCurve, SampledCurve, arclength_reparametrize
 from helixkit.errors import CurveError, NotUnitSpeedError
-from helixkit.frenet import frenet_at, frenet_grid, generalized_cross
+from helixkit.frenet import (EPS_CURV, _frames_from_jets, frenet_at,
+                             frenet_grid, generalized_cross)
 from helixkit.helix import classify, verify_same_axis
 
 WAVE = ["(2/5)*sin(2*s) - (1/40)*sin(8*s)",
@@ -95,6 +96,26 @@ def test_straight_line_is_rank_one():
     _assert_orthonormal_oriented(g.frames)
 
 
+def test_degenerate_rank_is_the_first_curvature_below_eps():
+    # jets in E^5 whose (r+1)-th derivative lies in the span of the first r
+    # read rank r; the reference is the per-curvature loop, k_1..k_{n-2}
+    # being norm ratios and k_{n-1} signed
+    rng = np.random.default_rng(3)
+    n, m = 5, 400
+    jets = rng.standard_normal((m, n, n))
+    want = rng.integers(0, n, m)
+    for i, r in enumerate(want):
+        if r:
+            jets[i, r] = rng.standard_normal(r) @ jets[i, :r]
+    _, curv, ranks = _frames_from_jets(jets)
+    loop = np.zeros(m, dtype=int)
+    for i in range(n - 2):
+        loop[(loop == 0) & (curv[:, i] < EPS_CURV)] = i + 1
+    loop[(loop == 0) & (np.abs(curv[:, n - 2]) < EPS_CURV)] = n - 1
+    assert np.array_equal(ranks, loop)
+    assert np.array_equal(ranks, want)
+
+
 def test_planar_curve_in_dim4_gets_completed_frame():
     r = 1 / math.sqrt(2)
     c = AnalyticCurve([f"{r}*cos(s)", f"{r}*sin(s)",
@@ -150,6 +171,21 @@ def test_grid_size_and_margin():
     g = frenet_grid(c, 16, margin=0.1)
     assert g.svals[0] == pytest.approx(1.0)
     assert g.svals[-1] == pytest.approx(9.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda c, m: frenet_grid(c, m),
+    lambda c, m: classify(c, grid_size=m),
+    lambda c, m: verify_same_axis(c, grid_size=m),
+], ids=["frenet_grid", "classify", "verify_same_axis"])
+def test_grid_size_must_be_an_integer(call):
+    # a float or a bool is no grid size, even an integral one; a numpy
+    # integer is
+    c = AnalyticCurve(["3*cos(s/5)", "3*sin(s/5)", "4*s/5"], (0.0, 10.0))
+    for m in (64.0, 16.5, True, np.float64(32.0)):
+        with pytest.raises(CurveError, match="at least 16 grid samples"):
+            call(c, m)
+    assert len(frenet_grid(c, np.int64(16))) == 16
 
 
 def test_generalized_cross_matches_cross_in_3d():
@@ -222,16 +258,7 @@ def _gram_curvatures(components):
 
 
 def _trig_curve(n):
-    """A random trigonometric polynomial curve in E^n, two terms a component."""
-    rng = np.random.default_rng(n)
-    terms = []
-    for _ in range(n):
-        a, b, f = rng.uniform(-1, 1, (3, 2))
-        f = 1.5 + f
-        terms.append(" + ".join(f"{a[m]:.6f}*cos({f[m]:.6f}*s) + "
-                                f"{b[m]:.6f}*sin({f[m]:.6f}*s)"
-                                for m in range(2)))
-    return terms
+    return trig_curve(n, np.random.default_rng(n))
 
 
 # the largest error relative to max(1, |k_i|) over a curve's four points

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (W_CURVE, WAVE, WAVE_TRIMMED, count_stencil_passes,
                       equivalence_corpus, helix_axis_field_3d,
                       indicatrix_curvatures_3d, slant_invariant_3d,
-                      unit_speed_circular_helix)
+                      trig_curve, unit_speed_circular_helix)
 from helixkit.curve import (AnalyticCurve, Curve, SampledCurve,
                             arclength_reparametrize)
 from helixkit.errors import (ClassificationError, CurveError,
@@ -454,6 +455,7 @@ def test_classify_dim4_slant_on_short_window(slant4):
     keep = (t >= a + 0.3 * (b - a)) & (t <= a + 0.4 * (b - a))
     rep = classify(SampledCurve(t[keep], curve.points[keep]))
     assert rep.classification == "slant-helix"
+    assert not rep.planar
     assert abs(rep.C - info["C"]) / info["C"] <= 1e-3
 
 
@@ -487,7 +489,7 @@ def test_sampled_indicatrix_reads_the_curve_velocities(slant4, monkeypatch):
     assert len(calls) == 2
 
 
-# --- isometries: rigid motions of E^3 and embeddings into E^4 ---
+# --- isometries: rigid motions of E^3 and embeddings into E^4..E^7 ---
 
 # (components, domain) of the analytic corpus curves; the tilted spiral
 # (cos t, sin t, t^2/2) is not unit speed and is no helix
@@ -538,41 +540,53 @@ def orthogonal_matrices(draw, n):
     return q
 
 
-@pytest.mark.parametrize("name", [*ISOMETRY_CURVES, "sampled wave"])
-@pytest.mark.parametrize("target", ["E^4", "E^3"])
+@pytest.mark.parametrize("target,name", [
+    (target, name) for target in ("E^4", "E^3")
+    for name in (*ISOMETRY_CURVES, "sampled wave")
+] + [("E^5..7", name) for name in ISOMETRY_CURVES])
 @settings(max_examples=20)
 @given(q4=orthogonal_matrices(4), q3=orthogonal_matrices(3),
+       qn=st.integers(5, 7).flatmap(orthogonal_matrices),
        shift=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
-def test_classification_follows_isometries(name, target, q4, q3, shift):
+def test_classification_follows_isometries(name, target, q4, q3, qn, shift):
     # E^4: x -> Q(x, 0) puts the curve in the hyperplane normal to Q e_4,
-    # where the recursions run on V_1..V_3 and k_1, k_2.  E^3: x -> Rx + t.
-    # Worst of 150 draws of each, over both paths' C and axes and the
-    # hyperplane normal: analytic C 1.7e-13 relative, axes 6.8e-14, normal
-    # 9.9e-15; the sampled wave C 2.3e-7, axes 7.0e-10, normal 4.2e-11,
-    # derivative noise on the mapped points (C and axes worst under E^3
-    # with its shift).  The 512-point frenet_grid curvatures, against max
-    # |k_i| of the E^3 curve: analytic 3.8e-15, sampled 7.3e-8; k_3 under
-    # E^4 analytic 4.6e-11 (the wave, whose torsion crosses 0), sampled
-    # 3.4e-6.  In E^4 k_2 is a ratio of norms, so it reads |k_2| of E^3
-    if target == "E^4":
-        rot, offset = q4[:, :3], np.zeros(4)
-    else:
+    # where the recursions run on V_1..V_3 and k_1, k_2.  E^5..7: the same
+    # with Q drawn in E^5, E^6 or E^7, where the curve spans three
+    # dimensions and no hyperplane.  E^3: x -> Rx + t.  Worst of 150 draws
+    # of each, over both paths' C and axes and the hyperplane normal:
+    # analytic C 1.7e-13 relative, axes 6.8e-14, normal 9.9e-15; the
+    # sampled wave C 2.3e-7, axes 7.0e-10, normal 4.2e-11, derivative noise
+    # on the mapped points (C and axes worst under E^3 with its shift).
+    # The 512-point frenet_grid curvatures, against max |k_i| of the E^3
+    # curve: analytic 3.8e-15, sampled 7.3e-8; k_3 under E^4 analytic
+    # 4.6e-11 (the wave, whose torsion crosses 0), sampled 3.4e-6.  In E^4
+    # k_2 is a ratio of norms, so it reads |k_2| of E^3.  Worst of 165 draws
+    # in each of E^5, E^6 and E^7: C 1.6e-13 relative, axes 7.4e-14; their
+    # curvatures read as in E^4 (k_1, k_2 3.6e-15, k_3.. 5.2e-11) and are
+    # not recomputed here, which would double the time of these cases
+    if target == "E^3":
         rot, offset = q3, np.array(shift)
+    else:
+        q = q4 if target == "E^4" else qn
+        rot, offset = q[:, :3], np.zeros(len(q))
     want = _e3_report(name)
     image = _isometric_image(name, rot, offset)
     rep = classify(image)
     sampled = name == "sampled wave"
     c_tol, axis_tol = (2e-6, 1e-8) if sampled else (1e-12, 1e-12)
     k_tol, k3_tol = (1e-6, 1e-4) if sampled else (1e-13, 1e-9)
-    k = frenet_grid(arclength_reparametrize(image), 512).curvatures
-    ref = _e3_curvatures(name)
-    scale = np.abs(ref).max()
-    if target == "E^4":
-        assert np.abs(k[:, :2] - np.abs(ref)).max() <= k_tol * scale
-        assert np.abs(k[:, 2]).max() <= k3_tol * scale
-    else:
-        assert np.abs(k - ref).max() <= k_tol * scale
+    if target != "E^5..7":
+        k = frenet_grid(arclength_reparametrize(image), 512).curvatures
+        ref = _e3_curvatures(name)
+        scale = np.abs(ref).max()
+        if target == "E^4":
+            assert np.abs(k[:, :2] - np.abs(ref)).max() <= k_tol * scale
+            assert np.abs(k[:, 2]).max() <= k3_tol * scale
+        else:
+            assert np.abs(k - ref).max() <= k_tol * scale
     assert rep.classification == want.classification
+    if not sampled:
+        assert rep.masked_fraction == want.masked_fraction
     assert rep.planar == (target == "E^4")
     if rep.planar:
         normal = rep.planar_normal * np.sign(rep.planar_normal @ q4[:, 3])
@@ -599,6 +613,96 @@ def test_scaling_divides_curvatures_and_keeps_c_and_axis(wave_grid,
     assert rep.classification == wave_report.classification
     assert abs(rep.slant.C - wave_report.slant.C) <= 5e-14 * wave_report.C
     assert np.linalg.norm(rep.slant.axis - wave_report.slant.axis) <= 5e-14
+
+
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_hint_orthogonal_to_the_span_keeps_the_full_frame(n):
+    # the wave padded into E^n spans E^3: a hint along e_n is the
+    # cos(theta) = 0 case and keeps the E^n frame, on which k_3 = 0 masks
+    # every sample; a hint inside the span reads on the span's frame
+    wave = AnalyticCurve(WAVE + ["0"] * (n - 3), WAVE_TRIMMED)
+    rep = classify(wave, axis_hint=np.eye(n)[n - 1])
+    assert rep.classification == "neither"
+    assert rep.masked_fraction == 1.0
+    assert rep.hint.v2_std == 0.0
+    rep = classify(wave, axis_hint=np.eye(n)[2])
+    assert rep.classification == "slant-helix"
+    assert rep.masked_fraction == 0.0
+    assert rep.planar == (n == 4)
+
+
+# --- orientation reversal ---
+
+def _reversed(components, domain):
+    """Components of the reversal s -> alpha(a + b - s) on [a, b]."""
+    return [re.sub(r"\bs\b", f"({sum(domain)!r} - s)", c)
+            for c in components]
+
+
+def _reversal_grids(components, domain):
+    """512-point grids of a curve and of its reversal, both by arc length.
+
+    The reversal's grid comes back read backwards, so that sample i of each
+    is the same point of the curve.
+    """
+    alpha, beta = (frenet_grid(arclength_reparametrize(
+        AnalyticCurve(c, domain)), 512)
+        for c in (components, _reversed(components, domain)))
+    return alpha, FrenetGrid(beta.svals, beta.frames[::-1],
+                             beta.curvatures[::-1],
+                             beta.degenerate_ranks[::-1])
+
+
+def _assert_reversal_flips_frames(alpha, beta, bound):
+    # the reversal's k-th derivative is (-1)^k alpha's, so Gram-Schmidt
+    # gives V_i -> (-1)^i V_i for i < n, their generalized cross product
+    # V_n -> (-1)^(n(n-1)/2) V_n, the norm ratios k_1..k_{n-2} stay, and
+    # k_{n-1} = <d^n, V_n> / |...| -> (-1)^(n(n+1)/2) k_{n-1}
+    n = alpha.dim
+    v_sign = (-1.0) ** np.arange(1, n + 1)
+    v_sign[-1] = (-1.0) ** (n * (n - 1) // 2)
+    k_sign = np.ones(n - 1)
+    k_sign[-1] = (-1.0) ** (n * (n + 1) // 2)
+    assert np.array_equal(beta.degenerate_ranks, alpha.degenerate_ranks)
+    ok = alpha.valid
+    assert np.abs(beta.frames[ok] * v_sign[:, None]
+                  - alpha.frames[ok]).max() <= bound
+    k = alpha.curvatures
+    assert np.abs(beta.curvatures * k_sign - k).max() <= bound * np.abs(k).max()
+
+
+REVERSAL_BOUNDS = {3: 1e-12, 4: 1e-11, 5: 1e-10, 6: 1e-7, 7: 1e-7}
+
+
+@settings(max_examples=5)
+@given(n=st.integers(3, 7), seed=st.integers(0, 2 ** 32 - 1))
+def test_reversal_flips_frames_as_the_frenet_equations_predict(n, seed):
+    # random trigonometric curves on [0, 2], read by arc length.  Worst of
+    # 450 draws per n, frames / curvatures against max |k_i|: E^3
+    # 1.3e-13 / 3.0e-13, E^4 1.4e-12 / 2.7e-12, E^5 1.5e-11 / 1.7e-11, E^6
+    # 1.3e-9 / 2.6e-8, E^7 5.0e-10 / 4.1e-9.  A small k_i costs the later
+    # frame vectors and curvatures digits, so the spread grows with n; a
+    # wrong sign is O(1)
+    alpha, beta = _reversal_grids(trig_curve(n, np.random.default_rng(seed)),
+                                  (0.0, 2.0))
+    _assert_reversal_flips_frames(alpha, beta, REVERSAL_BOUNDS[n])
+
+
+@pytest.mark.parametrize("components,domain", [
+    (WAVE, WAVE_TRIMMED), ISOMETRY_CURVES["circular helix"],
+    (W_CURVE, (0.0, 3.0)),
+], ids=["wave", "circular helix", "w-curve-e5"])
+def test_reversal_keeps_verdict_c_and_axis(components, domain):
+    # readings: frames 2.0e-15, curvatures 3.0e-15 of max |k_i|; C 1.1e-13
+    # relative and the axes 5.8e-14 apart up to sign on the W-curve, 1.6e-16
+    # and 1.4e-16 or less on the other two
+    _assert_reversal_flips_frames(*_reversal_grids(components, domain), 1e-13)
+    want, got = (classify(AnalyticCurve(c, domain))
+                 for c in (components, _reversed(components, domain)))
+    assert got.classification == want.classification
+    assert abs(got.C - want.C) <= 1e-12 * want.C
+    assert min(np.linalg.norm(got.axis - want.axis),
+               np.linalg.norm(got.axis + want.axis)) <= 1e-12
 
 
 # --- the equivalence across the corpus ---

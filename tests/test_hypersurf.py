@@ -529,6 +529,18 @@ def test_geodesic_input_validation():
         hypersurf.geodesic(cyl, [0.0, 0.0], [0.0, 0.8, 0.6], -1.0)
 
 
+def test_geodesic_steps_must_be_an_integer():
+    # a float or a bool is no step count, even an integral one; a numpy
+    # integer is
+    cyl, start, tangent = cylinder_surface(), [0.0, 0.0], [0.0, 0.8, 0.6]
+    for steps in (2.5, 100.0, True, np.float64(4.0)):
+        with pytest.raises(SurfaceError,
+                           match="^steps must be a positive integer$"):
+            hypersurf.geodesic(cyl, start, tangent, 1.0, steps=steps)
+    assert len(hypersurf.geodesic(cyl, start, tangent, 1.0,
+                                  steps=np.int64(4))) == 5
+
+
 def test_geodesic_reports_leaving_the_box():
     cyl = cylinder_surface()
     with pytest.raises(SurfaceError, match=r"parameter box near s=1\.005$"):
