@@ -12,8 +12,7 @@ from .helix import (AxisComparison, HelixFunctions, HelixReport, axis_field,
                     slant_functions, tangent_indicatrix, verify_same_axis)
 from .hypersurf import (GeodesicCheck, GeodesicPath, Hypersurface,
                         SurfaceGeodesicReport, geodesic, is_helix_surface,
-                        load_surface, samples_to_curve,
-                        verify_geodesic_theorems)
+                        load_surface, verify_geodesic_theorems)
 
 __version__ = "0.1.0"
 
@@ -28,6 +27,6 @@ __all__ = [
     "arclength_reparametrize", "axis_field", "classify", "frenet_at",
     "frenet_grid", "general_functions", "generalized_cross", "geodesic",
     "harmonic_curvatures", "is_helix_surface", "load_curve", "load_surface",
-    "samples_to_curve", "slant_functions", "tangent_indicatrix",
+    "slant_functions", "tangent_indicatrix",
     "verify_geodesic_theorems", "verify_same_axis",
 ]

@@ -5,9 +5,9 @@ keeps a constant angle when <d, xi> is constant over the parameter box, xi
 being the unit normal from the generalized cross product of the coordinate
 tangents in index order, whose length relative to theirs is the one rank test
 of a tangent map.  Tangent maps, geodesic series and normal curvatures are
-Taylor passes of one numbering of the first partials.  Geodesics solve the
-geodesic equations in the parameters by Taylor series with dense output, so
-every sample X(p) lies on the surface by construction.
+Taylor passes of one numbering of the first partials.  A geodesic solves the
+geodesic equations in the parameters by Taylor series with dense output: its
+samples X(p) lie on the surface, and its jets are read off the series of X.
 
 Along a geodesic of such a surface the normal coincides with the curve's
 principal normal up to sign, so the geodesic is a slant helix for d and its
@@ -18,14 +18,14 @@ indicatrix axes of different geodesics agree pairwise.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
 from . import expr
-from .curve import SampledCurve, _load_json, _numbers, _spec_dim, _strings
+from .curve import Curve, SampledCurve, _load_json, _numbers, _spec_dim, _strings
 from .errors import CurveFormatError, HelixkitError, SurfaceError
 from .frenet import generalized_cross
 from .helix import classify, tangent_indicatrix
@@ -33,7 +33,7 @@ from .helix import classify, tangent_indicatrix
 __all__ = [
     "Hypersurface", "GeodesicPath", "GeodesicCheck",
     "SurfaceGeodesicReport",
-    "load_surface", "is_helix_surface", "geodesic", "samples_to_curve",
+    "load_surface", "is_helix_surface", "geodesic",
     "verify_geodesic_theorems", "GEODESIC_STEP", "GEODESIC_MAX_SAMPLES",
 ]
 
@@ -204,27 +204,50 @@ def is_helix_surface(h: Hypersurface) -> dict:
             "value": value, "residual": residual}
 
 
-@dataclass(frozen=True)
-class GeodesicPath:
-    """The samples of one geodesic, as arrays with one row per sample.
+@dataclass(frozen=True, eq=False)
+class GeodesicPath(Curve):
+    """One geodesic: its samples, and the unit-speed curve its series trace.
 
     s (m,), position and velocity (m, n), normal_accel (m,) and parameters
-    (m, n-1); len() is m.  The acceleration at sample i is normal_accel[i]
-    times the surface normal there; its sign is meaningful (negative when
-    the surface curves away from the normal).
+    (m, n-1) hold one row per sample; len() is m.  The acceleration at
+    sample i is normal_accel[i] times the surface normal there; its sign is
+    meaningful (negative when the surface curves away from the normal).
+    From starts[i] on, X = sum_j coefficients[i, j] (s - starts[i])^j, and
+    the jets at s are read off that expansion.  Paths compare by identity.
     """
     s: np.ndarray
     position: np.ndarray
     velocity: np.ndarray
     normal_accel: np.ndarray
     parameters: np.ndarray
+    starts: np.ndarray
+    coefficients: np.ndarray
+
+    unit_speed = True   # |J p'| = 1 at each expansion point, and it is kept
+    dim = property(lambda self: self.position.shape[1])
+    domain = property(lambda self: (float(self.s[0]), float(self.s[-1])))
 
     def __len__(self):
         return len(self.s)
 
+    def _derivatives(self, svals, orders):
+        # d^k/ds^k of sum_j A_j tau^j is sum_{j >= k} j!/(j-k)! A_j tau^(j-k)
+        i = np.searchsorted(self.starts[1:], svals, "right")
+        powers = np.power.outer(svals - self.starts[i], range(_TAYLOR_ORDER + 1))
+        return [np.einsum("mj,mjn->mn", powers[:, :_TAYLOR_ORDER + 1 - k] * [
+            math.perm(j, k) for j in range(k, _TAYLOR_ORDER + 1)],
+            self.coefficients[i, k:]) for k in orders]
+
+    def _unit_tangent(self, a, b):
+        """The velocity rows in [a, b], thinned to _THIN_SPACING, last kept."""
+        stride = max(1, round(_THIN_SPACING / float(np.median(np.diff(self.s)))))
+        idx = np.append(np.arange(0, len(self) - 1, stride), len(self) - 1)
+        idx = idx[(self.s[idx] >= a) & (self.s[idx] <= b)]
+        return SampledCurve(self.s[idx], self.velocity[idx])
+
 
 def _geodesic_series(h: Hypersurface, p, pdot):
-    """Rows p_0..p_K: Taylor series of the unit-speed geodesic from p along pdot.
+    """Series p_0..p_K of the unit-speed geodesic from p along pdot, A_1..A_K of X.
 
     With J_j the series of the first partials along p, (X o p)' = J p' gives
     X o p's coefficients A_m, and order m - 2 of J^T (X o p)'' = 0 gives
@@ -249,7 +272,7 @@ def _geodesic_series(h: Hypersurface, p, pdot):
                 "j,jkl,jk->l", (m - j) * (m - j - 1) / (m * (m - 1)),
                 jacs[1:m - 1], accs[m - 1:1:-1]))
         accs[m] = free + jacs[0] @ ps[m]
-    return ps
+    return ps, accs
 
 
 def geodesic(h: Hypersurface, start, tangent, length: float,
@@ -259,8 +282,8 @@ def geodesic(h: Hypersurface, start, tangent, length: float,
     start is a parameter point, tangent a unit ambient vector orthogonal to
     the normal there.  The Taylor method (Jorba & Zou, *Experimental Math.*
     14, 2005) solves the geodesic equations in the parameters: each series,
-    expanded inside the box, runs while its last two terms stay below
-    _TAYLOR_TOL and gives the samples s_i = i * length / steps in reach, so
+    expanded inside the box, runs while the last two terms of p and X o p
+    stay below _TAYLOR_TOL and gives the samples s_i = i * length / steps, so
     `steps` (default: spacing <= GEODESIC_STEP) does not move expansions.
     Samples lie on the surface by construction, at unit ambient speed.
     Raises if a sample or an expansion point leaves the parameter box, if
@@ -295,11 +318,13 @@ def geodesic(h: Hypersurface, start, tangent, length: float,
     pd = np.linalg.solve(jac.T @ jac, jac.T @ v)
     params, pdots = np.empty((2, steps + 1, h.dim - 1))
     s0, i = 0.0, 0
+    expansions = []
     while i <= steps:
-        ps = _geodesic_series(h, p, pd)
+        ps, accs = _geodesic_series(h, p, pd)
+        expansions.append((s0, p, accs))
         with np.errstate(divide="ignore"):
-            end = s0 + min((_TAYLOR_TOL / np.abs(ps[k]).max()) ** (1.0 / k)
-                           for k in (_TAYLOR_ORDER - 1, _TAYLOR_ORDER))
+            end = s0 + min((_TAYLOR_TOL / np.abs(np.append(ps[k], accs[k])).max())
+                           ** (1.0 / k) for k in (_TAYLOR_ORDER - 1, _TAYLOR_ORDER))
         # a step stalled by inf or nan terms runs on to the box check
         end = end if s0 < end < length else length
         j = int(np.searchsorted(svals, end, "right"))
@@ -321,22 +346,12 @@ def geodesic(h: Hypersurface, start, tangent, length: float,
     vels, accs = (jets @ pdots[..., np.newaxis])[..., 0]
     speeds = np.linalg.norm(vels, axis=1)
     lam = np.einsum("mk,mk->m", accs, h._unit_normal(jets[0], params)) / speeds**2
-    return GeodesicPath(svals, h.point(params), vels / speeds[:, np.newaxis],
-                        lam, params)
-
-
-def samples_to_curve(path: GeodesicPath) -> SampledCurve:
-    """A geodesic's positions as a sampled curve in arc length, thinned to
-    roughly _THIN_SPACING; the last sample is always kept."""
-    m = len(path)
-    if m < 2:
-        raise SurfaceError("need at least two geodesic samples")
-    step = float(np.median(np.diff(path.s)))
-    stride = max(1, int(round(_THIN_SPACING / step)))
-    idx = list(range(0, m, stride))
-    if idx[-1] != m - 1:
-        idx.append(m - 1)
-    return SampledCurve(path.s[idx], path.position[idx])
+    # the samples and, last, the expansion points: A_0 = X(p) of each series
+    starts, points, coeffs = map(np.array, zip(*expansions))
+    xs = h.point(np.vstack([params, points]))
+    coeffs[:, 0] = xs[steps + 1:]
+    return GeodesicPath(svals, xs[:steps + 1], vels / speeds[:, np.newaxis],
+                        lam, params, starts, coeffs)
 
 
 @dataclass
@@ -355,22 +370,9 @@ class GeodesicCheck:
     passed: bool = False
 
     def to_dict(self):
-        axis = None
-        if self.indicatrix_axis is not None:
-            axis = [float(a) for a in self.indicatrix_axis]
-        return {
-            "index": self.index,
-            "lambda_mean": self.lambda_mean,
-            "lambda_std": self.lambda_std,
-            "normal_dot_mean": self.normal_dot_mean,
-            "normal_dot_std": self.normal_dot_std,
-            "indicatrix_axis": axis,
-            "indicatrix_angle": self.indicatrix_angle,
-            "sphere_residual": self.sphere_residual,
-            "classification": self.classification,
-            "error": self.error,
-            "passed": self.passed,
-        }
+        axis = self.indicatrix_axis
+        return dict(asdict(self), indicatrix_axis=None if axis is None
+                    else [float(a) for a in axis])
 
 
 @dataclass
@@ -405,15 +407,15 @@ _STRAIGHT = "degenerate: principal normal undefined (straight segment)"
 def verify_geodesic_theorems(h: Hypersurface, geodesics) -> SurfaceGeodesicReport:
     """Check the three geodesic consequences of a constant-angle surface.
 
-    For each geodesic (a GeodesicPath): (a) the principal normal keeps a
-    constant inner product with the direction; (b) the tangent indicatrix
-    lies on the unit sphere and is a general helix whose axis matches the
-    direction within 1e-3; (c) indicatrix axes of different geodesics agree
-    pairwise within 2e-3.  Both curves are classified with the direction as
-    hint, so in a hyperplane of E^n that holds it they read on its frame
-    (see helix.classify).  Straight segments are reported as degenerate and
-    excluded; any other check error fails the verdict.  The overall verdict
-    also requires the surface itself to pass the constant-angle test.
+    For each geodesic (a GeodesicPath, classified on its own series): (a)
+    the principal normal keeps a constant inner product with the direction;
+    (b) the tangent indicatrix lies on the unit sphere and is a general helix
+    whose axis matches the direction within 1e-3; (c) indicatrix axes of
+    different geodesics agree pairwise within 2e-3.  Both curves are
+    classified with the direction as hint, so in a hyperplane of E^n that
+    holds it they read on its frame (see helix.classify).  Straight segments
+    are reported as degenerate and excluded; any other check error fails the
+    verdict, which also requires the surface to pass the constant-angle test.
     """
     surface = is_helix_surface(h)
     checks = []
@@ -424,8 +426,7 @@ def verify_geodesic_theorems(h: Hypersurface, geodesics) -> SurfaceGeodesicRepor
                               lambda_std=float(path.normal_accel.std()))
         checks.append(check)
         try:
-            curve = samples_to_curve(path)
-            rep = classify(curve, axis_hint=h.direction, margin=0.02)
+            rep = classify(path, axis_hint=h.direction, margin=0.02)
         except HelixkitError as exc:
             check.error = f"classification failed: {exc}"
             continue
@@ -438,7 +439,7 @@ def verify_geodesic_theorems(h: Hypersurface, geodesics) -> SurfaceGeodesicRepor
         check.normal_dot_std = hint.v2_std
 
         try:
-            beta = tangent_indicatrix(curve, margin=0.02)
+            beta = tangent_indicatrix(path, margin=0.02)
             rep_b = classify(beta, axis_hint=h.direction, margin=0.02)
         except HelixkitError as exc:
             check.error = f"indicatrix failed: {exc}"

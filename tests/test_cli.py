@@ -333,7 +333,8 @@ def test_geodesic_sphere_scenario_fails_gate(files, capsys):
 @pytest.mark.parametrize("steps", [1, 5])
 def test_geodesic_that_could_not_be_checked_fails_the_verdict(
         capsys, tmp_path, steps):
-    # too few samples to classify: only a straight segment is excluded
+    # the geodesic classifies from its series at any step count, but its
+    # indicatrix has too few samples: only a straight segment is excluded
     path = tmp_path / "short.json"
     path.write_text(json.dumps({
         "surface": CYLINDER_SPEC,
@@ -345,8 +346,9 @@ def test_geodesic_that_could_not_be_checked_fails_the_verdict(
     payload = json.loads(out)
     assert payload["passed"] is False
     assert payload["surface"]["constant"] is True
+    assert payload["geodesics"][0]["classification"] == "general-helix"
     assert payload["geodesics"][0]["error"].startswith(
-        "classification failed: need at least 10 samples")
+        "indicatrix failed: need at least 10 samples")
 
 
 def test_geodesic_scenario_validation(files, capsys, tmp_path):

@@ -631,6 +631,33 @@ def test_hint_orthogonal_to_the_span_keeps_the_full_frame(n):
     assert rep.planar == (n == 4)
 
 
+def _reparametrized(components, domain, a):
+    """Components of alpha(s + a sin(pi (s - s0) / (s1 - s0))) on [s0, s1]."""
+    s0, s1 = domain
+    phi = f"(s + ({a!r})*sin({math.pi / (s1 - s0)!r}*(s - {s0!r})))"
+    return [re.sub(r"\bs\b", phi, c) for c in components]
+
+
+@pytest.mark.parametrize("name", ISOMETRY_CURVES)
+@settings(max_examples=10)
+@given(frac=st.floats(-0.95, 0.95))
+def test_reparametrization_keeps_verdict_c_and_axis(name, frac):
+    # s -> s + a sin(pi (s - s0) / (s1 - s0)) with |a| pi < s1 - s0 fixes
+    # both ends and increases: the same curve on the same domain.  Worst of
+    # 155 draws per curve, over both paths: C 1.2e-12 relative (the wave),
+    # axes 6.4e-14 (the tilted spiral); masked fractions equal
+    components, domain = ISOMETRY_CURVES[name]
+    a = frac * (domain[1] - domain[0]) / math.pi
+    rep = classify(AnalyticCurve(_reparametrized(components, domain, a),
+                                 domain))
+    want = _e3_report(name)
+    assert rep.classification == want.classification
+    assert rep.masked_fraction == want.masked_fraction
+    for path, ref in ((rep.slant, want.slant), (rep.general, want.general)):
+        assert abs(path.C - ref.C) <= 5e-12 * abs(ref.C)
+        assert np.linalg.norm(path.axis - ref.axis) <= 5e-13
+
+
 # --- orientation reversal ---
 
 def _reversed(components, domain):

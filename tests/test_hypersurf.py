@@ -20,7 +20,7 @@ from conftest import (
     count_stencil_passes,
 )
 from helixkit import expr, hypersurf
-from helixkit.curve import SampledCurve, arclength_reparametrize
+from helixkit.curve import SampledCurve
 from helixkit.errors import (
     CurveFormatError, DegenerateCurveError, SurfaceError,
 )
@@ -119,8 +119,8 @@ def test_cylinder_geodesic_matches_circular_helix(sphere):
 
 
 def test_cylinder_geodesic_is_exact_at_any_step_count():
-    # in (u, w) the cylinder geodesic is a straight line, which one series
-    # expansion follows exactly however few the samples
+    # in (u, w) the cylinder geodesic is a straight line, which the series
+    # follow exactly however few the samples
     pitch = 0.6
     tangent = [0.0, math.cos(pitch), math.sin(pitch)]
     for steps in (1, 4, 16):
@@ -149,6 +149,39 @@ def test_cone_geodesic_matches_unrolled_line():
         w = ell / math.sqrt(2.0)
         exact = np.stack([w * np.cos(u), w * np.sin(u), w], axis=1)
         assert np.abs(path.position - exact).max() <= 1e-12
+
+
+def test_geodesic_jets_match_the_closed_form():
+    # from (0, 0) along (0, cos a, sin a) the cylinder geodesic is
+    # X(s) = (cos(s cos a), sin(s cos a), s sin a).  Its points and jets are
+    # read off the series of X, three expansions here: at the samples, at
+    # each expansion start, and one ulp before it, at the far end of the
+    # series before.  Worst readings: points 6.7e-16, derivatives 1..4 7.9e-16,
+    # 7.8e-16, 1.1e-15 and 1.2e-14
+    a = 0.6
+    path = hypersurf.geodesic(cylinder_surface(), [0.0, 0.0],
+                              [0.0, math.cos(a), math.sin(a)], 4.0, steps=200)
+    assert len(path.starts) == 3
+    s = np.concatenate([path.s, path.starts, np.nextafter(path.starts[1:], 0)])
+    c = math.cos(a)
+    want = np.zeros((len(s), 5, 3))
+    for k in range(5):
+        turn = c * s + k * math.pi / 2
+        want[:, k, :2] = c ** k * np.stack([np.cos(turn), np.sin(turn)], axis=1)
+    want[:, 0, 2], want[:, 1, 2] = s * math.sin(a), math.sin(a)
+    got = np.concatenate([path.point_grid(s)[:, None], path.jet_grid(s, 4)],
+                         axis=1)
+    err = np.abs(got - want).max(axis=(0, 2))
+    assert (err <= [2e-15, 2e-15, 2e-15, 5e-15, 5e-14]).all(), err
+
+
+def test_geodesic_paths_compare_by_identity():
+    # a path holds arrays, which compare elementwise: paths compare and
+    # hash by identity, as every curve and frame grid does
+    p, q = cylinder_geodesics()[:2]
+    assert [p, q].index(q) == 1
+    assert p == p and p != q
+    assert len({p, q, p}) == 2 and hash(p) == hash(p)
 
 
 def test_dense_output_does_not_depend_on_step_count():
@@ -266,8 +299,7 @@ def test_plane_geodesics_are_straight_lines(plane):
 def test_surface_normal_matches_principal_normal_up_to_sign():
     path = cone_geodesics()[0]
     cone = cone_surface()
-    curve = hypersurf.samples_to_curve(path)
-    grid = frenet_grid(arclength_reparametrize(curve), 128, margin=0.02)
+    grid = frenet_grid(path, 128, margin=0.02)
     worst = 0.0
     for s, frame in zip(grid.svals, grid.frames):
         u = np.array([np.interp(s, path.s, path.parameters[:, j])
@@ -278,17 +310,18 @@ def test_surface_normal_matches_principal_normal_up_to_sign():
     assert worst <= 1e-4
 
 
-def test_samples_to_curve_thins_to_sampled_curve():
+def test_unit_tangent_thins_to_sampled_curve():
     path = cylinder_geodesics()[0]
-    curve = hypersurf.samples_to_curve(path)
-    assert curve.dim == 3
-    assert curve.unit_speed
-    assert len(curve.params) < len(path)
-    assert curve.domain[0] == path.s[0]
-    assert abs(curve.domain[1] - path.s[-1]) <= 1e-12
+    assert path.dim == 3 and path.unit_speed
+    assert path.domain == (path.s[0], path.s[-1])
+    tangent = path._unit_tangent(*path.domain)
+    assert isinstance(tangent, SampledCurve) and tangent.dim == 3
+    assert len(tangent.params) < len(path)
+    assert tangent.domain == path.domain
+    assert np.abs(np.linalg.norm(tangent.points, axis=1) - 1.0).max() <= 1e-15
 
 
-def _samples_to_curve_reference(svals, pts, spacing=5e-3):
+def _thinning_reference(svals, pts, spacing=5e-3):
     """The thinning written out: every stride-th sample, and the last one."""
     stride = max(1, int(round(spacing / float(np.median(np.diff(svals))))))
     idx = list(range(0, len(svals), stride))
@@ -299,15 +332,21 @@ def _samples_to_curve_reference(svals, pts, spacing=5e-3):
 
 @pytest.mark.parametrize("family", ["cylinder", "cone"])
 def test_geodesic_path_reads_as_its_samples(family):
-    # len() counts the rows of every array; the thinning reads those rows
+    # len() counts the rows of every array; the unit tangent thins the
+    # velocity rows, and over a sub-interval keeps the thinned rows in it
     path = (cylinder_geodesics() if family == "cylinder"
             else cone_geodesics())[0]
     for field in ("s", "position", "velocity", "normal_accel", "parameters"):
         assert len(getattr(path, field)) == len(path)
-    curve = hypersurf.samples_to_curve(path)
-    want = _samples_to_curve_reference(path.s, path.position)
-    assert np.array_equal(curve.params, want.params)
-    assert np.array_equal(curve.points, want.points)
+    want = _thinning_reference(path.s, path.velocity)
+    tangent = path._unit_tangent(*path.domain)
+    assert np.array_equal(tangent.params, want.params)
+    assert np.array_equal(tangent.points, want.points)
+    a, b = 0.3, path.s[-1] - 0.3
+    tangent = path._unit_tangent(a, b)
+    keep = (want.params >= a) & (want.params <= b)
+    assert np.array_equal(tangent.params, want.params[keep])
+    assert np.array_equal(tangent.points, want.points[keep])
 
 
 @pytest.mark.parametrize("name", ["cylinder", "cone", "sphere"])
@@ -347,15 +386,14 @@ def test_cylinder_family_verifies_with_vertical_axes():
 
 
 def test_verification_takes_each_sampled_velocity_once(monkeypatch):
-    # one stencil pass per SampledCurve construction (the geodesic, its unit
-    # tangents, those in arc length), two per frame grid (orders 1 and 2
-    # share a stencil) and one for the points of the sphere check; the
-    # indicatrix and its reparametrization read the velocities of the
-    # curves they start from
+    # the geodesic serves its own jets, so only its indicatrix takes
+    # stencils: one pass per SampledCurve construction (the unit tangents,
+    # those in arc length), two for the indicatrix's frame grid (orders 1
+    # and 2 share a stencil) and one for the points of the sphere check
     calls = count_stencil_passes(monkeypatch)
     hypersurf.verify_geodesic_theorems(cylinder_surface(),
                                        cylinder_geodesics()[:1])
-    assert len(calls) == 8
+    assert len(calls) == 5
 
 
 def test_cone_family_verifies_with_common_axis():
@@ -379,12 +417,9 @@ CONE_E4_SPEC = {
 }
 
 
-def test_cone_over_the_sphere_in_e4_verifies_with_axis_e4():
-    # each geodesic lies in a hyperplane of E^4 that holds e_4, so it and
-    # its indicatrix are planar with a normal orthogonal to the axis; read
-    # as the E^3 cos(theta) = 0 case, every angle was pi/2, and with the
-    # recursions run in E^4 the vanishing k_3 masked the geodesics
-    e4 = np.array([0.0, 0.0, 0.0, 1.0])
+@functools.lru_cache(maxsize=None)
+def cone_e4_geodesics():
+    """Three geodesics of the E^4 cone over S^2 from one point."""
     h = hypersurf.load_surface(CONE_E4_SPEC)
     p = np.array([1.5, 0.0, 1.5])
     jac = h.jacobian(p)
@@ -393,7 +428,22 @@ def test_cone_over_the_sphere_in_e4_verifies_with_axis_e4():
         t = jac @ np.array(d)
         paths.append(hypersurf.geodesic(h, p, t / np.linalg.norm(t), 1.0,
                                         steps=1000))
-    rep = hypersurf.verify_geodesic_theorems(h, paths)
+    return h, paths
+
+
+@functools.lru_cache(maxsize=None)
+def cone_e4_report():
+    return hypersurf.verify_geodesic_theorems(*cone_e4_geodesics())
+
+
+def test_cone_over_the_sphere_in_e4_verifies_with_axis_e4():
+    # each geodesic lies in a hyperplane of E^4 that holds e_4, so it and
+    # its indicatrix are planar with a normal orthogonal to the axis; read
+    # as the E^3 cos(theta) = 0 case, every angle was pi/2, and with the
+    # recursions run in E^4 the vanishing k_3 masked the geodesics
+    e4 = np.array([0.0, 0.0, 0.0, 1.0])
+    _, paths = cone_e4_geodesics()
+    rep = cone_e4_report()
     assert rep.surface["constant"] and rep.surface["residual"] <= 1e-15
     assert rep.passed
     for check in rep.checks:
@@ -405,14 +455,21 @@ def test_cone_over_the_sphere_in_e4_verifies_with_axis_e4():
         assert check.classification == "slant-helix"
     assert rep.pairwise_axis_angle <= hypersurf.PAIRWISE_AXIS_TOL
     for path in paths:
-        # C = sec^2(pi/4) = 2; the worst reads |C - 2| = 2.0e-6 and an
-        # axis 4.9e-7 rad from e_4 (the third geodesic)
-        geo = classify(hypersurf.samples_to_curve(path), axis_hint=e4,
-                       margin=0.02)
+        # C = sec^2(pi/4) = 2; the worst reads |C - 2| = 7.7e-7 and an
+        # axis 1.9e-7 rad from e_4 (the third geodesic)
+        geo = classify(path, axis_hint=e4, margin=0.02)
         assert geo.classification == "slant-helix"
         assert geo.masked_fraction == 0.0
         assert abs(geo.C - 2.0) <= 1e-5
         assert hypersurf._axis_angle(geo.axis, e4) <= 5e-6
+
+
+def test_geodesic_frames_read_to_roundoff():
+    # each geodesic's frames come from its own series, not from stencils on
+    # its samples: the worst normal_dot_std over the cylinder, cone and E^4
+    # families reads 1.9e-15 (6e-10 to 2.1e-9 from stencils)
+    reports = (cylinder_report(), cone_report(), cone_e4_report())
+    assert max(c.normal_dot_std for r in reports for c in r.checks) <= 1e-14
 
 
 def test_plane_geodesics_report_degenerate(plane):
