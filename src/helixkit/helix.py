@@ -216,21 +216,13 @@ class PathResult:
     axis: Optional[np.ndarray] = None
     constancy_residual: float = float("inf")
     axis_residual: float = float("inf")
-    integration_constant: Optional[float] = None
     error: Optional[str] = None
+    integration_constant: Optional[float] = None
 
     def to_dict(self):
-        d = {
-            "passed": bool(self.passed),
-            "cos_theta": _num(self.cos_theta),
-            "C": _num(self.C),
-            "axis": None if self.axis is None else list(map(float, self.axis)),
-            "constancy_residual": _num(self.constancy_residual),
-            "axis_residual": _num(self.axis_residual),
-            "error": self.error,
-        }
-        if self.integration_constant is not None:
-            d["integration_constant"] = float(self.integration_constant)
+        d = _plain(vars(self))
+        if self.integration_constant is None:
+            del d["integration_constant"]
         return d
 
 
@@ -244,16 +236,22 @@ class HintResult:
     v2_std: Optional[float]
 
     def to_dict(self):
-        return {
-            "direction": list(map(float, self.direction)),
-            "v1_mean": _num(self.v1_mean), "v1_std": _num(self.v1_std),
-            "v2_mean": _num(self.v2_mean), "v2_std": _num(self.v2_std),
-        }
+        return _plain(vars(self))
 
 
-def _num(x):
-    if x is None:
-        return None
+def _plain(x):
+    """JSON data for a report value, the one rule by which numbers leave:
+    None, strings and ints (bools among them) stay, a numpy bool becomes a
+    bool, a dict, list, tuple or array converts element by element, and any
+    other number becomes a float, or None where it is not finite."""
+    if x is None or isinstance(x, (str, int)):
+        return x
+    if isinstance(x, np.bool_):
+        return bool(x)
+    if isinstance(x, dict):
+        return {key: _plain(value) for key, value in x.items()}
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return [_plain(value) for value in x]
     x = float(x)
     return x if math.isfinite(x) else None
 
@@ -296,24 +294,15 @@ class HelixReport:
         return self._primary.axis_residual
 
     def to_dict(self):
-        d = {
-            "classification": self.classification,
-            "cos_theta": _num(self.cos_theta),
-            "C": _num(self.C),
-            "axis": None if self.axis is None
-                    else list(map(float, self.axis)),
-            "constancy_residual": _num(self.constancy_residual),
-            "axis_residual": _num(self.axis_residual),
-            "masked_fraction": _num(self.masked_fraction),
-            "planar": bool(self.planar),
-            "slant": self.slant.to_dict(),
-            "general": self.general.to_dict(),
-        }
+        d = {key: getattr(self, key) for key in (
+            "classification", "cos_theta", "C", "axis", "constancy_residual",
+            "axis_residual", "masked_fraction", "planar")}
+        d.update(slant=self.slant.to_dict(), general=self.general.to_dict())
         if self.planar_normal is not None:
-            d["planar_normal"] = list(map(float, self.planar_normal))
+            d["planar_normal"] = self.planar_normal
         if self.hint is not None:
             d["hint"] = self.hint.to_dict()
-        return d
+        return _plain(d)
 
 
 def _constancy(x):
@@ -336,7 +325,7 @@ def _run_path(kind, grid, tol_axis, tol_const):
               and axis is not None)
     cos_theta = 1.0 / math.sqrt(C) if C >= 1.0 else None
     return PathResult(passed, cos_theta, C, axis, residual, axis_resid,
-                      funcs.integration_constant)
+                      integration_constant=funcs.integration_constant)
 
 
 def _span(grid):
@@ -466,11 +455,8 @@ class AxisComparison:
     indicatrix_report: HelixReport = field(repr=False, default=None)
 
     def to_dict(self):
-        return {
-            "axis_of_curve": list(map(float, self.axis_of_curve)),
-            "axis_of_indicatrix": list(map(float, self.axis_of_indicatrix)),
-            "angle_between": float(self.angle_between),
-        }
+        return _plain({key: getattr(self, key) for key in (
+            "axis_of_curve", "axis_of_indicatrix", "angle_between")})
 
 
 def verify_same_axis(c: Curve, grid_size: int = 512, margin: float = 0.0,

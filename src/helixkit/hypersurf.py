@@ -18,7 +18,7 @@ indicatrix axes of different geodesics agree pairwise.
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,7 +28,7 @@ from . import expr
 from .curve import Curve, SampledCurve, _load_json, _numbers, _spec_dim, _strings
 from .errors import CurveFormatError, HelixkitError, SurfaceError
 from .frenet import generalized_cross
-from .helix import classify, tangent_indicatrix
+from .helix import _plain, classify, tangent_indicatrix
 
 __all__ = [
     "Hypersurface", "GeodesicPath", "GeodesicCheck",
@@ -370,9 +370,7 @@ class GeodesicCheck:
     passed: bool = False
 
     def to_dict(self):
-        axis = self.indicatrix_axis
-        return dict(asdict(self), indicatrix_axis=None if axis is None
-                    else [float(a) for a in axis])
+        return _plain(vars(self))
 
 
 @dataclass
@@ -384,12 +382,10 @@ class SurfaceGeodesicReport:
     passed: bool
 
     def to_dict(self):
-        return {
-            "surface": self.surface,
-            "geodesics": [c.to_dict() for c in self.checks],
-            "pairwise_axis_angle": self.pairwise_axis_angle,
-            "passed": self.passed,
-        }
+        return _plain({"surface": self.surface,
+                       "geodesics": [c.to_dict() for c in self.checks],
+                       "pairwise_axis_angle": self.pairwise_axis_angle,
+                       "passed": self.passed})
 
 
 def _axis_angle(a, b):
