@@ -151,9 +151,8 @@ def cmd_analyze(args) -> int:
         pairs = [(key, payload[key]) for key in
                  ("classification", "cos_theta", "C", "constancy_residual",
                   "axis_residual", "masked_fraction", "planar")]
-        if report.axis is not None:
-            pairs.extend((f"axis_{i + 1}", x)
-                         for i, x in enumerate(report.axis))
+        pairs.extend((f"axis_{i + 1}", x)
+                     for i, x in enumerate(payload["axis"] or ()))
         lines = ["key,value"] + [f"{k},{_fmt_cell(v)}" for k, v in pairs]
         _write("\n".join(lines) + "\n", args.output)
     else:

@@ -546,6 +546,22 @@ class TaylorSeries:
         return self._series(lambda k, w: rule(u, v, param, k, w))
 
 
+def _pow(u, v, c, k, w):
+    # w = u^c satisfies u w' = c u' w, which divides by u_0
+    if k == 0:
+        return np.power(u[0], c)
+    wk = sum((c * j - (k - j)) * u[j] * w[k - j]
+             for j in range(1, k + 1)) / (k * u[0])
+    if c < 1.0 or np.all(np.not_equal(u[0], 0.0)):
+        return wk
+    # where u vanishes to order m (its first nonzero u_j, m = k + 1 if none
+    # up to k), u^c with c >= 1 vanishes to order c m
+    m = k + 1
+    for j in range(k, 0, -1):
+        m = np.where(np.equal(u[j], 0.0), m, j)
+    return np.where(np.equal(u[0], 0.0) & (k < c * m), 0.0, wk)
+
+
 # order k of an operation's series w from its operands' series u and v, its
 # constant or exponent c, and the orders of w below k
 _RULES = {
@@ -558,10 +574,7 @@ _RULES = {
         (u[j] * v[k - j] for j in range(1, k + 1)), u[0] * v[k]),
     "div": lambda u, v, c, k, w: (
         u[k] - sum(v[j] * w[k - j] for j in range(1, k + 1))) / v[0],
-    # w = u^c satisfies u w' = c u' w
-    "pow": lambda u, v, c, k, w: np.power(u[0], c) if k == 0 else sum(
-        (c * j - (k - j)) * u[j] * w[k - j]
-        for j in range(1, k + 1)) / (k * u[0]),
+    "pow": _pow,
     "exp": lambda u, v, c, k, w: np.exp(u[0]) if k == 0 else _chain(u, w, k),
     # v is 1/u
     "log": lambda u, v, c, k, w: np.log(u[0]) if k == 0 else _chain(u, v, k),

@@ -243,13 +243,18 @@ def _plain(x):
     """JSON data for a report value, the one rule by which numbers leave:
     None, strings and ints (bools among them) stay, a numpy bool becomes a
     bool, a dict, list, tuple or array converts element by element, and any
-    other number becomes a float, or None where it is not finite."""
+    other number becomes a float, or None where it is not finite.  A report
+    carries an array only as a unit vector (an axis, a planar normal or a
+    hint direction), whose components within 1e-15 of 0 are roundoff: they
+    read 0.0, never -0.0."""
     if x is None or isinstance(x, (str, int)):
         return x
     if isinstance(x, np.bool_):
         return bool(x)
     if isinstance(x, dict):
         return {key: _plain(value) for key, value in x.items()}
+    if isinstance(x, np.ndarray):
+        x = np.where(np.abs(x) <= 1e-15, 0.0, x)
     if isinstance(x, (list, tuple, np.ndarray)):
         return [_plain(value) for value in x]
     x = float(x)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from helixkit import curve as curvemod, hypersurf
 from helixkit.curve import AnalyticCurve, SampledCurve, arclength_reparametrize
@@ -13,6 +13,18 @@ from helixkit.frenet import EPS_CURV
 # deadline, which a loaded machine would miss.
 settings.register_profile("helixkit", derandomize=True, deadline=None)
 settings.load_profile("helixkit")
+
+
+@st.composite
+def orthogonal_matrices(draw, n):
+    """Rotations of E^n: the Q factor of a Gaussian matrix, det fixed to +1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
 
 def count_stencil_passes(monkeypatch):
     """A list that grows by one entry per `finite_difference_weights` call."""

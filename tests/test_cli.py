@@ -122,6 +122,21 @@ def test_analyze_csv_layout(files, capsys):
     assert abs(float(table["cos_theta"]) - 0.6) <= 1e-4
 
 
+def test_analyze_prints_roundoff_in_the_axis_as_zero(files, capsys):
+    # the wave's first axis component is roundoff (3.0e-16 at the default
+    # margin); the CSV cells are the JSON axis, printed by the same rule
+    code, out, _ = run(capsys, "analyze", files["wave"])
+    assert code == 0
+    axis = json.loads(out)["axis"]
+    assert axis[0] == 0.0 and math.copysign(1.0, axis[0]) == 1.0
+    assert abs(axis[1]) > 1e-7
+    code, out, _ = run(capsys, "analyze", files["wave"], "--format", "csv")
+    assert code == 0
+    table = dict(line.split(",", 1) for line in out.splitlines()[1:])
+    assert [table[f"axis_{i}"] for i in (1, 2, 3)] == list(map(_g, axis))
+    assert table["axis_1"] == "0"
+
+
 def test_analyze_line_is_degenerate(files, capsys):
     code, _, err = run(capsys, "analyze", files["line"])
     assert code == 2

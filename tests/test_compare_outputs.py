@@ -13,7 +13,8 @@ def _load_tool():
     return module
 
 
-json_changes = _load_tool().json_changes
+_tool = _load_tool()
+json_changes, csv_changes = _tool.json_changes, _tool.csv_changes
 
 
 def _changes(a, b):
@@ -40,3 +41,15 @@ def test_a_changed_path_stays_changed():
     b = [{"v": "y"}, {"v": 2.0}, {"v": 3.0}]
     assert _changes(a, b) == {"[].v": "changed"}
     assert _changes([1.0, [1]], [2.0, [1, 2]]) == {"[]": "changed"}
+
+
+def test_int_against_float_and_key_order_are_changes():
+    # equal as numbers and as dicts, but not the same bytes
+    assert _changes({"index": 0}, {"index": 0.0}) == {"index": "changed"}
+    assert _changes([1.0, 2], [1.0, 2.0]) == {"[]": "changed"}
+    assert _changes({"a": 1.0, "b": 2.0}, {"b": 2.0, "a": 1.0}) == {
+        "": "changed"}
+    assert _changes({"x": {"a": 1.0, "b": 2}}, {"x": {"b": 2, "a": 1.5}}) == {
+        "x": "changed", "x.a": 0.5}
+    # CSV cells read as floats, however they are printed
+    assert csv_changes("key,value\nn,1\n", "key,value\nn,1.0\n") == {}

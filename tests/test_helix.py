@@ -10,8 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (W_CURVE, WAVE, WAVE_TRIMMED, count_stencil_passes,
                       equivalence_corpus, helix_axis_field_3d,
-                      indicatrix_curvatures_3d, slant_invariant_3d,
-                      trig_curve, unit_speed_circular_helix)
+                      indicatrix_curvatures_3d, orthogonal_matrices,
+                      slant_invariant_3d, trig_curve,
+                      unit_speed_circular_helix)
 from helixkit.curve import (AnalyticCurve, Curve, SampledCurve,
                             arclength_reparametrize)
 from helixkit.errors import (ClassificationError, CurveError,
@@ -527,17 +528,6 @@ def _e3_report(name):
 def _e3_curvatures(name):
     image = _isometric_image(name, np.eye(3), np.zeros(3))
     return frenet_grid(arclength_reparametrize(image), 512).curvatures
-
-
-@st.composite
-def orthogonal_matrices(draw, n):
-    """Rotations of E^n: the Q factor of a Gaussian matrix, det fixed to +1."""
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
 
 
 @pytest.mark.parametrize("target,name", [

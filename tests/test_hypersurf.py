@@ -17,7 +17,7 @@ from conftest import (
     CYLINDER_PITCH_ANGLES, CONE_HEADING_DEGREES,
     cylinder_surface, cone_surface, cone_tangent,
     cylinder_geodesics, cone_geodesics, cylinder_report, cone_report,
-    count_stencil_passes,
+    count_stencil_passes, orthogonal_matrices,
 )
 from helixkit import expr, hypersurf
 from helixkit.curve import SampledCurve
@@ -407,6 +407,96 @@ def test_cone_family_verifies_with_common_axis():
         assert check.normal_dot_std <= 1e-6
         assert check.indicatrix_angle <= 1e-3
     assert rep.pairwise_axis_angle <= 2e-3
+
+
+FAMILIES = {"cylinder": (CYLINDER_SPEC, cylinder_geodesics, cylinder_report),
+            "cone": (CONE_SPEC, cone_geodesics, cone_report)}
+
+
+def _moved_family(name, components, rot, scale=1.0):
+    """Family `name` again, on the surface `components` along rot d.
+
+    The surface is the image of the family's own under a map whose linear
+    part is scale times rot.  Each geodesic starts at the same parameters
+    along rot times its unit tangent, `scale` times as long, in as many
+    steps.
+    """
+    spec, family, _ = FAMILIES[name]
+    h = hypersurf.load_surface(dict(spec, components=components,
+                                    direction=list(rot @ spec["direction"])))
+    paths = [hypersurf.geodesic(h, p.parameters[0], rot @ p.velocity[0],
+                                scale * (p.s[-1] - p.s[0]), steps=len(p) - 1)
+             for p in family()]
+    return hypersurf.verify_geodesic_theorems(h, paths), paths
+
+
+def _assert_same_readings(rep, want, scale, bounds):
+    """rep reads as want with curvatures over scale, within bounds."""
+    assert rep.passed == want.passed
+    for got, ref in zip(rep.checks, want.checks, strict=True):
+        assert (got.classification, got.passed) == (ref.classification,
+                                                     ref.passed)
+        assert (abs(scale * got.lambda_mean - ref.lambda_mean)
+                <= bounds["lambda_mean"] * abs(ref.lambda_mean))
+        assert (abs(scale * got.lambda_std - ref.lambda_std)
+                <= bounds["lambda_std"])
+        assert (abs(got.normal_dot_mean - ref.normal_dot_mean)
+                <= bounds["normal_dot"])
+        assert (abs(got.indicatrix_angle - ref.indicatrix_angle)
+                <= bounds["angle"])
+    assert (abs(rep.pairwise_axis_angle - want.pairwise_axis_angle)
+            <= bounds["angle"])
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@settings(max_examples=10)
+@given(rot=orthogonal_matrices(3),
+       shift=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_geodesics_follow_a_rigid_motion_of_the_surface(name, rot, shift):
+    # X -> R X + t, with the direction and the tangents rotated by R.  Worst
+    # of 200 draws on each surface: lambda_mean 1.2e-15 relative, lambda_std
+    # 3.7e-16, normal_dot_mean 4.4e-16, indicatrix angle 3.0e-8 and pairwise
+    # angle 1.5e-8 (acos of a dot product within roundoff of 1), indicatrix
+    # axis 3.3e-10 from R times the axis
+    spec, _, report = FAMILIES[name]
+    components = [" + ".join([f"({float(q)!r})*({c})" for q, c in
+                              zip(row, spec["components"])] + [repr(t)])
+                  for row, t in zip(rot, shift)]
+    rep, _ = _moved_family(name, components, rot)
+    want = report()
+    _assert_same_readings(rep, want, 1.0, {
+        "lambda_mean": 4e-15, "lambda_std": 1e-15, "normal_dot": 1e-15,
+        "angle": 1e-7})
+    for got, ref in zip(rep.checks, want.checks):
+        axis = rot @ ref.indicatrix_axis
+        assert min(np.linalg.norm(got.indicatrix_axis - axis),
+                   np.linalg.norm(got.indicatrix_axis + axis)) <= 1e-9
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@settings(max_examples=10)
+@given(lam=st.floats(0.25, 4.0))
+def test_scaling_the_surface_divides_geodesic_curvatures(name, lam):
+    # X -> lam X, geodesics of length lam L in as many steps: the normal
+    # curvature lambda scales by 1/lam, angles and C stay.  Worst of 200
+    # draws on each surface: lambda_mean 7.3e-16 relative, lambda_std
+    # 2.3e-16, normal_dot_mean 2.2e-16, C 2.7e-12 relative; on the cone the
+    # indicatrix angle 1.7e-7, its axis 1.8e-7 and the pairwise angle
+    # 1.3e-7, as the unit tangents are thinned to a fixed spacing in arc
+    # length, so the samples the indicatrix is built from move with lam
+    spec, family, report = FAMILIES[name]
+    components = [f"({lam!r})*({c})" for c in spec["components"]]
+    rep, paths = _moved_family(name, components, np.eye(3), lam)
+    want = report()
+    _assert_same_readings(rep, want, lam, {
+        "lambda_mean": 4e-15, "lambda_std": 1e-15, "normal_dot": 1e-15,
+        "angle": 5e-7})
+    for got, ref in zip(rep.checks, want.checks):
+        assert np.linalg.norm(got.indicatrix_axis
+                              - ref.indicatrix_axis) <= 5e-7
+    for path, ref in zip(paths, family(), strict=True):
+        c, c_ref = classify(path).C, classify(ref).C
+        assert abs(c - c_ref) <= 1e-11 * c_ref
 
 
 CONE_E4_SPEC = {

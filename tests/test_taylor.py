@@ -101,6 +101,36 @@ def test_integer_powers_are_exact_products():
     assert list(coeffs) == [1.0, 1e15]
 
 
+@pytest.mark.parametrize("source, zero_orders", [
+    ("(s^2)^1.25", 3), ("(s^2 + s^4)^2.5", 5)])
+def test_power_of_a_vanishing_base_matches_one_sided_limits(source,
+                                                             zero_orders):
+    # u^c with u(0) = 0 to order 2 and c >= 1 vanishes to order 2c at 0;
+    # the one-sided limits of the next derivative differ, and it stays nan
+    f, symbols = _sympy(source)
+    s = symbols["s"]
+    e = expr.parse(source)
+    coeffs = expr.taylor(e, {"s": [0.0, 1.0]}, zero_orders)
+    for k in range(zero_orders + 1):
+        d = sp.diff(f, s, k)
+        left, right = sp.limit(d, s, 0, "-"), sp.limit(d, s, 0, "+")
+        if k < zero_orders:
+            assert left == right == 0 and coeffs[k] == 0.0, k
+        else:
+            assert left != right and not np.isfinite(coeffs[k]), k
+    # a grid that mixes zero and nonzero bases keeps the others' bits
+    points = np.array([-0.5, 0.0, 0.25])
+    mixed = expr.taylor(e, {"s": [points, 1.0]}, zero_orders)
+    alone = expr.taylor(e, {"s": [points[[0, 2]], 1.0]}, zero_orders)
+    assert np.array_equal(mixed[:, [0, 2]], alone)
+    assert np.array_equal(mixed[:-1, 1], np.zeros(zero_orders))
+
+
+def test_curve_through_a_vanishing_power_base_has_jets():
+    c = AnalyticCurve(["s", "(s^2)^1.25"], (-1.0, 1.0))
+    assert c.jet_grid([0.0], 2).tolist() == [[[1.0, 0.0], [0.0, 0.0]]]
+
+
 @pytest.mark.parametrize("source, interval", CASES)
 def test_series_raised_order_by_order_matches_taylor(source, interval):
     # extend() sees each path coefficient only when its order is reached,

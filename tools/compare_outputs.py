@@ -91,23 +91,26 @@ def _number(x):
 def json_changes(a, b, path, changes):
     """Largest |b - a| per field path, list indices folded into [].
 
-    A "changed" (of type or shape) or a nan change (one side nan), once
-    recorded for a path, is kept.
+    A "changed" (of type, an int against a float included, of shape or of a
+    dict's key order) or a nan change (one side nan), once recorded for a
+    path, is kept.
     """
-    if _number(a) and _number(b):
+    if _number(a) and _number(b) and type(a) is type(b):
         same = a == b or (math.isnan(a) and math.isnan(b))
         d = 0.0 if same else abs(b - a)      # nan where one side is nan
         old = changes.get(path, 0.0)
         if not (isinstance(old, str) or math.isnan(old) or d <= old):
             changes[path] = d
     elif isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        if list(a) != list(b):
+            changes[path] = "changed"
         for key in a:
             json_changes(a[key], b[key], f"{path}.{key}" if path else key,
                          changes)
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for x, y in zip(a, b):
             json_changes(x, y, f"{path}[]", changes)
-    elif a != b:
+    elif a != b or type(a) is not type(b):
         changes[path] = "changed"
 
 
