@@ -490,20 +490,28 @@ class TaylorSeries:
     """Taylor series of expression trees along the paths of their variables.
 
     `paths` maps each variable to its path's normalized coefficients so far;
-    `coefficients[i]` lists those of exprs[i], by truncated Taylor
-    arithmetic (Griewank & Walther, *Evaluating Derivatives*, ch. 13), one
-    series per step of their `ValueNumbering` (which `exprs` may be).
-    Without `order`, `extend` raises every series by one order, recomputing
-    nothing; with it, each gets `order` coefficients as it is built and is
-    dropped after its last consumer is built.
+    `coefficients[i]` lists those of exprs[i], by truncated Taylor arithmetic
+    (Griewank & Walther, *Evaluating Derivatives*, ch. 13): one record
+    (series, rule, operands, parameter) per step of their `ValueNumbering`
+    (which `exprs` may be).  Without `order`, `extend` raises every record;
+    with it, each series is filled as built and dropped after its last user.
     """
 
     def __init__(self, exprs, paths, order=None):
         plan = exprs if isinstance(exprs, ValueNumbering) else ValueNumbering(exprs)
-        self._paths, self._fill, self._updates = paths, order, []
+        self._paths, self._order, self._records = paths, 0, []
         values = [None] * len(plan.steps)
         for i, (op, args, param) in enumerate(plan.steps):
-            values[i] = self._build(op, [values[a] for a in args], param)
+            if op == "var" and param not in paths:
+                raise ExprDomainError(f"unbound variable {param!r}", Var(param))
+            # a variable's operand is its path; u and v are None if unused
+            u = [paths[param]] if op == "var" else [values[a] for a in args]
+            record = ([], _RULES[op], (*u, None, None)[:2], param)
+            for k in range(order or 0):
+                _raise(record, k)
+            if order is None:       # kept for extend, operands before users
+                self._records.append(record)
+            values[i] = record[0]
             for a in plan.release[i]:
                 values[a] = None
         self.coefficients = [values[r] for r in plan.roots]
@@ -512,38 +520,14 @@ class TaylorSeries:
         """Append one order; values are the variables' next coefficients."""
         for path, x in zip(self._paths.values(), values):
             path.append(x)
-        for update in self._updates:
-            update(len(path) - 1)
+        for record in self._records:
+            _raise(record, self._order)
+        self._order += 1
 
-    def _series(self, step):
-        w = []
-        if self._fill is None:      # kept for extend, operands before users
-            self._updates.append(lambda k: w.append(step(k, w)))
-        for k in range(self._fill or 0):
-            w.append(step(k, w))
-        return w
 
-    def _build(self, op, args, param):
-        u, v = (*args, None, None)[:2]
-        if op == "var":
-            try:
-                return self._paths[param]
-            except KeyError:
-                raise ExprDomainError(f"unbound variable {param!r}",
-                                      Var(param)) from None
-        if op in ("sin", "cos"):    # u is the pair
-            return u[op == "cos"]
-        if op == "sincos":
-            cos = []
-
-            def sin_step(k, w):
-                # cos rises with sin; each needs only the other's lower orders
-                cos.append(np.cos(u[0]) if k == 0 else -_chain(u, w, k))
-                return np.sin(u[0]) if k == 0 else _chain(u, cos, k)
-
-            return self._series(sin_step), cos
-        rule = _RULES[op]
-        return self._series(lambda k, w: rule(u, v, param, k, w))
+def _raise(record, k):
+    w, rule, (u, v), c = record     # order k, from the orders below it
+    w.append(rule(u, v, c, k, w))
 
 
 def _pow(u, v, c, k, w):
@@ -566,6 +550,7 @@ def _pow(u, v, c, k, w):
 # constant or exponent c, and the orders of w below k
 _RULES = {
     "const": lambda u, v, c, k, w: c[0] if k == 0 else _ZERO,
+    "var": lambda u, v, c, k, w: u[k],          # u is the variable's path
     "neg": lambda u, v, c, k, w: -u[k],
     "add": lambda u, v, c, k, w: u[k] + v[k],
     "sub": lambda u, v, c, k, w: u[k] - v[k],
@@ -575,6 +560,12 @@ _RULES = {
     "div": lambda u, v, c, k, w: (
         u[k] - sum(v[j] * w[k - j] for j in range(1, k + 1))) / v[0],
     "pow": _pow,
+    # the pair (sin u, cos u), each order from the other's orders below it
+    "sincos": lambda u, v, c, k, w: (
+        (np.sin(u[0]), np.cos(u[0])) if k == 0 else
+        (_chain(u, [p[1] for p in w], k), -_chain(u, [p[0] for p in w], k))),
+    "sin": lambda u, v, c, k, w: u[k][0],       # u is the sin/cos pair
+    "cos": lambda u, v, c, k, w: u[k][1],
     "exp": lambda u, v, c, k, w: np.exp(u[0]) if k == 0 else _chain(u, w, k),
     # v is 1/u
     "log": lambda u, v, c, k, w: np.log(u[0]) if k == 0 else _chain(u, v, k),
