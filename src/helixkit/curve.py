@@ -125,7 +125,10 @@ class Curve:
         raise NotImplementedError
 
     def length(self):
-        raise NotImplementedError
+        """The domain's length, for a unit-speed curve; others override."""
+        if not self.unit_speed:
+            raise CurveError(f"no length for {type(self).__name__}")
+        return self.domain[1] - self.domain[0]
 
     def _unit_tangent(self, a, b):
         """The unit tangent over [a, b] of the parameter, as a curve; each
@@ -422,9 +425,6 @@ class ReparametrizedCurve(Curve):
         unit speed; over a unit-speed source the velocity stays undivided."""
         t0, t1 = self.parameter_of_arclength([a, b])
         return self.source._unit_tangent(float(t0), float(t1))
-
-    def length(self):
-        return self.total_length
 
 
 def arclength_reparametrize(c: Curve) -> Curve:

@@ -543,7 +543,15 @@ def _pow(u, v, c, k, w):
     m = k + 1
     for j in range(k, 0, -1):
         m = np.where(np.equal(u[j], 0.0), m, j)
-    return np.where(np.equal(u[0], 0.0) & (k < c * m), 0.0, wk)
+    wk = np.where(np.equal(u[0], 0.0) & (k < c * m), 0.0, wk)
+    # if m is even, u_m > 0 and c m = p is an even integer, u^c is smooth:
+    # tau^p q^c with q = u / tau^m, so order k >= p is order k - p of q^c
+    for n in range(2, k + 1, 2):
+        p = c * n
+        if p <= k and p % 2 == 0:
+            at = np.equal(u[0], 0.0) & np.equal(m, n) & (u[n] > 0)
+            wk = np.where(at, _pow(u[n:], v, c, k - int(p), w[int(p):]), wk)
+    return wk
 
 
 # order k of an operation's series w from its operands' series u and v, its

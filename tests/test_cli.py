@@ -122,6 +122,23 @@ def test_analyze_csv_layout(files, capsys):
     assert abs(float(table["cos_theta"]) - 0.6) <= 1e-4
 
 
+def test_analyze_csv_leaves_missing_values_empty(tmp_path, capsys):
+    # every curvature of the circle past the first vanishes, so both
+    # recursions are masked and the values they would give print as empty
+    circle = tmp_path / "circle.json"
+    circle.write_text(json.dumps({
+        "dim": 3, "parameter": "s",
+        "components": ["2*cos(s/2)", "2*sin(s/2)", "0"],
+        "domain": [0.0, 4 * math.pi]}))
+    code, out, err = run(capsys, "analyze", str(circle), "--format", "csv")
+    assert code == 2
+    assert out == ("key,value\nclassification,neither\ncos_theta,\nC,\n"
+                   "constancy_residual,\naxis_residual,\nmasked_fraction,1\n"
+                   "planar,true\n")
+    assert err == ("degenerate or unreliable input: slant recursion: 100% of "
+                   "samples masked by near-zero curvatures\n")
+
+
 def test_analyze_prints_roundoff_in_the_axis_as_zero(files, capsys):
     # the wave's first axis component is roundoff (3.0e-16 at the default
     # margin); the CSV cells are the JSON axis, printed by the same rule

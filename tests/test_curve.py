@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helixkit.curve import (
-    AnalyticCurve, ReparametrizedCurve, SampledCurve, arclength_reparametrize,
+    AnalyticCurve, Curve, ReparametrizedCurve, SampledCurve, arclength_reparametrize,
     finite_difference_weights, load_curve,
 )
 from helixkit.errors import CurveError, CurveFormatError, NonRegularCurveError
@@ -266,6 +266,18 @@ def test_every_jet_grid_rejects_an_order_below_one(order):
         for call in (lambda: c.jet_grid([s], order), lambda: c.jet(s, order)):
             with pytest.raises(CurveError, match="jet order must be >= 1"):
                 call()
+
+
+def test_length_of_a_unit_speed_curve_is_its_domain():
+    uc = arclength_reparametrize(
+        AnalyticCurve(["3*cos(s)", "3*sin(s)", "4*s"], (0.0, 2 * math.pi)))
+    assert uc.length() == uc.total_length
+
+    class Bare(Curve):          # a curve with no length of its own
+        dim, domain, unit_speed = 2, (0.0, 1.0), False
+
+    with pytest.raises(CurveError, match="no length for Bare"):
+        Bare().length()
 
 
 def test_reparametrize_rejects_nonregular():

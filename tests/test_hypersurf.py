@@ -151,6 +151,13 @@ def test_cone_geodesic_matches_unrolled_line():
         assert np.abs(path.position - exact).max() <= 1e-12
 
 
+def test_geodesic_length_is_its_own():
+    # a geodesic is unit speed, so its length is its domain's
+    path = hypersurf.geodesic(cylinder_surface(), [0.0, 0.0],
+                              [0.0, math.cos(0.6), math.sin(0.6)], 1.6)
+    assert path.length() == 1.6
+
+
 def test_geodesic_jets_match_the_closed_form():
     # from (0, 0) along (0, cos a, sin a) the cylinder geodesic is
     # X(s) = (cos(s cos a), sin(s cos a), s sin a).  Its points and jets are
@@ -286,6 +293,23 @@ def test_normal_accel_matches_the_second_fundamental_form(name, a, b, heading):
     for i in range(0, len(path), 5):
         want = second_form(path.parameters[i], path.velocity[i])
         assert abs(path.normal_accel[i] - want) <= LAMBDA_ORACLE_TOL, (i, want)
+
+
+def test_an_indicatrix_that_is_no_general_helix_fails_the_report():
+    # a torus geodesic is no slant helix, so its tangent indicatrix is no
+    # general helix: the check names the classification and the report fails
+    surface, J, _ = _lambda_oracle("torus")
+    start = [0.3, 0.4]
+    e1, e2 = np.linalg.qr(np.array(J.subs(dict(zip(sp.symbols("u w"), start))),
+                                   dtype=float))[0].T
+    tangent = math.cos(0.7) * e1 + math.sin(0.7) * e2
+    path = hypersurf.geodesic(surface, start, tangent, 1.0, steps=400)
+    rep = hypersurf.verify_geodesic_theorems(surface, [path])
+    check = rep.checks[0]
+    assert check.classification == "neither"
+    assert check.error == ("indicatrix did not classify as a general helix: "
+                           "neither")
+    assert not check.passed and not rep.passed
 
 
 def test_plane_geodesics_are_straight_lines(plane):

@@ -101,34 +101,54 @@ def test_integer_powers_are_exact_products():
     assert list(coeffs) == [1.0, 1e15]
 
 
-@pytest.mark.parametrize("source, zero_orders", [
-    ("(s^2)^1.25", 3), ("(s^2 + s^4)^2.5", 5)])
-def test_power_of_a_vanishing_base_matches_one_sided_limits(source,
-                                                             zero_orders):
-    # u^c with u(0) = 0 to order 2 and c >= 1 vanishes to order 2c at 0;
-    # the one-sided limits of the next derivative differ, and it stays nan
+@pytest.mark.parametrize("source, order", [
+    ("(s^2)^1.25", 3), ("(s^2 + s^4)^2.5", 5), ("(s^2)^1.5", 3),
+    ("(s^4)^1.5", 8)])
+def test_power_of_a_vanishing_base_matches_one_sided_limits(source, order):
+    # u^c at a zero of u: where the one-sided limits of a derivative agree,
+    # the coefficient is that limit over k!, where they differ it is nan.
+    # (s^4)^1.5 is s^6 and has every order; (s^2)^1.5 = |s|^3 has no third
     f, symbols = _sympy(source)
     s = symbols["s"]
     e = expr.parse(source)
-    coeffs = expr.taylor(e, {"s": [0.0, 1.0]}, zero_orders)
-    for k in range(zero_orders + 1):
+    coeffs = expr.taylor(e, {"s": [0.0, 1.0]}, order)
+    for k in range(order + 1):
         d = sp.diff(f, s, k)
         left, right = sp.limit(d, s, 0, "-"), sp.limit(d, s, 0, "+")
-        if k < zero_orders:
-            assert left == right == 0 and coeffs[k] == 0.0, k
+        if left == right:
+            assert coeffs[k] == float(left) / math.factorial(k), k
         else:
-            assert left != right and not np.isfinite(coeffs[k]), k
+            assert not np.isfinite(coeffs[k]), k
     # a grid that mixes zero and nonzero bases keeps the others' bits
     points = np.array([-0.5, 0.0, 0.25])
-    mixed = expr.taylor(e, {"s": [points, 1.0]}, zero_orders)
-    alone = expr.taylor(e, {"s": [points[[0, 2]], 1.0]}, zero_orders)
+    mixed = expr.taylor(e, {"s": [points, 1.0]}, order)
+    alone = expr.taylor(e, {"s": [points[[0, 2]], 1.0]}, order)
     assert np.array_equal(mixed[:, [0, 2]], alone)
-    assert np.array_equal(mixed[:-1, 1], np.zeros(zero_orders))
+    assert np.array_equal(mixed[:, 1], coeffs, equal_nan=True)
+
+
+def test_power_of_a_smooth_vanishing_base_reads_its_binomial_series():
+    # (s^4 + s^6)^1.5 = s^6 (1 + s^2)^1.5, so orders 6.. are the binomial
+    # series 1, 0, 3/2, 0, 3/8; raised order by order it reads the same
+    e = expr.parse("(s^4 + s^6)^1.5")
+    want = [0.0] * 6 + [1.0, 0.0, 1.5, 0.0, 0.375]
+    assert expr.taylor(e, {"s": [0.0, 1.0]}, 10).tolist() == want
+    series = expr.TaylorSeries([e], {"s": []})
+    with np.errstate(all="ignore"):
+        for c in [0.0, 1.0] + [0.0] * 9:
+            series.extend([c])
+    assert [float(x) for x in series.coefficients[0]] == want
 
 
 def test_curve_through_a_vanishing_power_base_has_jets():
     c = AnalyticCurve(["s", "(s^2)^1.25"], (-1.0, 1.0))
     assert c.jet_grid([0.0], 2).tolist() == [[[1.0, 0.0], [0.0, 0.0]]]
+
+
+def test_curve_through_a_smooth_vanishing_power_has_every_jet():
+    c = AnalyticCurve(["s", "(s^4)^1.5"], (-1.0, 1.0))
+    assert c.jet_grid([0.0], 6).tolist() == [
+        [[1.0, 0.0]] + [[0.0, 0.0]] * 4 + [[0.0, 720.0]]]
 
 
 @pytest.mark.parametrize("source, interval", CASES)
@@ -145,6 +165,15 @@ def test_series_raised_order_by_order_matches_taylor(source, interval):
     for tree, got in zip(trees, series.coefficients):
         assert len(got) == ORDER + 1
         assert np.array_equal(got, expr.taylor(tree, {"s": path}, ORDER))
+
+
+def test_series_without_variables_extends():
+    # extend counts its own orders, so no path is needed to raise one
+    series = expr.TaylorSeries([expr.Add(expr.Const(2.0), expr.Const(3.0))],
+                               {})
+    series.extend([])
+    series.extend([])
+    assert series.coefficients == [[5.0, 0.0]]
 
 
 def test_each_distinct_subexpression_is_one_step():
