@@ -502,11 +502,12 @@ class TaylorSeries:
         self._paths, self._order, self._records = paths, 0, []
         values = [None] * len(plan.steps)
         for i, (op, args, param) in enumerate(plan.steps):
+            u, v = (*(values[a] for a in args), None, None)[:2]
             if op == "var" and param not in paths:
                 raise ExprDomainError(f"unbound variable {param!r}", Var(param))
-            # a variable's operand is its path; u and v are None if unused
-            u = [paths[param]] if op == "var" else [values[a] for a in args]
-            record = ([], _RULES[op], (*u, None, None)[:2], param)
+            if op == "var":         # its one operand is the path it reads
+                u = paths[param]
+            record = ([], _RULES[op], u, v, param)
             for k in range(order or 0):
                 _raise(record, k)
             if order is None:       # kept for extend, operands before users
@@ -526,7 +527,7 @@ class TaylorSeries:
 
 
 def _raise(record, k):
-    w, rule, (u, v), c = record     # order k, from the orders below it
+    w, rule, u, v, c = record       # order k, from the orders below it
     w.append(rule(u, v, c, k, w))
 
 

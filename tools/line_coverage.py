@@ -2,15 +2,14 @@
 
     python3 tools/line_coverage.py [PYTEST ARGUMENTS ...]
 
-Runs pytest in this process with the given arguments, under a trace function
-that follows only frames of files in src/helixkit.  Then it prints, module by
-module, the line of every statement (found with ast) none of whose lines ran,
-and exits with pytest's status.  Docstrings are not statements here; a
-compound statement counts its header lines, decorators included.
+Runs pytest in this process with the given arguments, tracing only frames of
+files in src/helixkit.  Then it prints, module by module, the first line of
+every statement (found with ast) none of whose lines ran, and exits with
+pytest's status.  A docstring is no statement; a compound statement's lines
+are those of its header, decorators included.
 """
 
 import ast
-import functools
 import os
 import sys
 
@@ -19,27 +18,10 @@ import pytest
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 PACKAGE = os.path.join(SRC, "helixkit", "")
-ran = set()
 
 
-@functools.lru_cache(maxsize=None)
-def _ours(filename):
-    path = os.path.abspath(filename)
-    return path if path.startswith(PACKAGE) else None
-
-
-def _line(frame, event, arg):
-    if event == "line":
-        ran.add((_ours(frame.f_code.co_filename), frame.f_lineno))
-    return _line
-
-
-def _call(frame, event, arg):
-    return _line if _ours(frame.f_code.co_filename) else None
-
-
-def _statements(tree):
-    """(line, lines it spans) of each statement but a bare string."""
+def statements(tree):
+    """(first line, lines spanned) of each statement but a bare string."""
     for node in ast.walk(tree):
         if isinstance(node, ast.stmt) and not (
                 isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
@@ -52,22 +34,34 @@ def _statements(tree):
 
 
 def main():
+    ran, ours = set(), {}
+
+    def line(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return line
+
+    def call(frame, event, arg):
+        name = frame.f_code.co_filename
+        if name not in ours:
+            ours[name] = os.path.abspath(name).startswith(PACKAGE)
+        return line if ours[name] else None
+
     sys.path.insert(0, SRC)
-    sys.settrace(_call)
+    sys.settrace(call)
     try:
         status = pytest.main(sys.argv[1:])
     finally:
         sys.settrace(None)
-    for name in sorted(os.listdir(PACKAGE)):
-        if name.endswith(".py"):
-            with open(PACKAGE + name) as fh:
-                tree = ast.parse(fh.read())
-            statements = list(_statements(tree))
-            missed = sorted(line for line, lines in statements
-                            if not any((PACKAGE + name, n) in ran for n in lines))
-            print(f"{name}: {len(missed)} of {len(statements)} statements "
-                  "never ran"
-                  + "".join(f"\n  {line}" for line in missed))
+    ran = {(os.path.abspath(name), n) for name, n in ran}
+    for module in sorted(os.listdir(PACKAGE)):
+        if module.endswith(".py"):
+            with open(PACKAGE + module) as fh:
+                found = list(statements(ast.parse(fh.read())))
+            missed = sorted(first for first, lines in found
+                            if not any((PACKAGE + module, n) in ran for n in lines))
+            print(f"{module}: {len(missed)} of {len(found)} statements never ran"
+                  + "".join(f"\n  {first}" for first in missed))
     sys.exit(status)
 
 
