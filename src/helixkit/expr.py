@@ -502,11 +502,10 @@ class TaylorSeries:
         self._paths, self._order, self._records = paths, 0, []
         values = [None] * len(plan.steps)
         for i, (op, args, param) in enumerate(plan.steps):
-            u, v = (*(values[a] for a in args), None, None)[:2]
             if op == "var" and param not in paths:
                 raise ExprDomainError(f"unbound variable {param!r}", Var(param))
-            if op == "var":         # its one operand is the path it reads
-                u = paths[param]
+            u, v = (paths[param], None) if op == "var" else (  # its path
+                *(values[a] for a in args), None, None)[:2]
             record = ([], _RULES[op], u, v, param)
             for k in range(order or 0):
                 _raise(record, k)
