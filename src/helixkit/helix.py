@@ -163,10 +163,9 @@ def harmonic_curvatures(grid: FrenetGrid) -> HelixFunctions:
     """Harmonic curvature functions H_0..H_{n-2}, which are G*_2..G*_n."""
     if grid.dim < 3:
         raise DegenerateCurveError("harmonic curvatures need dimension >= 3")
-    mask = _reliable_mask(grid, "harmonic recursion")
-    ones = np.ones(len(grid.svals))
-    return HelixFunctions("harmonic", grid.svals,
-                          _recursion(grid, ones, 0.0 * ones)[:, 1:], mask)
+    general = general_functions(grid)
+    return HelixFunctions("harmonic", grid.svals, general.values[:, 1:],
+                          general.mask)
 
 
 def axis_field(funcs: HelixFunctions, grid: FrenetGrid):
@@ -316,10 +315,9 @@ def _constancy(x):
     return std / max(abs(mean), 1e-300), mean
 
 
-def _run_path(kind, grid, tol_axis, tol_const):
+def _run_path(family, grid, tol_axis, tol_const):
     try:
-        funcs = (slant_functions if kind == "slant"
-                 else general_functions)(grid)
+        funcs = family(grid)
     except UnreliableResultError as exc:
         return PathResult(False, error=str(exc))
     totals = np.sum(funcs.values ** 2, axis=1)
@@ -337,11 +335,11 @@ def _span(grid):
     """(r, normal): the dimension r <= n of the subspace the curve spans.
 
     r < n - 1 is the dominant nonzero degenerate rank where it holds at more
-    than 90 % of the samples.  r = n - 1 needs V_n within TOL_PLANAR of its
-    sign-aligned mean at the samples of rank 0 or n - 1, over 90 %: it is
-    then the normal, returned for r = n - 1 only.  At rank n - 1 V_n is the
-    generalized cross product of V_1..V_{n-1}; a sampled curve hides that
-    rank drop in derivative noise, but not a constant V_n.
+    than 90 % of the samples.  r = n - 1 needs the sign-aligned V_n constant
+    to TOL_PLANAR (_axis_statistics) where the rank is 0 or n - 1, over
+    90 %: its mean direction is the normal, returned for r = n - 1 only.
+    At rank n - 1 V_n is the generalized cross product of V_1..V_{n-1};
+    sampling hides that rank drop, but not a constant V_n.
     """
     n, ranks = grid.dim, grid.degenerate_ranks
     counts = np.bincount(ranks, minlength=n)
@@ -350,15 +348,12 @@ def _span(grid):
         return r, None
     usable = (ranks == 0) | (ranks == n - 1)
     if np.mean(usable) > 0.9:
-        rows = grid.frames[usable, n - 1, :]
-        rows = rows * np.where(rows @ rows[0] < 0.0, -1.0, 1.0)[:, None]
-        mean = rows.mean(axis=0)
-        nm = np.linalg.norm(mean)
-        if nm > 1e-12:
-            normal = mean / nm
-            dots = np.clip(np.abs(rows @ normal), -1.0, 1.0)
-            if float(np.arccos(dots).max()) <= TOL_PLANAR:
-                return n - 1, normal
+        rows = grid.frames[:, n - 1, :]
+        rows = rows * np.where(rows @ rows[np.argmax(usable)] < 0.0,
+                               -1.0, 1.0)[:, None]
+        normal, wobble = _axis_statistics(rows, usable)
+        if wobble <= TOL_PLANAR:
+            return n - 1, normal
     return n, None
 
 
@@ -401,17 +396,12 @@ def classify(c: Curve, axis_hint=None, grid_size: int = 512,
                        np.where(ranks == r, 0, ranks))
     masked_fraction = 1.0 - float(np.mean(recursion_mask(rgrid)))
 
-    slant = _run_path("slant", rgrid, tol_axis, tol_const)
-    general = _run_path("general", rgrid, tol_axis, tol_const)
-
-    if slant.passed and general.passed:
-        classification = "both"
-    elif slant.passed:
-        classification = "slant-helix"
-    elif general.passed:
-        classification = "general-helix"
-    else:
-        classification = "neither"
+    slant = _run_path(slant_functions, rgrid, tol_axis, tol_const)
+    general = _run_path(general_functions, rgrid, tol_axis, tol_const)
+    classification = {
+        (True, True): "both", (True, False): "slant-helix",
+        (False, True): "general-helix", (False, False): "neither",
+    }[slant.passed, general.passed]
 
     hint = None
     if axis_hint is not None:
