@@ -22,6 +22,7 @@ that already are; only `frenet_grid` and `frenet_at` require one.
 
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -527,8 +528,8 @@ def _strings(values, message, n):
 
 
 def _load_json(source):
-    if isinstance(source, dict):
-        return source
+    if not isinstance(source, (str, os.PathLike)):
+        return source           # not JSON text, "-" or a path: the spec
     text = str(source)
     if text.lstrip().startswith("{"):
         try:

@@ -437,10 +437,9 @@ class ValueNumbering:
             paths[name] = c + [_ZERO] * (n - len(c))
         shape = np.broadcast_shapes(*(x.shape for c in paths.values() for x in c))
         out = np.empty((n, *shape, len(self.roots)))
-        with np.errstate(all="ignore"):
-            for i, w in enumerate(TaylorSeries(self, paths, n).coefficients):
-                for k, x in enumerate(w):
-                    out[k, ..., i] = x
+        for i, w in enumerate(TaylorSeries(self, paths, n).coefficients):
+            for k, x in enumerate(w):
+                out[k, ..., i] = x
         return out
 
     def _step(self, op, args=(), param=None):
@@ -501,27 +500,29 @@ class TaylorSeries:
         plan = exprs if isinstance(exprs, ValueNumbering) else ValueNumbering(exprs)
         self._paths, self._order, self._records = paths, 0, []
         values = [None] * len(plan.steps)
-        for i, (op, args, param) in enumerate(plan.steps):
-            if op == "var" and param not in paths:
-                raise ExprDomainError(f"unbound variable {param!r}", Var(param))
-            u, v = (paths[param], None) if op == "var" else (  # its path
-                *(values[a] for a in args), None, None)[:2]
-            record = ([], _RULES[op], u, v, param)
-            for k in range(order or 0):
-                _raise(record, k)
-            if order is None:       # kept for extend, operands before users
-                self._records.append(record)
-            values[i] = record[0]
-            for a in plan.release[i]:
-                values[a] = None
+        with np.errstate(all="ignore"):
+            for i, (op, args, param) in enumerate(plan.steps):
+                if op == "var" and param not in paths:
+                    raise ExprDomainError(f"unbound variable {param!r}", Var(param))
+                u, v = (paths[param], None) if op == "var" else (  # its path
+                    *(values[a] for a in args), None, None)[:2]
+                record = ([], _RULES[op], u, v, param)
+                for k in range(order or 0):
+                    _raise(record, k)
+                if order is None:   # kept for extend, operands before users
+                    self._records.append(record)
+                values[i] = record[0]
+                for a in plan.release[i]:
+                    values[a] = None
         self.coefficients = [values[r] for r in plan.roots]
 
     def extend(self, values):
         """Append one order; values are the variables' next coefficients."""
         for path, x in zip(self._paths.values(), values):
             path.append(x)
-        for record in self._records:
-            _raise(record, self._order)
+        with np.errstate(all="ignore"):
+            for record in self._records:
+                _raise(record, self._order)
         self._order += 1
 
 

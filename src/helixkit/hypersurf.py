@@ -286,9 +286,9 @@ def geodesic(h: Hypersurface, start, tangent, length: float,
     stay below _TAYLOR_TOL and gives the samples s_i = i * length / steps, so
     `steps` (default: spacing <= GEODESIC_STEP) does not move expansions.
     Samples lie on the surface by construction, at unit ambient speed.
-    Raises if a sample or an expansion point leaves the parameter box, if
-    steps is not a positive integer (a bool is not one), or if steps + 1
-    samples would be more than GEODESIC_MAX_SAMPLES.
+    Raises if a sample or an expansion point leaves the parameter box, if a
+    series term is not finite, if steps is not a positive integer (a bool is
+    not one), or if steps + 1 samples would be more than GEODESIC_MAX_SAMPLES.
     """
     p = np.asarray(start, dtype=float)
     if p.shape != (h.dim - 1,):
@@ -321,11 +321,13 @@ def geodesic(h: Hypersurface, start, tangent, length: float,
     expansions = []
     while i <= steps:
         ps, accs = _geodesic_series(h, p, pd)
+        if not (np.isfinite(ps).all() and np.isfinite(accs[1:]).all()):
+            raise SurfaceError(f"non-finite geodesic series at s={s0:.6g}")
         expansions.append((s0, p, accs))
         with np.errstate(divide="ignore"):
             end = s0 + min((_TAYLOR_TOL / np.abs(np.append(ps[k], accs[k])).max())
                            ** (1.0 / k) for k in (_TAYLOR_ORDER - 1, _TAYLOR_ORDER))
-        # a step stalled by inf or nan terms runs on to the box check
+        # last terms that vanish give an infinite step, cut at length
         end = end if s0 < end < length else length
         j = int(np.searchsorted(svals, end, "right"))
         # the samples in reach and, last, the next expansion point

@@ -316,6 +316,17 @@ SPHERE_SPEC = {
     "direction": [0.0, 0.0, 1.0],
 }
 
+# z = |u|^2.5 has no third partial at u = 0: the series of (u^2)^0.25 in
+# its u-partial is nan there from order 1, so no geodesic series through
+# u = 0 is finite
+KINK_SPEC = {
+    "dim": 3,
+    "parameters": ["u", "w"],
+    "components": ["u", "w", "(u^2)^1.25"],
+    "domain": [[-1, 1], [-1, 1]],
+    "direction": [0, 0, 1],
+}
+
 CYLINDER_PITCH_ANGLES = (0.3, 0.45, 0.6, 0.75, 0.9)
 CONE_HEADING_DEGREES = (10.0, 25.0, 200.0)
 

@@ -18,7 +18,8 @@ from helixkit import cli, helix
 from helixkit.cli import _csv_text, _g, _rounded, _rows_json_text, main
 from helixkit.curve import ReparametrizedCurve
 from helixkit.errors import HelixkitError
-from conftest import CYLINDER_SPEC, SPHERE_SPEC, WAVE, WAVE_TRIMMED
+from conftest import (CYLINDER_SPEC, KINK_SPEC, SPHERE_SPEC, WAVE,
+                      WAVE_TRIMMED)
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +208,24 @@ def test_analyze_rejects_unusable_axis_hint(files, capsys, hint):
     assert code == 1
     assert out == ""
     assert err.startswith("error: axis hint") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("hint, message", [
+    ("a,b", "axis hint must be comma-separated numbers"),
+    ("1", "axis hint needs at least 2 entries")])
+def test_axis_hint_must_be_a_list_of_numbers(files, capsys, hint, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", files["wave"], "--axis-hint", hint])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f": {message}")
+
+
+def test_margin_must_lie_below_one_half(files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", files["wave"], "--margin", "0.5"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "helixkit: error: --margin must lie in [0, 0.5)")
 
 
 @pytest.mark.parametrize("flag", ["--tol-axis", "--tol-const"])
@@ -404,6 +423,45 @@ def test_geodesic_scenario_validation(files, capsys, tmp_path):
     }))
     code, _, err = run(capsys, "geodesic", str(bad3))
     assert code == 2 and "unit" in err
+
+
+@pytest.mark.parametrize("surface", [5, [1], None])
+def test_a_surface_value_that_is_no_object_exits_1(capsys, tmp_path,
+                                                   monkeypatch, surface):
+    # only a string names a file: one named after the value is never read
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / str(surface)).write_text(json.dumps(CYLINDER_SPEC))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "surface": surface,
+        "geodesics": [{"start": [0.0, 0.0], "tangent": [0.0, 0.6, 0.8],
+                       "length": 0.5}],
+    }))
+    assert run(capsys, "geodesic", str(path)) == (
+        1, "", "error: surface spec must be a JSON object\n")
+
+
+@pytest.mark.parametrize("surface, geodesics, message", [
+    (dict(CYLINDER_SPEC, dim=1), [], "surface dimension must be at least 2"),
+    (CYLINDER_SPEC, [], '"geodesics" must be a non-empty list'),
+    (CYLINDER_SPEC, [3], "geodesic 0 must be an object"),
+], ids=["dim", "empty", "entry"])
+def test_geodesic_scenario_shape_is_checked(capsys, tmp_path, surface,
+                                            geodesics, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"surface": surface, "geodesics": geodesics}))
+    assert run(capsys, "geodesic", str(path)) == (1, "", f"error: {message}\n")
+
+
+def test_geodesic_with_a_non_finite_series_exits_2(capsys, tmp_path):
+    path = tmp_path / "kink.json"
+    path.write_text(json.dumps({
+        "surface": KINK_SPEC,
+        "geodesics": [{"start": [0, 0.5], "tangent": [0, 1, 0],
+                       "length": 0.4, "steps": 50}],
+    }))
+    assert run(capsys, "geodesic", str(path)) == (
+        2, "", "error: non-finite geodesic series at s=0\n")
 
 
 @pytest.mark.parametrize("field, value", [

@@ -108,6 +108,11 @@ def test_analytic_domain_enforced():
         c.point(10.0)
 
 
+def test_analytic_curve_needs_two_components():
+    with pytest.raises(CurveError, match="^need at least 2 components$"):
+        AnalyticCurve(["s"], (0.0, 1.0))
+
+
 # -------------------------------------------------------- sampled curves
 
 def _sampled_helix(m=2001):
@@ -180,6 +185,19 @@ def test_sampled_validation():
     with pytest.raises(CurveError):
         c = _sampled_helix()
         c.jet(1.0, 5)
+
+
+def test_sampled_curve_names_unusable_arrays():
+    t = np.linspace(0.0, 1.0, 20)
+    pts = np.stack([np.cos(t), np.sin(t), t], axis=1)
+    holed = pts.copy()
+    holed[10, 1] = np.nan
+    for points, message in [
+            (pts[:19], "need parallel arrays of parameters and points"),
+            (pts[:, :1], "need at least 2 coordinates"),
+            (holed, "non-finite sample data")]:
+        with pytest.raises(CurveError, match=f"^{message}$"):
+            SampledCurve(t, points)
 
 
 # ------------------------------------------------------ reparametrization
@@ -280,6 +298,14 @@ def test_length_of_a_unit_speed_curve_is_its_domain():
         Bare().length()
 
 
+def test_reparametrize_names_a_curve_it_cannot_take():
+    class Bare(Curve):          # neither analytic, sampled nor unit speed
+        dim, domain, unit_speed = 2, (0.0, 1.0), False
+
+    with pytest.raises(CurveError, match="^cannot reparametrize Bare$"):
+        arclength_reparametrize(Bare())
+
+
 def test_reparametrize_rejects_nonregular():
     cusp = AnalyticCurve(["s^3", "0"], (-1.0, 1.0), parameter="s")
     with pytest.raises(NonRegularCurveError):
@@ -363,6 +389,28 @@ def test_load_rejects_bad_file(tmp_path):
         load_curve(str(p))
     with pytest.raises(CurveFormatError):
         load_curve(str(tmp_path / "missing.json"))
+
+
+def test_load_reads_only_text_and_paths_as_sources(tmp_path):
+    # any other value is taken for the spec itself, which must be an object
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    for source in (str(path), [1, 2]):
+        with pytest.raises(CurveFormatError,
+                           match="^curve spec must be a JSON object$"):
+            load_curve(source)
+    path.write_text(json.dumps({"dim": 3, "components": WAVE,
+                                "domain": list(WAVE_DOMAIN)}))
+    assert isinstance(load_curve(path), AnalyticCurve)
+
+
+def test_load_names_a_bad_parameter_and_bad_json_text():
+    spec = {"dim": 3, "components": WAVE, "domain": list(WAVE_DOMAIN)}
+    with pytest.raises(CurveFormatError,
+                       match='^"parameter" must be a string$'):
+        load_curve(dict(spec, parameter=3))
+    with pytest.raises(CurveFormatError, match="^invalid JSON: "):
+        load_curve('{"dim": 3,')
 
 
 # ------------------------------------------------------- grid domain checks

@@ -69,6 +69,12 @@ def test_parse_errors_carry_offsets(src, offset):
     assert info.value.offset == offset
 
 
+def test_parse_names_an_unexpected_token():
+    with pytest.raises(ExprParseError,
+                       match=r"^unexpected token '\*' \(at offset 0\)$"):
+        parse("*2")
+
+
 def test_unknown_variable_rejected():
     with pytest.raises(ExprParseError):
         parse("u + 1")

@@ -138,6 +138,12 @@ def test_harmonic_circular_helix(helix34_grid):
     assert np.abs(hf.values[:, 1] - 0.75).max() <= 1e-8
 
 
+def test_harmonic_curvatures_need_dimension_3():
+    circle = AnalyticCurve(["2*cos(s/2)", "2*sin(s/2)"], (0.0, 8.0))
+    with pytest.raises(DegenerateCurveError, match="dimension >= 3$"):
+        harmonic_curvatures(frenet_grid(circle, 64))
+
+
 def paper_harmonic_curvatures(grid):
     """H_0 = 0, H_1 = k_1/k_2, H_i = (H'_{i-1} + H_{i-2} k_i)/k_{i+1}."""
     s, k = grid.svals, grid.curvatures

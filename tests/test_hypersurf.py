@@ -5,6 +5,7 @@ import functools
 import itertools
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -13,7 +14,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    CYLINDER_SPEC, CONE_SPEC, PLANE_SPEC, SPHERE_SPEC,
+    CYLINDER_SPEC, CONE_SPEC, KINK_SPEC, PLANE_SPEC, SPHERE_SPEC,
     CYLINDER_PITCH_ANGLES, CONE_HEADING_DEGREES,
     cylinder_surface, cone_surface, cone_tangent,
     cylinder_geodesics, cone_geodesics, cylinder_report, cone_report,
@@ -686,6 +687,51 @@ def test_load_surface_accepts_path_and_string(tmp_path):
     path.write_text(json.dumps(CYLINDER_SPEC))
     assert hypersurf.load_surface(str(path)).dim == 3
     assert hypersurf.load_surface(json.dumps(CYLINDER_SPEC)).dim == 3
+
+
+def test_load_surface_reads_only_text_and_paths_as_sources():
+    # any other value is taken for the spec itself, which must be an object
+    for source in (5, [1], None):
+        with pytest.raises(CurveFormatError,
+                           match="^surface spec must be a JSON object$"):
+            hypersurf.load_surface(source)
+
+
+_BOX = [[-1.0, 1.0], [-1.0, 1.0]]
+
+
+@pytest.mark.parametrize("components, parameters, domain, direction, message", [
+    (["cos(u)", "sin(u)", "u"], ["u", "u"], _BOX, EZ,
+     "parameter names must be distinct"),
+    (["u", "w"], ["u", "w"], _BOX, EZ, "2 parameters need 3 components, got 2"),
+    (["cos(u)", "sin(u)", "w"], ["u", "w"], _BOX[:1], EZ,
+     "need one parameter interval per parameter"),
+    (["cos(u)", "sin(u)", "w"], ["u", "w"], _BOX, [0.0, 1.0],
+     "direction must be a finite vector of length 3"),
+], ids=["parameters", "components", "domain", "direction"])
+def test_hypersurface_rejects_inconsistent_arguments(components, parameters,
+                                                     domain, direction,
+                                                     message):
+    with pytest.raises(SurfaceError, match=f"^{re.escape(message)}$"):
+        hypersurf.Hypersurface(components, parameters, domain, direction)
+
+
+def test_geodesic_checks_the_lengths_of_start_and_tangent():
+    cyl = cylinder_surface()
+    with pytest.raises(SurfaceError,
+                       match="^start must be a parameter point of length 2$"):
+        hypersurf.geodesic(cyl, [0.0, 0.0, 0.0], [0.0, 0.8, 0.6], 1.0)
+    with pytest.raises(SurfaceError,
+                       match="^tangent must be an ambient vector of length 3$"):
+        hypersurf.geodesic(cyl, [0.0, 0.0], [0.8, 0.6], 1.0)
+
+
+def test_geodesic_names_a_non_finite_series():
+    # reported as such, not as a step that left the box
+    kink = hypersurf.load_surface(KINK_SPEC)
+    with pytest.raises(SurfaceError,
+                       match="^non-finite geodesic series at s=0$"):
+        hypersurf.geodesic(kink, [0.0, 0.5], [0.0, 1.0, 0.0], 0.4, steps=50)
 
 
 def test_geodesic_input_validation():
