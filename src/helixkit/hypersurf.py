@@ -45,8 +45,8 @@ _TAYLOR_TOL = 1e-16
 _TAYLOR_ORDER = 20
 
 HELIX_SURFACE_TOL = 1e-6
-_IMMERSION_GRID = 8
-_GATE_GRID = 64
+# points of the uniform parameter grid whose normals a surface keeps
+_NORMAL_SAMPLES = 4096
 _THIN_SPACING = 5e-3
 
 
@@ -59,7 +59,10 @@ class Hypersurface:
 
     components map n-1 parameters to a point of E^n; domain is one (lo, hi)
     interval per parameter; direction is the unit vector whose angle against
-    the surface normal is under investigation.
+    the surface normal is under investigation.  Construction samples the
+    tangent maps once, on a uniform grid of round(_NORMAL_SAMPLES^(1/(n-1)))
+    points per parameter in index order, box corners included: each must
+    have full rank, and the unit normals there are kept for the gate.
     """
 
     def __init__(self, components, parameters, domain, direction):
@@ -99,7 +102,17 @@ class Hypersurface:
         self._partials = expr.ValueNumbering(
             [expr.differentiate(c, p)
              for c in self.components for p in self.parameters])
-        self._verify_immersion()
+        size = round(_NORMAL_SAMPLES ** (1 / (n - 1)))
+        axes = [np.linspace(lo, hi, size) for lo, hi in self.domain]
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        points = points.reshape(-1, n - 1)
+        try:
+            self._normals = self._unit_normal(self.jacobian(points), points)
+        except SurfaceError as exc:
+            if str(exc).startswith("rank-deficient"):
+                raise SurfaceError(f"{exc}; shrink the parameter box away "
+                                   "from the singular set") from None
+            raise
 
     def point(self, u):
         """X at a parameter point, or at each of a (..., n-1) stack; singular
@@ -135,28 +148,11 @@ class Hypersurface:
             raise SurfaceError(f"rank-deficient tangent map at {_fmt(u)}")
         return w / norm[:, np.newaxis]
 
-    def _grid_jacobians(self, size):
-        """Parameter grid in index order and its tangent maps."""
-        axes = [np.linspace(lo, hi, size) for lo, hi in self.domain]
-        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        points = points.reshape(-1, self.dim - 1)
-        return points, self.jacobian(points)
-
     def contains_parameters(self, u):
         """Whether a parameter point, or each of a stack, lies in the box."""
         lo, hi = np.array(self.domain).T
         tol = 1e-9 * (hi - lo)
         return ((lo - tol <= u) & (u <= hi + tol)).all(axis=-1)
-
-    def _verify_immersion(self):
-        points, jacs = self._grid_jacobians(_IMMERSION_GRID)
-        try:
-            self._unit_normal(jacs, points)
-        except SurfaceError as exc:
-            if str(exc).startswith("rank-deficient"):
-                raise SurfaceError(f"{exc}; shrink the parameter box away "
-                                   "from the singular set") from None
-            raise
 
 
 def load_surface(source) -> Hypersurface:
@@ -194,10 +190,9 @@ def is_helix_surface(h: Hypersurface) -> dict:
     """Test whether <direction, normal> is constant over the parameter box.
 
     Returns mean value, absolute standard deviation, and the verdict at
-    tolerance 1e-6.  The grid has _GATE_GRID points per parameter.
+    tolerance 1e-6, over the normals the surface sampled at construction.
     """
-    points, jacs = h._grid_jacobians(_GATE_GRID)
-    dots = h._unit_normal(jacs, points) @ h.direction
+    dots = h._normals @ h.direction
     value = float(dots.mean())
     residual = float(dots.std())
     return {"constant": residual <= HELIX_SURFACE_TOL,

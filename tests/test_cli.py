@@ -638,8 +638,8 @@ def test_geodesic_surface_with_infinite_tangent_is_rejected(capsys, tmp_path):
 
 def test_geodesic_surface_with_non_finite_tangent_off_the_immersion_grid(
         capsys, tmp_path):
-    # d/dw sqrt((w - 1/9)^2) is 0/0 at w = 1/9, a node of the 64-point gate
-    # grid but not of the 8-point immersion grid
+    # d/dw sqrt((w - 1/9)^2) is 0/0 at w = 1/9, a node of the 64-per-axis
+    # grid the surface samples at load, so the spec is refused there
     path = tmp_path / "kink.json"
     path.write_text(json.dumps({
         "surface": {"dim": 3, "parameters": ["u", "w"],
@@ -648,7 +648,7 @@ def test_geodesic_surface_with_non_finite_tangent_off_the_immersion_grid(
         "geodesics": [{"start": [0, 3], "tangent": [1, 0, 0], "length": 0.5}],
     }))
     code, out, err = run(capsys, "geodesic", str(path))
-    assert code == 2
+    assert code == 1
     assert out == ""
     assert err == "error: non-finite tangent map at (-1, 0.111111)\n"
 

@@ -379,8 +379,8 @@ def test_jacobian_equals_per_partial_evaluation(name, sphere):
     h = {"cylinder": cylinder_surface(), "cone": cone_surface(),
          "sphere": sphere}[name]
     axes = [np.linspace(lo, hi, 64) for lo, hi in h.domain]
-    points, jacs = h._grid_jacobians(64)
-    assert np.array_equal(points, np.array(list(itertools.product(*axes))))
+    points = np.array(list(itertools.product(*axes)))
+    jacs = h.jacobian(points)
     # the reference evaluates each first partial on its own
     want = np.stack([expr.compile_array(expr.differentiate(c, p),
                                         h.parameters)(*points.T)
@@ -388,6 +388,8 @@ def test_jacobian_equals_per_partial_evaluation(name, sphere):
     assert np.array_equal(jacs, want.reshape(-1, h.dim, h.dim - 1))
     grid = points.reshape(64, 64, 2)
     assert np.array_equal(h.jacobian(grid), jacs.reshape(64, 64, 3, 2))
+    # the normals kept at construction are those of this grid, to the bit
+    assert np.array_equal(h._normals, h._unit_normal(jacs, points))
 
 
 # ------------------------------------------------------------- verification
@@ -662,14 +664,12 @@ def test_load_surface_rejects_bad_specs():
 
 
 def test_rank_deficient_point_is_named():
-    # the cone's apex w = 0 is a point of the 8-per-axis immersion grid on
-    # [-1, 6], and on [-1, 62] only of the 64-per-axis constant-angle grid
+    # the cone's apex w = 0 is a node of the 64-per-axis grid the surface
+    # samples at construction, on [-1, 6] as on [-1, 62]
     cone = ["w*cos(u)", "w*sin(u)", "w"]
-    with pytest.raises(SurfaceError, match=r"map at \(-1, 0\); shrink"):
-        hypersurf.Hypersurface(cone, ["u", "w"], [[-1, 6], [-1, 6]], EZ)
-    surface = hypersurf.Hypersurface(cone, ["u", "w"], [[-1, 6], [-1, 62]], EZ)
-    with pytest.raises(SurfaceError, match=r"map at \(-1, 0\)$"):
-        hypersurf.is_helix_surface(surface)
+    for box in ([-1, 6], [-1, 62]):
+        with pytest.raises(SurfaceError, match=r"map at \(-1, 0\); shrink"):
+            hypersurf.Hypersurface(cone, ["u", "w"], [[-1, 6], box], EZ)
 
 
 def test_thin_cylinder_passes_construction_and_the_gate():
