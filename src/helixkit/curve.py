@@ -98,6 +98,7 @@ class Curve:
     domain: tuple
     unit_speed: bool
     unit_speed_error: float
+    exact_jets = False      # jets exact to roundoff, not stencils on samples
 
     def point(self, s):
         """The point at s: a one-row slice of `point_grid`."""
@@ -160,6 +161,8 @@ class AnalyticCurve(Curve):
     `velocity` holds the expressions of the first derivative and `speed`
     evaluates |alpha'(t)| over an array of parameter values.
     """
+
+    exact_jets = True
 
     def __init__(self, components, domain, parameter="s"):
         comps = []
@@ -376,6 +379,8 @@ class ReparametrizedCurve(Curve):
     slopes t'(S_i) = 1/v(t_i); jets evaluate the source along the Taylor
     series of t(s), built order by order from t' = 1/v(t): exact to roundoff.
     """
+
+    exact_jets = True
 
     def __init__(self, source: AnalyticCurve):
         self.source = source

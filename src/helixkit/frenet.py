@@ -15,6 +15,7 @@ curvatures are reported as zero.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -58,12 +59,15 @@ class FrenetGrid:
     svals (m,), frames (m, r, n) with frames[i, j] = V_{j+1} at svals[i]
     in E^n coordinates (r <= n, the frame of the curve's span; `dim` is r),
     curvatures (m, r-1), and degenerate_ranks (m,), 0 where the sample has
-    no degeneracy.  `valid` marks those samples.
+    no degeneracy.  `valid` marks those samples.  k1_prime (m,) is dk_1/ds
+    for a curve with exact jets in E^n, n >= 3, 0 where the rank is 1 (V_2
+    undetermined); None otherwise.
     """
     svals: np.ndarray
     frames: np.ndarray
     curvatures: np.ndarray
     degenerate_ranks: np.ndarray
+    k1_prime: Optional[np.ndarray] = None
 
     @property
     def dim(self):
@@ -152,4 +156,10 @@ def frenet_grid(c: Curve, m: int, margin: float = 0.0) -> FrenetGrid:
     if not np.issubdtype(type(m), np.integer) or m < 16:
         raise CurveError("need an integer of at least 16 grid samples")
     svals = np.linspace(*_trimmed_domain(c, margin), m)
-    return FrenetGrid(svals, *_frames_from_jets(c.jet_grid(svals, c.dim)))
+    jets = c.jet_grid(svals, c.dim)
+    frames, curv, ranks = _frames_from_jets(jets)
+    k1_prime = None
+    if c.exact_jets and c.dim >= 3:  # d3 = k_1' V_2 + k_1 (k_2 V_3 - k_1 V_1)
+        k1_prime = np.where(ranks == 1, 0.0,
+                            np.einsum("mk,mk->m", jets[:, 2], frames[:, 1]))
+    return FrenetGrid(svals, frames, curv, ranks, k1_prime)

@@ -118,21 +118,25 @@ def _recursion(grid: FrenetGrid, g1, g2):
 def slant_functions(grid: FrenetGrid) -> HelixFunctions:
     """Slant-helix recursion functions with the fitted integration constant.
 
-    G_1 = I + c with I the zero-mean cumulative trapezoid of k_1, so every
-    G_i = P_i + c Q_i, P running the recursion from (I, 1) and Q from
-    (1, 0).  Per sample sum G_i^2 = a + 2bc + qc^2 with a = sum P_i^2,
-    b = sum P_i Q_i, q = sum Q_i^2, and its variance over the unmasked
-    samples is the quartic u S u^T in u = (1, c, c^2), S the covariance of
-    (a, 2b, q).  c is the root of the cubic derivative with the least
-    variance (the real part of each root is tried, so a double root split
-    by rounding still counts); c = 0 when the derivative vanishes
-    identically.
+    G_1 = I + c with I the zero-mean cumulative trapezoid of k_1, each panel
+    corrected by h^2/12 (k_1'(s_i) - k_1'(s_{i+1})) where the grid carries
+    k1_prime (Euler-Maclaurin; Davis & Rabinowitz, *Methods of Numerical
+    Integration*, 2.9).  So every G_i = P_i + c Q_i, P running the recursion
+    from (I, 1) and Q from (1, 0).  Per sample sum G_i^2 = a + 2bc + qc^2
+    with a = sum P_i^2, b = sum P_i Q_i, q = sum Q_i^2, and its variance
+    over the unmasked samples is the quartic u S u^T in u = (1, c, c^2), S
+    the covariance of (a, 2b, q).  c is the root of the cubic derivative
+    with the least variance (the real part of each root is tried, so a
+    double root split by rounding still counts); c = 0 when the derivative
+    vanishes identically.
     """
     mask = _reliable_mask(grid, "slant recursion")
     s = grid.svals
     k1 = grid.curvatures[:, 0]
-    I = np.concatenate([[0.0],
-                        np.cumsum(0.5 * (k1[1:] + k1[:-1]) * np.diff(s))])
+    panels = 0.5 * (k1[1:] + k1[:-1]) * np.diff(s)
+    if grid.k1_prime is not None:
+        panels -= np.diff(s) ** 2 / 12.0 * np.diff(grid.k1_prime)
+    I = np.concatenate([[0.0], np.cumsum(panels)])
     I -= np.mean(I[mask])
     ones = np.ones_like(I)
     P, Q = _recursion(grid, np.stack([I, ones]), np.stack([ones, 0.0 * ones]))
@@ -393,7 +397,7 @@ def classify(c: Curve, axis_hint=None, grid_size: int = 512,
         r = grid.dim
     rgrid = FrenetGrid(grid.svals, grid.frames[:, :r],
                        grid.curvatures[:, :r - 1],
-                       np.where(ranks == r, 0, ranks))
+                       np.where(ranks == r, 0, ranks), grid.k1_prime)
     masked_fraction = 1.0 - float(np.mean(recursion_mask(rgrid)))
 
     slant = _run_path(slant_functions, rgrid, tol_axis, tol_const)

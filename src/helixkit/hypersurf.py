@@ -219,6 +219,7 @@ class GeodesicPath(Curve):
     coefficients: np.ndarray
 
     unit_speed = True   # |J p'| = 1 at each expansion point, and it is kept
+    exact_jets = True
     dim = property(lambda self: self.position.shape[1])
     domain = property(lambda self: (float(self.s[0]), float(self.s[-1])))
 

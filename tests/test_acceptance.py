@@ -72,11 +72,13 @@ def test_criterion_2_slant_recursion_closed_forms(wave_grid, wave_report):
     err_g3 = float(np.abs(sf.values[:, 2]
                           + (4.0 / 3.0) * np.sin(3 * s))[sf.mask].max())
     shift = abs(sf.integration_constant)
-    ok = (err_c <= 1e-4 and err_cos <= 1e-5
-          and err_g1 <= 1e-5 and err_g3 <= 1e-5 and shift <= 1e-4)
+    # C rel, G1 and G3 read 1.7e-12, 1.75e-12 and 1.79e-12 with the
+    # Euler-Maclaurin slant integral (3.3e-6 to 3.44e-6 without)
+    ok = (err_c <= 1e-10 and err_cos <= 1e-5
+          and err_g1 <= 1e-10 and err_g3 <= 1e-10 and shift <= 1e-4)
     verdict(2, "slant recursion constants", ok,
-            f"C rel {err_c:.3g}/1e-04, cos {err_cos:.3g}/1e-05, "
-            f"G1 {err_g1:.3g} G3 {err_g3:.3g}/1e-05, shift {shift:.3g}/1e-04")
+            f"C rel {err_c:.3g}/1e-10, cos {err_cos:.3g}/1e-05, "
+            f"G1 {err_g1:.3g} G3 {err_g3:.3g}/1e-10, shift {shift:.3g}/1e-04")
 
 
 def test_criterion_3_axis_constructions_agree(wave_report, wave_beta):
@@ -91,9 +93,11 @@ def test_criterion_3_axis_constructions_agree(wave_report, wave_beta):
     rows = axis_field(hf, gb)[hf.mask]
     mean = rows.mean(axis=0)
     ang_harm = angle_to(mean / np.linalg.norm(mean), axis)
-    ok = resid <= 1e-4 and ang_rec <= 1e-4 and ang_harm <= 1e-4
+    # the field deviation reads 0 with the Euler-Maclaurin slant integral
+    # (1.52e-6 without)
+    ok = resid <= 1e-10 and ang_rec <= 1e-4 and ang_harm <= 1e-4
     verdict(3, "axis construction agreement", ok,
-            f"field dev {resid:.3g}, recursion {ang_rec:.3g}, "
+            f"field dev {resid:.3g}/1e-10, recursion {ang_rec:.3g}, "
             f"harmonic {ang_harm:.3g}, tol 1e-04")
 
 

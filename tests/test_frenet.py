@@ -52,6 +52,22 @@ def test_wave_curvatures_on_grid(wave_grid):
                        rtol=1e-7, atol=1e-9)
 
 
+def test_k1_prime_comes_from_exact_jets_in_e3_and_up(wave_grid):
+    # k_1 = -4 sin 3s on the wave, so k_1' = -12 cos 3s: it reads 9.8e-15
+    err = np.abs(wave_grid.k1_prime + 12 * np.cos(3 * wave_grid.svals))
+    assert err.max() <= 1e-13
+    # V_2 of a line is not determined, nor is k_1' there
+    line = frenet_grid(AnalyticCurve(["s", "0", "0"], (0.0, 5.0)), 16)
+    assert np.array_equal(line.k1_prime, np.zeros(16))
+    # a plane curve's jet stops at d2, and stencils on samples are no jets
+    circle = AnalyticCurve(["cos(s)", "sin(s)"], (0.0, 5.0))
+    assert frenet_grid(circle, 16).k1_prime is None
+    t = np.linspace(0.0, 2 * math.pi, 2001)
+    pts = np.stack([3 * np.cos(t), 3 * np.sin(t), 4 * t], axis=1)
+    sampled = arclength_reparametrize(SampledCurve(t, pts))
+    assert frenet_grid(sampled, 64).k1_prime is None
+
+
 def test_wave_frames_orthonormal_oriented(wave_grid):
     _assert_orthonormal_oriented(wave_grid.frames)
 

@@ -572,12 +572,13 @@ def test_cone_over_the_sphere_in_e4_verifies_with_axis_e4():
         assert check.classification == "slant-helix"
     assert rep.pairwise_axis_angle <= hypersurf.PAIRWISE_AXIS_TOL
     for path in paths:
-        # C = sec^2(pi/4) = 2; the worst reads |C - 2| = 7.7e-7 and an
-        # axis 1.9e-7 rad from e_4 (the third geodesic)
+        # C = sec^2(pi/4) = 2; the worst reads |C - 2| = 4.1e-12 (the third
+        # geodesic; 7.7e-7 with a plain trapezoid slant integral), and every
+        # axis reads 0 rad from e_4
         geo = classify(path, axis_hint=e4, margin=0.02)
         assert geo.classification == "slant-helix"
         assert geo.masked_fraction == 0.0
-        assert abs(geo.C - 2.0) <= 1e-5
+        assert abs(geo.C - 2.0) <= 1e-10
         assert hypersurf._axis_angle(geo.axis, e4) <= 5e-6
 
 
