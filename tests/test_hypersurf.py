@@ -582,6 +582,85 @@ def test_cone_over_the_sphere_in_e4_verifies_with_axis_e4():
         assert hypersurf._axis_angle(geo.axis, e4) <= 5e-6
 
 
+# x_n = 0.8 dist(x, S) over E^(n-1), with S the circle of radius 2 in the
+# (x_1, x_2) plane of E^3 (n = 4) or the sphere of radius 2 in E^3 x {0} of
+# E^4 (n = 5): the gradient has norm 0.8, so the normal keeps the angle
+# arccos(1/sqrt(1.64)) with e_n and every geodesic is a slant helix with
+# C = 1 + 0.8^2 = 1.64 exactly
+EIKONAL = {
+    4: {"parameters": ["u", "v", "w"],
+        "components": ["u", "v", "w", "0.8*sqrt((sqrt(u^2+v^2)-2)^2 + w^2)"],
+        "domain": [[0.5, 3.5], [-2, 2], [0.3, 1.5]],
+        "start": [2, 0, 0.8],
+        "directions": [[0, 1, 0], [0.3, 1, 0.2], [1, 0.5, -0.3]]},
+    5: {"parameters": ["u", "v", "x", "w"],
+        "components": ["u", "v", "x", "w",
+                       "0.8*sqrt((sqrt(u^2+v^2+x^2)-2)^2 + w^2)"],
+        "domain": [[0.5, 3.5], [-2, 2], [-1, 1], [0.3, 1.5]],
+        "start": [2, 0, 0.3, 0.8],
+        "directions": [[0, 1, 0, 0], [0.3, 1, 0.2, 0.1],
+                       [1, 0.5, -0.3, 0.2]]},
+}
+EIKONAL_COS = 1.0 / math.sqrt(1.64)
+
+
+def eikonal_graph(n, components=None):
+    spec = EIKONAL[n]
+    return hypersurf.Hypersurface(components or spec["components"],
+                                  spec["parameters"], spec["domain"],
+                                  np.eye(n)[n - 1])
+
+
+@functools.lru_cache(maxsize=None)
+def eikonal_geodesics(n):
+    """The eikonal graph in E^n and its three geodesics of length 1."""
+    h = eikonal_graph(n)
+    p = np.array(EIKONAL[n]["start"], dtype=float)
+    jac = h.jacobian(p)
+    paths = []
+    for d in EIKONAL[n]["directions"]:
+        t = jac @ np.array(d, dtype=float)
+        paths.append(hypersurf.geodesic(h, p, t / np.linalg.norm(t), 1.0,
+                                        steps=1000))
+    return h, paths
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_eikonal_graph_keeps_a_constant_angle(n):
+    # value -0.78086880944303 in E^4 and +0.78086880944303 in E^5, which
+    # orient their normals oppositely; residual 2.24e-16 in both
+    gate = hypersurf.is_helix_surface(eikonal_geodesics(n)[0])
+    assert gate["constant"] and gate["residual"] <= 1e-15
+    assert abs(abs(gate["value"]) - EIKONAL_COS) <= 1e-14
+
+
+def test_eikonal_graph_off_the_distance_fails_the_gate():
+    # 1.1 w^2 under the root: the gradient's norm varies; residual 4.4e-3
+    comps = EIKONAL[4]["components"][:3] + [
+        "0.8*sqrt((sqrt(u^2+v^2)-2)^2 + 1.1*w^2)"]
+    gate = hypersurf.is_helix_surface(eikonal_graph(4, comps))
+    assert not gate["constant"] and gate["residual"] >= 1e-3
+
+
+# |C - 1.64| per geodesic reads 2.1e-6, 4.4e-6 and 8.8e-6 in E^4 and 2.2e-6,
+# 4.5e-6 and 4.6e-5 in E^5; the recursions' second-order derivatives of G_i
+# set that error, not the slant integral
+EIKONAL_C_BOUNDS = {4: (5e-6, 1e-5, 2e-5), 5: (5e-6, 1e-5, 1e-4)}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_eikonal_graph_geodesics_are_slant_helices(n):
+    h, paths = eikonal_geodesics(n)
+    for path, bound in zip(paths, EIKONAL_C_BOUNDS[n], strict=True):
+        geo = classify(path, axis_hint=h.direction, margin=0.02)
+        assert geo.classification == "slant-helix"
+        assert geo.masked_fraction == 0.0
+        # normal_dot_mean reads 0.780868809443, normal_dot_std 4.6e-15 at most
+        assert abs(geo.hint.v2_mean - EIKONAL_COS) <= 1e-14
+        assert geo.hint.v2_std <= 1e-14
+        assert abs(geo.C - 1.64) <= bound
+
+
 def test_geodesic_frames_read_to_roundoff():
     # each geodesic's frames come from its own series, not from stencils on
     # its samples: the worst normal_dot_std over the cylinder, cone and E^4
