@@ -353,7 +353,7 @@ def _fmt_const(v):
 def to_source(e: Expression) -> str:
     """Render as source; reparsing gives the same operations in the same order,
     or a folded constant with the same value, so the same values to the bit."""
-    p = _PREC[type(e)]
+    p = _PREC.get(type(e))          # None for a non-node, refused below
     if isinstance(e, Const):
         return _fmt_const(e.value)
     if isinstance(e, Var):

@@ -157,6 +157,20 @@ def test_analyze_prints_roundoff_in_the_axis_as_zero(files, capsys):
     assert table["axis_1"] == "0"
 
 
+def test_analyze_to_a_missing_directory_names_the_os_error(
+        files, capsys, tmp_path):
+    target = tmp_path / "missing" / "wave.json"
+    code, out, err = run(capsys, "analyze", files["wave"],
+                         "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: [Errno 2] ") and err.count("\n") == 1
+
+
+def test_a_numpy_scalar_rounds_as_its_float():
+    assert _rounded(np.float32(0.1)) == 0.10000000149
+
+
 def test_analyze_line_is_degenerate(files, capsys):
     code, _, err = run(capsys, "analyze", files["line"])
     assert code == 2

@@ -298,6 +298,14 @@ def test_length_of_a_unit_speed_curve_is_its_domain():
         Bare().length()
 
 
+def test_a_bare_curve_has_no_points():
+    class Bare(Curve):          # overrides neither grid nor `_derivatives`
+        dim, domain, unit_speed = 2, (0.0, 1.0), False
+
+    with pytest.raises(NotImplementedError):
+        Bare().point_grid([0.5])
+
+
 def test_reparametrize_names_a_curve_it_cannot_take():
     class Bare(Curve):          # neither analytic, sampled nor unit speed
         dim, domain, unit_speed = 2, (0.0, 1.0), False

@@ -100,6 +100,23 @@ def test_derivatives_match_calculus():
             assert _value(d, s) == pytest.approx(want(s), rel=1e-12, abs=1e-12)
 
 
+def test_powers_of_exponent_0_and_1_differentiate_to_0_and_the_base():
+    assert differentiate(parse("s^0")) == Const(0.0)
+    assert differentiate(parse("(s^2)^1")) == Mul(Const(2.0), Var("s"))
+    assert str(parse("2*s")) == "2 * s"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: differentiate(object()),
+    lambda: differentiate(Call("foo", Var("s"))),
+    lambda: to_source(object()),
+    lambda: ValueNumbering([Call("foo", Var("s"))]),
+])
+def test_a_foreign_node_is_refused_by_name(call):
+    with pytest.raises(TypeError, match="^not an expression node: "):
+        call()
+
+
 def test_eighth_derivative_of_sine():
     # d^8/ds^8 sin(2s) = 2^8 sin(2s); exercises repeated symbolic passes
     e = parse("sin(2*s)")

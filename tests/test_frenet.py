@@ -132,6 +132,11 @@ def test_degenerate_rank_is_the_first_curvature_below_eps():
     assert np.array_equal(ranks, want)
 
 
+def test_frames_need_a_full_order_n_jet():
+    with pytest.raises(ValueError, match="^need a full order-n jet"):
+        _frames_from_jets(np.ones((4, 2, 3)))
+
+
 def test_planar_curve_in_dim4_gets_completed_frame():
     r = 1 / math.sqrt(2)
     c = AnalyticCurve([f"{r}*cos(s)", f"{r}*sin(s)",

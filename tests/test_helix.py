@@ -18,9 +18,10 @@ from helixkit.curve import (AnalyticCurve, Curve, SampledCurve,
 from helixkit.errors import (ClassificationError, CurveError,
                              DegenerateCurveError, UnreliableResultError)
 from helixkit.frenet import FrenetGrid, frenet_grid
-from helixkit.helix import (axis_field, classify, general_functions,
-                            harmonic_curvatures, slant_functions,
-                            tangent_indicatrix, verify_same_axis)
+from helixkit.helix import (_axis_statistics, axis_field, classify,
+                            general_functions, harmonic_curvatures,
+                            slant_functions, tangent_indicatrix,
+                            verify_same_axis)
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -123,6 +124,13 @@ def test_report_serialization_fields(wave_report):
 
 
 # --- general recursion and harmonic functions ---
+
+def test_axis_statistics_of_rows_without_a_direction():
+    mask = np.ones(4, dtype=bool)
+    assert _axis_statistics(np.zeros((4, 3)), mask) == (None, math.inf)
+    cancel = np.array([[1.0, 2.0, 0.0], [-2.0, -4.0, 0.0]])
+    assert _axis_statistics(cancel, mask[:2]) == (None, math.inf)
+
 
 def test_general_recursion_circular_helix(helix34_grid):
     gf = general_functions(helix34_grid)
