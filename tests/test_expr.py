@@ -103,6 +103,9 @@ def test_derivatives_match_calculus():
 def test_powers_of_exponent_0_and_1_differentiate_to_0_and_the_base():
     assert differentiate(parse("s^0")) == Const(0.0)
     assert differentiate(parse("(s^2)^1")) == Mul(Const(2.0), Var("s"))
+
+
+def test_an_expression_prints_as_its_source():
     assert str(parse("2*s")) == "2 * s"
 
 

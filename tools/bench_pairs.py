@@ -36,8 +36,8 @@ def summarize(parent, change, better, bound):
     fraction of the parent's median.
     """
     sign = 1.0 if better == "lower" else -1.0
-    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change, strict=True))
-    losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    gains = [sign * (p - c) for p, c in zip(parent, change, strict=True)]
+    wins, losses = sum(g > 0 for g in gains), sum(g < 0 for g in gains)
     pq, cq = _quartiles(parent), _quartiles(change)
     shift = sign * (pq[1] - cq[1])
     return {"parent": pq, "change": cq,
