@@ -7,7 +7,7 @@ tangents in index order, whose length relative to theirs is the one rank test
 of a tangent map.  Tangent maps, geodesic series and normal curvatures are
 Taylor passes of one numbering of the first partials.  A geodesic solves the
 geodesic equations in the parameters by Taylor series with dense output: its
-samples X(p) lie on the surface, and its jets are read off the series of X.
+points and jets are read off the series of X, which is its only copy.
 
 Along a geodesic of such a surface the normal coincides with the curve's
 principal normal up to sign, so the geodesic is a slant helix for d and its
@@ -47,7 +47,9 @@ _TAYLOR_ORDER = 20
 HELIX_SURFACE_TOL = 1e-6
 # points of the uniform parameter grid whose normals a surface keeps
 _NORMAL_SAMPLES = 4096
-_THIN_SPACING = 5e-3
+# arc lengths at which a geodesic's series gives its unit tangent, as many as
+# classify reads by default
+_INDICATRIX_SAMPLES = 512
 
 
 def _fmt(u):
@@ -201,18 +203,17 @@ def is_helix_surface(h: Hypersurface) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class GeodesicPath(Curve):
-    """One geodesic: its samples, and the unit-speed curve its series trace.
+    """One geodesic: the unit-speed curve its series trace, and its samples.
 
-    s (m,), position and velocity (m, n), normal_accel (m,) and parameters
-    (m, n-1) hold one row per sample; len() is m.  The acceleration at
-    sample i is normal_accel[i] times the surface normal there; its sign is
-    meaningful (negative when the surface curves away from the normal).
     From starts[i] on, X = sum_j coefficients[i, j] (s - starts[i])^j, and
-    the jets at s are read off that expansion.  Paths compare by identity.
+    points and jets at any s are read off that expansion (point_grid,
+    jet_grid).  s (m,), normal_accel (m,) and parameters (m, n-1) hold one
+    row per sample; len() is m.  The acceleration at sample i is
+    normal_accel[i] times the surface normal there; its sign is meaningful
+    (negative when the surface curves away from the normal).  Paths compare
+    by identity.
     """
     s: np.ndarray
-    position: np.ndarray
-    velocity: np.ndarray
     normal_accel: np.ndarray
     parameters: np.ndarray
     starts: np.ndarray
@@ -220,7 +221,7 @@ class GeodesicPath(Curve):
 
     unit_speed = True   # |J p'| = 1 at each expansion point, and it is kept
     exact_jets = True
-    dim = property(lambda self: self.position.shape[1])
+    dim = property(lambda self: self.coefficients.shape[2])
     domain = property(lambda self: (float(self.s[0]), float(self.s[-1])))
 
     def __len__(self):
@@ -235,11 +236,9 @@ class GeodesicPath(Curve):
             self.coefficients[i, k:]) for k in orders]
 
     def _unit_tangent(self, a, b):
-        """The velocity rows in [a, b], thinned to _THIN_SPACING, last kept."""
-        stride = max(1, round(_THIN_SPACING / float(np.median(np.diff(self.s)))))
-        idx = np.append(np.arange(0, len(self) - 1, stride), len(self) - 1)
-        idx = idx[(self.s[idx] >= a) & (self.s[idx] <= b)]
-        return SampledCurve(self.s[idx], self.velocity[idx])
+        """The series' velocity at _INDICATRIX_SAMPLES arc lengths in [a, b]."""
+        svals = np.linspace(a, b, _INDICATRIX_SAMPLES)
+        return SampledCurve(svals, self.jet_grid(svals, 1)[:, 0])
 
 
 def _geodesic_series(h: Hypersurface, p, pdot):
@@ -281,10 +280,11 @@ def geodesic(h: Hypersurface, start, tangent, length: float,
     expanded inside the box, runs while the last two terms of p and X o p
     stay below _TAYLOR_TOL and gives the samples s_i = i * length / steps, so
     `steps` (default: spacing <= GEODESIC_STEP) does not move expansions.
-    Samples lie on the surface by construction, at unit ambient speed.
-    Raises if a sample or an expansion point leaves the parameter box, if a
-    series term is not finite, if steps is not a positive integer (a bool is
-    not one), or if steps + 1 samples would be more than GEODESIC_MAX_SAMPLES.
+    X is evaluated only at the expansion points, the order-0 term of each
+    series.  Raises if a sample or an expansion point leaves the parameter
+    box, if a series term is not finite, if steps is not a positive integer
+    (a bool is not one), or if steps + 1 samples would be more than
+    GEODESIC_MAX_SAMPLES.
     """
     p = np.asarray(start, dtype=float)
     if p.shape != (h.dim - 1,):
@@ -342,14 +342,12 @@ def geodesic(h: Hypersurface, start, tangent, length: float,
     env = {name: [params[:, k], pdots[:, k]] for k, name in enumerate(h.parameters)}
     jets = h._partials.taylor(env, 1).reshape(2, -1, h.dim, h.dim - 1)
     vels, accs = (jets @ pdots[..., np.newaxis])[..., 0]
-    speeds = np.linalg.norm(vels, axis=1)
-    lam = np.einsum("mk,mk->m", accs, h._unit_normal(jets[0], params)) / speeds**2
-    # the samples and, last, the expansion points: A_0 = X(p) of each series
+    lam = (np.einsum("mk,mk->m", accs, h._unit_normal(jets[0], params))
+           / np.linalg.norm(vels, axis=1) ** 2)
+    # A_0 = X(p) at each expansion point
     starts, points, coeffs = map(np.array, zip(*expansions))
-    xs = h.point(np.vstack([params, points]))
-    coeffs[:, 0] = xs[steps + 1:]
-    return GeodesicPath(svals, xs[:steps + 1], vels / speeds[:, np.newaxis],
-                        lam, params, starts, coeffs)
+    coeffs[:, 0] = h.point(points)
+    return GeodesicPath(svals, lam, params, starts, coeffs)
 
 
 @dataclass

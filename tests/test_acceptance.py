@@ -170,14 +170,14 @@ def test_criterion_8_surface_geodesic_theorems():
     # integrated geodesics against their closed forms
     pos_err = 0.0
     for pitch, path in zip(CYLINDER_PITCH_ANGLES, cylinder_geodesics()):
-        svals, pts = path.s, path.position
+        svals, pts = path.s, path.point_grid(path.s)
         exact = np.stack([np.cos(math.cos(pitch) * svals),
                           np.sin(math.cos(pitch) * svals),
                           math.sin(pitch) * svals], axis=1)
         pos_err = max(pos_err, float(np.abs(pts - exact).max()))
     for degrees, path in zip(CONE_HEADING_DEGREES, cone_geodesics()):
         psi = math.radians(degrees)
-        svals, pts = path.s, path.position
+        svals, pts = path.s, path.point_grid(path.s)
         radial = 1.5 * math.sqrt(2.0) + svals * math.sin(psi)
         tangential = svals * math.cos(psi)
         ell = np.hypot(radial, tangential)
@@ -227,7 +227,8 @@ def test_criterion_9_internal_consistency_cross_checks():
     speed = 0.0
     for path in itertools.chain(cylinder_geodesics(), cone_geodesics()):
         speed = max(speed, float(
-            np.abs(np.linalg.norm(path.velocity, axis=1) - 1.0).max()))
+            np.abs(np.linalg.norm(path.jet_grid(path.s, 1)[:, 0], axis=1)
+                   - 1.0).max()))
 
     ok = (orth <= 1e-8 and ode <= 1e-4
           and formula <= 1e-6 and speed <= 1e-8)

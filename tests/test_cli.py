@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface via its main() entry."""
 
+import functools
 import json
 import math
 import os
@@ -14,12 +15,12 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import helixkit
-from helixkit import cli, helix
+from helixkit import cli, helix, hypersurf
 from helixkit.cli import _csv_text, _g, _rounded, _rows_json_text, main
 from helixkit.curve import ReparametrizedCurve
 from helixkit.errors import HelixkitError
-from conftest import (CYLINDER_SPEC, KINK_SPEC, SPHERE_SPEC, WAVE,
-                      WAVE_TRIMMED)
+from conftest import (CONE_SPEC, CYLINDER_SPEC, KINK_SPEC, SPHERE_SPEC, WAVE,
+                      WAVE_TRIMMED, cone_tangent)
 
 
 @pytest.fixture(scope="module")
@@ -397,25 +398,42 @@ def test_geodesic_sphere_scenario_fails_gate(files, capsys):
     assert payload["surface"]["constant"] is False
 
 
+# one geodesic per surface: spec, start, unit tangent and length
+STEP_JOBS = {"cylinder": (CYLINDER_SPEC, [0.0, 0.0], [0.0, 0.6, 0.8], 1.2),
+             "cone": (CONE_SPEC, [0.0, 1.5], cone_tangent(25.0), 2.0)}
+
+
+@functools.lru_cache(maxsize=None)
+def _step_check(name, steps):
+    spec, start, tangent, length = STEP_JOBS[name]
+    h = hypersurf.load_surface(spec)
+    path = hypersurf.geodesic(h, start, tangent, length, steps=steps)
+    return hypersurf.verify_geodesic_theorems(h, [path]).checks[0]
+
+
 @pytest.mark.parametrize("steps", [1, 5])
-def test_geodesic_that_could_not_be_checked_fails_the_verdict(
-        capsys, tmp_path, steps):
-    # the geodesic classifies from its series at any step count, but its
-    # indicatrix has too few samples: only a straight segment is excluded
-    path = tmp_path / "short.json"
-    path.write_text(json.dumps({
-        "surface": CYLINDER_SPEC,
-        "geodesics": [{"start": [0.0, 0.0], "tangent": [0.0, 0.6, 0.8],
-                       "length": 1.2, "steps": steps}],
-    }))
-    code, out, _ = run(capsys, "geodesic", str(path))
-    assert code == 2
-    payload = json.loads(out)
-    assert payload["passed"] is False
-    assert payload["surface"]["constant"] is True
-    assert payload["geodesics"][0]["classification"] == "general-helix"
-    assert payload["geodesics"][0]["error"].startswith(
-        "indicatrix failed: need at least 10 samples")
+def test_geodesic_verdict_does_not_depend_on_steps(capsys, tmp_path, steps):
+    # verification reads the geodesic's series, which `steps` does not move,
+    # and samples the indicatrix from it on a grid of its own: every field
+    # of the check but lambda, read at the samples, is the same to the bit
+    # at 1, 5, 300 and 1000 steps, and the job passes at any of them
+    for name, (spec, start, tangent, length) in STEP_JOBS.items():
+        check = vars(_step_check(name, steps))
+        for ref in (_step_check(name, 300), _step_check(name, 1000)):
+            ref = vars(ref)
+            assert check["passed"] and ref["passed"]
+            for key in ref.keys() - {"lambda_mean", "lambda_std"}:
+                assert (np.asarray(check[key]).tobytes()
+                        == np.asarray(ref[key]).tobytes()), (name, key)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "surface": spec,
+            "geodesics": [{"start": start, "tangent": list(tangent),
+                           "length": length, "steps": steps}],
+        }))
+        code, out, _ = run(capsys, "geodesic", str(path))
+        assert code == 0
+        assert json.loads(out)["passed"] is True
 
 
 def test_geodesic_scenario_validation(files, capsys, tmp_path):

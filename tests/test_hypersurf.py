@@ -1,6 +1,7 @@
 """Surface normals, the constant-angle test, geodesic integration, and the
 joint geodesic verification report."""
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -114,7 +115,7 @@ def test_cylinder_geodesic_matches_circular_helix(sphere):
     for surface, start, lam_exact, exact in cases:
         path = hypersurf.geodesic(surface, start, tangent, 2.0, steps=1000)
         assert len(path) == 1001
-        assert np.abs(path.position - exact(path.s)).max() <= 1e-6
+        assert np.abs(path.point_grid(path.s) - exact(path.s)).max() <= 1e-6
         assert np.abs(path.normal_accel - lam_exact).max() <= 1e-13
         assert path.parameters.shape == (1001, 2)
 
@@ -131,7 +132,7 @@ def test_cylinder_geodesic_is_exact_at_any_step_count():
         exact = np.stack([np.cos(math.cos(pitch) * path.s),
                           np.sin(math.cos(pitch) * path.s),
                           math.sin(pitch) * path.s], axis=1)
-        assert np.abs(path.position - exact).max() <= 1e-14
+        assert np.abs(path.point_grid(path.s) - exact).max() <= 1e-14
         assert np.abs(path.normal_accel + math.cos(pitch) ** 2).max() <= 1e-15
 
 
@@ -149,7 +150,7 @@ def test_cone_geodesic_matches_unrolled_line():
         u = math.sqrt(2.0) * phi
         w = ell / math.sqrt(2.0)
         exact = np.stack([w * np.cos(u), w * np.sin(u), w], axis=1)
-        assert np.abs(path.position - exact).max() <= 1e-12
+        assert np.abs(path.point_grid(svals) - exact).max() <= 1e-12
 
 
 def test_geodesic_length_is_its_own():
@@ -201,7 +202,8 @@ def test_dense_output_does_not_depend_on_step_count():
     k = np.argmin(np.abs(fine.s - coarse.s[:, None]), axis=1)
     assert np.abs(fine.s[k] - coarse.s).max() <= 1e-15
     assert np.abs(fine.parameters[k] - coarse.parameters).max() <= 1e-13
-    assert np.abs(fine.position[k] - coarse.position).max() <= 1e-13
+    assert np.abs(fine.point_grid(fine.s[k])
+                  - coarse.point_grid(coarse.s)).max() <= 1e-13
 
 
 def test_great_circle_off_the_equator_matches_closed_form(sphere, monkeypatch):
@@ -219,17 +221,19 @@ def test_great_circle_off_the_equator_matches_closed_form(sphere, monkeypatch):
     assert len(expansions) >= 3
     exact = (np.cos(path.s)[:, None] * sphere.point(start)
              + np.sin(path.s)[:, None] * tangent)
-    assert np.abs(path.position - exact).max() <= 1e-12
+    assert np.abs(path.point_grid(path.s) - exact).max() <= 1e-12
     assert np.abs(path.normal_accel + 1.0).max() <= 1e-13
 
 
 def test_geodesics_stay_unit_speed_and_on_surface():
     for path in [cylinder_geodesics()[0], cone_geodesics()[1]]:
-        speeds = np.linalg.norm(path.velocity, axis=1)
+        speeds = np.linalg.norm(path.jet_grid(path.s, 1)[:, 0], axis=1)
         assert np.abs(speeds - 1.0).max() <= 1e-8
-    cyl_pts = cylinder_geodesics()[0].position
+    cyl = cylinder_geodesics()[0]
+    cyl_pts = cyl.point_grid(cyl.s)
     assert np.abs(np.hypot(cyl_pts[:, 0], cyl_pts[:, 1]) - 1.0).max() <= 1e-8
-    cone_pts = cone_geodesics()[1].position
+    cone = cone_geodesics()[1]
+    cone_pts = cone.point_grid(cone.s)
     assert np.abs(np.hypot(cone_pts[:, 0], cone_pts[:, 1])
                   - cone_pts[:, 2]).max() <= 1e-8
 
@@ -291,8 +295,9 @@ def test_normal_accel_matches_the_second_fundamental_form(name, a, b, heading):
                                    dtype=float))[0].T
     tangent = math.cos(heading) * e1 + math.sin(heading) * e2
     path = hypersurf.geodesic(surface, start, tangent, 0.5, steps=50)
+    velocity = path.jet_grid(path.s, 1)[:, 0]
     for i in range(0, len(path), 5):
-        want = second_form(path.parameters[i], path.velocity[i])
+        want = second_form(path.parameters[i], velocity[i])
         assert abs(path.normal_accel[i] - want) <= LAMBDA_ORACLE_TOL, (i, want)
 
 
@@ -317,7 +322,7 @@ def test_plane_geodesics_are_straight_lines(plane):
     path = hypersurf.geodesic(plane, [0.0, 0.0], [0.6, 0.8, 0.0],
                               1.5, steps=500)
     line = np.stack([0.6 * path.s, 0.8 * path.s, 0.0 * path.s], axis=1)
-    assert np.abs(path.position - line).max() <= 1e-8
+    assert np.abs(path.point_grid(path.s) - line).max() <= 1e-8
     assert np.abs(path.normal_accel).max() <= 1e-12
 
 
@@ -346,32 +351,22 @@ def test_unit_tangent_thins_to_sampled_curve():
     assert np.abs(np.linalg.norm(tangent.points, axis=1) - 1.0).max() <= 1e-15
 
 
-def _thinning_reference(svals, pts, spacing=5e-3):
-    """The thinning written out: every stride-th sample, and the last one."""
-    stride = max(1, int(round(spacing / float(np.median(np.diff(svals))))))
-    idx = list(range(0, len(svals), stride))
-    if idx[-1] != len(svals) - 1:
-        idx.append(len(svals) - 1)
-    return SampledCurve(svals[idx], pts[idx])
-
-
 @pytest.mark.parametrize("family", ["cylinder", "cone"])
 def test_geodesic_path_reads_as_its_samples(family):
-    # len() counts the rows of every array; the unit tangent thins the
-    # velocity rows, and over a sub-interval keeps the thinned rows in it
+    # the series is the path's only copy of the curve: len() counts the
+    # rows of the per-sample fields, and the unit tangent over [a, b] is the
+    # series' velocity at 512 uniform arc lengths, whatever the samples
     path = (cylinder_geodesics() if family == "cylinder"
             else cone_geodesics())[0]
-    for field in ("s", "position", "velocity", "normal_accel", "parameters"):
+    assert [f.name for f in dataclasses.fields(path)] == [
+        "s", "normal_accel", "parameters", "starts", "coefficients"]
+    for field in ("s", "normal_accel", "parameters"):
         assert len(getattr(path, field)) == len(path)
-    want = _thinning_reference(path.s, path.velocity)
-    tangent = path._unit_tangent(*path.domain)
-    assert np.array_equal(tangent.params, want.params)
-    assert np.array_equal(tangent.points, want.points)
-    a, b = 0.3, path.s[-1] - 0.3
-    tangent = path._unit_tangent(a, b)
-    keep = (want.params >= a) & (want.params <= b)
-    assert np.array_equal(tangent.params, want.params[keep])
-    assert np.array_equal(tangent.points, want.points[keep])
+    for a, b in (path.domain, (0.3, path.s[-1] - 0.3)):
+        tangent = path._unit_tangent(a, b)
+        svals = np.linspace(a, b, 512)
+        assert np.array_equal(tangent.params, svals)
+        assert np.array_equal(tangent.points, path.jet_grid(svals, 1)[:, 0])
 
 
 @pytest.mark.parametrize("name", ["cylinder", "cone", "sphere"])
@@ -451,7 +446,7 @@ def _moved_family(name, components, rot, scale=1.0):
     spec, family, _ = FAMILIES[name]
     h = hypersurf.load_surface(dict(spec, components=components,
                                     direction=list(rot @ spec["direction"])))
-    paths = [hypersurf.geodesic(h, p.parameters[0], rot @ p.velocity[0],
+    paths = [hypersurf.geodesic(h, p.parameters[0], rot @ p.jet(0.0, 1)[0],
                                 scale * (p.s[-1] - p.s[0]), steps=len(p) - 1)
              for p in family()]
     return hypersurf.verify_geodesic_theorems(h, paths), paths
@@ -506,24 +501,42 @@ def test_geodesics_follow_a_rigid_motion_of_the_surface(name, rot, shift):
 def test_scaling_the_surface_divides_geodesic_curvatures(name, lam):
     # X -> lam X, geodesics of length lam L in as many steps: the normal
     # curvature lambda scales by 1/lam, angles and C stay.  Worst of 200
-    # draws on each surface: lambda_mean 7.3e-16 relative, lambda_std
-    # 2.3e-16, normal_dot_mean 2.2e-16, C 2.7e-12 relative; on the cone the
-    # indicatrix angle 1.7e-7, its axis 1.8e-7 and the pairwise angle
-    # 1.3e-7, as the unit tangents are thinned to a fixed spacing in arc
-    # length, so the samples the indicatrix is built from move with lam
+    # draws on each surface: lambda_mean 8.5e-16 relative, lambda_std
+    # 2.6e-16, normal_dot_mean 2.2e-16, C 3.2e-12 relative; the indicatrix
+    # angle 8.4e-10, its axis 5.4e-10 and the pairwise angle 8.5e-10, on the
+    # cone (the cylinder's read 0, 7.8e-12 and 0), as the indicatrix is
+    # sampled from the series at the same fraction of the length at any lam
     spec, family, report = FAMILIES[name]
     components = [f"({lam!r})*({c})" for c in spec["components"]]
     rep, paths = _moved_family(name, components, np.eye(3), lam)
     want = report()
     _assert_same_readings(rep, want, lam, {
         "lambda_mean": 4e-15, "lambda_std": 1e-15, "normal_dot": 1e-15,
-        "angle": 5e-7})
+        "angle": 2e-9})
     for got, ref in zip(rep.checks, want.checks):
         assert np.linalg.norm(got.indicatrix_axis
-                              - ref.indicatrix_axis) <= 5e-7
+                              - ref.indicatrix_axis) <= 1e-9
     for path, ref in zip(paths, family(), strict=True):
         c, c_ref = classify(path).C, classify(ref).C
         assert abs(c - c_ref) <= 1e-11 * c_ref
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.05, 40.0])
+@pytest.mark.parametrize("name", FAMILIES)
+def test_verification_does_not_depend_on_scale(name, lam):
+    # each indicatrix is sampled from its geodesic's series at the same
+    # fractions of the length at any scale, so far outside [0.25, 4] every
+    # check keeps its label and verdict (thinned to a fixed spacing in arc
+    # length, both families had too few samples at 0.01, the cone read
+    # `neither` at 0.05)
+    spec, _, report = FAMILIES[name]
+    components = [f"({lam!r})*({c})" for c in spec["components"]]
+    rep, _ = _moved_family(name, components, np.eye(3), lam)
+    want = report()
+    assert rep.passed and want.passed
+    for got, ref in zip(rep.checks, want.checks, strict=True):
+        assert ((got.classification, got.error, got.passed)
+                == (ref.classification, ref.error, ref.passed))
 
 
 CONE_E4_SPEC = {
