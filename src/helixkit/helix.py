@@ -271,9 +271,9 @@ class HelixReport:
     slant: PathResult
     general: PathResult
     masked_fraction: float
-    planar: bool = False
     planar_normal: Optional[np.ndarray] = None
     hint: Optional[HintResult] = None
+    planar = property(lambda self: self.planar_normal is not None)
 
     @property
     def _primary(self):
@@ -419,7 +419,7 @@ def classify(c: Curve, axis_hint=None, grid_size: int = 512,
         )
 
     return HelixReport(classification, slant, general, masked_fraction,
-                       planar_normal is not None, planar_normal, hint)
+                       planar_normal, hint)
 
 
 # ------------------------------------------------------------- indicatrix

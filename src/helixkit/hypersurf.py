@@ -282,9 +282,9 @@ def geodesic(h: Hypersurface, start, tangent, length: float,
     `steps` (default: spacing <= GEODESIC_STEP) does not move expansions.
     X is evaluated only at the expansion points, the order-0 term of each
     series.  Raises if a sample or an expansion point leaves the parameter
-    box, if a series term is not finite, if steps is not a positive integer
-    (a bool is not one), or if steps + 1 samples would be more than
-    GEODESIC_MAX_SAMPLES.
+    box, if a series term is not finite, if length is not a positive number
+    or steps not a positive integer (a bool is neither), or if steps + 1
+    samples would be more than GEODESIC_MAX_SAMPLES.
     """
     p = np.asarray(start, dtype=float)
     if p.shape != (h.dim - 1,):
@@ -298,8 +298,9 @@ def geodesic(h: Hypersurface, start, tangent, length: float,
         raise SurfaceError("tangent must be a unit vector")
     if abs(float(v @ h.normal(p))) > 1e-10:
         raise SurfaceError("tangent is not orthogonal to the surface normal")
-    if not (length > 0.0 and math.isfinite(length)):
-        raise SurfaceError("length must be positive")
+    if isinstance(length, (bool, np.bool_)) or not (
+            length > 0.0 and math.isfinite(length)):
+        raise SurfaceError("length must be a positive number")
     if steps is None:
         steps = max(1, int(math.ceil(length / GEODESIC_STEP)))
     elif not np.issubdtype(type(steps), np.integer) or steps < 1:
@@ -442,7 +443,7 @@ def verify_geodesic_theorems(h: Hypersurface, geodesics) -> SurfaceGeodesicRepor
 
         if rep_b.general.passed:
             axis = np.asarray(rep_b.general.axis)
-        elif rep_b.planar and rep_b.planar_normal is not None:
+        elif rep_b.planar:
             # a planar indicatrix is the cos(theta)=0 case: the tangent keeps
             # a right angle to the plane normal, which is then the axis
             axis = np.asarray(rep_b.planar_normal)

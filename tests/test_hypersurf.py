@@ -21,7 +21,7 @@ from conftest import (
     cylinder_geodesics, cone_geodesics, cylinder_report, cone_report,
     count_stencil_passes, orthogonal_matrices,
 )
-from helixkit import expr, hypersurf
+from helixkit import cli, expr, hypersurf
 from helixkit.curve import SampledCurve
 from helixkit.errors import (
     CurveFormatError, DegenerateCurveError, SurfaceError,
@@ -674,6 +674,98 @@ def test_eikonal_graph_geodesics_are_slant_helices(n):
         assert abs(geo.C - 1.64) <= bound
 
 
+@functools.lru_cache(maxsize=None)
+def eikonal_readings():
+    """The E^4 graph's gate and its geodesics' reports, hinted with e_4."""
+    h, paths = eikonal_geodesics(4)
+    return hypersurf.is_helix_surface(h), [
+        classify(p, axis_hint=h.direction, margin=0.02) for p in paths]
+
+
+def _moved_eikonal(rot, shift, scale):
+    """The E^4 graph under X -> scale R X + shift, along R e_4: its gate, and
+    the reports of its geodesics, each from the same parameters along R
+    times the unit tangent, scale times as long, in 10 steps."""
+    spec = EIKONAL[4]
+    components = [" + ".join([f"({scale * float(q)!r})*({c})" for q, c in
+                              zip(row, spec["components"])]
+                             + [repr(float(t))])
+                  for row, t in zip(rot, shift)]
+    h = hypersurf.Hypersurface(components, spec["parameters"], spec["domain"],
+                               rot[:, 3])
+    paths = [hypersurf.geodesic(h, p.parameters[0], rot @ p.jet(0.0, 1)[0],
+                                scale * p.length(), steps=10)
+             for p in eikonal_geodesics(4)[1]]
+    return hypersurf.is_helix_surface(h), [
+        classify(p, axis_hint=h.direction, margin=0.02) for p in paths]
+
+
+def _assert_eikonal_readings(gate, reports, bounds):
+    """gate and reports read as the E^4 graph's own, within bounds."""
+    want_gate, want = eikonal_readings()
+    assert gate["constant"] and gate["residual"] <= bounds["residual"]
+    assert abs(gate["value"] - want_gate["value"]) <= bounds["value"]
+    for got, ref, c_bound in zip(reports, want, EIKONAL_C_BOUNDS[4],
+                                 strict=True):
+        assert got.classification == "slant-helix"
+        assert got.masked_fraction == 0.0
+        assert abs(got.C - 1.64) <= c_bound
+        assert abs(got.C - ref.C) <= bounds["C"]
+        assert abs(got.hint.v2_mean - ref.hint.v2_mean) <= bounds["v2_mean"]
+        assert got.hint.v2_std <= bounds["v2_std"]
+
+
+@settings(max_examples=4)
+@given(rot=orthogonal_matrices(4),
+       shift=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+def test_eikonal_graph_follows_a_rigid_motion_of_e4(rot, shift):
+    # X -> R X + t, with the direction and the tangents rotated by R.  Worst
+    # of 200 draws: gate residual 2.8e-16 and its value 5.6e-16 from the
+    # graph's own, C 2.6e-9 from the geodesic's own (|C - 1.64| as
+    # unmoved), normal_dot_mean 3.3e-16 from its own, normal_dot_std 4.7e-15
+    _assert_eikonal_readings(*_moved_eikonal(rot, shift, 1.0), {
+        "residual": 1e-15, "value": 1e-15, "C": 1e-8, "v2_mean": 1e-15,
+        "v2_std": 1e-14})
+
+
+@settings(max_examples=4)
+@given(lam=st.floats(0.25, 4.0))
+def test_scaling_the_eikonal_graph_keeps_its_readings(lam):
+    # X -> lam X, geodesics lam times as long: the angle, C and the normal's
+    # constant stay.  Worst of 200 draws: gate residual 3.0e-16 and its value
+    # 2.2e-16 from the graph's own, C 6.2e-8 from the geodesic's own (|C -
+    # 1.64| as unscaled), normal_dot_mean 4.4e-16 from its own,
+    # normal_dot_std 4.6e-15
+    _assert_eikonal_readings(*_moved_eikonal(np.eye(4), [0.0] * 4, lam), {
+        "residual": 1e-15, "value": 1e-15, "C": 2e-7, "v2_mean": 1e-15,
+        "v2_std": 1e-14})
+
+
+def test_eikonal_graph_in_e5_cannot_check_its_indicatrix(capsys, tmp_path):
+    # the E^5 geodesics classify from their series, but each indicatrix is a
+    # sampled curve, whose stencils stop at order 4: the job reports that
+    # limit for every geodesic and fails the verdict
+    h, paths = eikonal_geodesics(5)
+    scenario = tmp_path / "eikonal5.json"
+    scenario.write_text(json.dumps({
+        "surface": {"dim": 5, "parameters": EIKONAL[5]["parameters"],
+                    "components": EIKONAL[5]["components"],
+                    "domain": EIKONAL[5]["domain"],
+                    "direction": h.direction.tolist()},
+        "geodesics": [{"start": EIKONAL[5]["start"],
+                       "tangent": p.jet(0.0, 1)[0].tolist(), "length": 1.0,
+                       "steps": 10} for p in paths],
+    }))
+    assert cli.main(["geodesic", str(scenario)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["surface"]["constant"] and not payload["passed"]
+    for check in payload["geodesics"]:
+        assert check["classification"] == "slant-helix"
+        assert check["error"] == (
+            "indicatrix failed: sampled curves support derivatives up to "
+            "order 4; use an analytic curve for higher order")
+
+
 def test_geodesic_frames_read_to_roundoff():
     # each geodesic's frames come from its own series, not from stencils on
     # its samples: the worst normal_dot_std over the cylinder, cone and E^4
@@ -849,6 +941,18 @@ def test_geodesic_steps_must_be_an_integer():
             hypersurf.geodesic(cyl, start, tangent, 1.0, steps=steps)
     assert len(hypersurf.geodesic(cyl, start, tangent, 1.0,
                                   steps=np.int64(4))) == 5
+
+
+def test_geodesic_refuses_a_bool_for_length_or_steps():
+    # True is an int to Python, but neither a length nor a step count
+    cyl, start, tangent = cylinder_surface(), [0.0, 0.0], [0.0, 0.8, 0.6]
+    for length in (True, np.True_):
+        with pytest.raises(SurfaceError,
+                           match="^length must be a positive number$"):
+            hypersurf.geodesic(cyl, start, tangent, length)
+    with pytest.raises(SurfaceError, match="^steps must be a positive integer$"):
+        hypersurf.geodesic(cyl, start, tangent, 1.0, steps=True)
+    assert hypersurf.geodesic(cyl, start, tangent, 1, steps=4).length() == 1.0
 
 
 def test_geodesic_reports_leaving_the_box():
