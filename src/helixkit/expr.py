@@ -29,6 +29,7 @@ refused, so every constant is finite.  `differentiate` also leaves out the
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -120,35 +121,28 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
     r"|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S))"
 )
 
 
 def _tokenize(source):
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None or m.end() == pos:
-            # skip over leading whitespace before reporting
-            at = pos + len(source[pos:]) - len(source[pos:].lstrip())
-            if at >= len(source):
-                break
-            raise ExprParseError(f"unexpected character {source[at]!r}", at)
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ExprParseError(f"unexpected character {m[kind]!r}",
+                                 m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
     tokens.append(("end", "", len(source)))
     return tokens
 
 
+_BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+
+
 class _Parser:
     def __init__(self, source, variables):
-        self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
         self.variables = tuple(variables)
@@ -157,15 +151,13 @@ class _Parser:
         return self.tokens[self.pos]
 
     def advance(self):
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
     def expect_op(self, op):
-        kind, text, offset = self.peek()
+        kind, text, offset = self.advance()
         if kind != "op" or text != op:
             raise ExprParseError(f"expected {op!r}", offset)
-        return self.advance()
 
     def parse(self):
         e = self.expr()
@@ -174,27 +166,14 @@ class _Parser:
             raise ExprParseError(f"unexpected trailing input {text!r}", offset)
         return e
 
-    def expr(self):
-        e = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                e = _fold((Add if text == "+" else Sub)(e, rhs))
-            else:
-                return e
-
-    def term(self):
-        e = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs = self.unary()
-                e = _fold((Mul if text == "*" else Div)(e, rhs))
-            else:
-                return e
+    def expr(self, ops="+-"):
+        # left-associative: +- joins */ chains, */ joins unary factors
+        operand = partial(self.expr, "*/") if ops == "+-" else self.unary
+        e = operand()
+        while (tok := self.peek())[0] == "op" and tok[1] in ops:
+            self.advance()
+            e = _fold(_BINARY[tok[1]](e, operand()))
+        return e
 
     def unary(self):
         kind, text, _ = self.peek()
@@ -413,9 +392,9 @@ class ValueNumbering:
 
     `steps` lists (operation, operand numbers, parameter), operands first,
     one per key: a constant keeps the sign of a zero, so a repeated subtree
-    gets one number.  Integer powers become products, sqrt the power 1/2,
-    log takes 1/u as an operand, and sin, cos and tan of one argument share
-    a sin/cos pair.  `release[i]` lists operands last used by step i.
+    gets one number.  Integer powers become square-and-multiply products
+    of their base, sqrt the power 1/2, and sin, cos and tan of one argument
+    share a sin/cos pair.  `release[i]` lists operands last used by step i.
     """
 
     def __init__(self, exprs):
@@ -462,10 +441,11 @@ class ValueNumbering:
                                      or not float(e.exponent).is_integer()):
             n = step("pow", (number(e.base),), e.exponent)
         elif isinstance(e, Pow):
-            # square-and-multiply products stay finite where the base
-            # vanishes; the power recurrence divides by the base
-            u, n = number(e.base), step(*_ONE)
-            for bit in bin(int(e.exponent))[2:]:
+            # square-and-multiply from the base stays finite where it vanishes
+            # (the power recurrence divides by it); u^0 still numbers its base
+            u = number(e.base)
+            n = u if e.exponent else step(*_ONE)
+            for bit in bin(int(e.exponent))[3:]:
                 n = step("mul", (n, n))
                 n = step("mul", (n, u)) if bit == "1" else n
         elif isinstance(e, Call) and e.fn in ("sin", "cos", "tan"):
@@ -477,8 +457,7 @@ class ValueNumbering:
         elif isinstance(e, Call) and e.fn == "sqrt":
             n = step("pow", (number(e.arg),), 0.5)
         elif isinstance(e, Call) and e.fn == "log":
-            u = number(e.arg)
-            n = step("log", (u, step("div", (step(*_ONE), u))))
+            n = step("log", (number(e.arg),))
         else:
             raise TypeError(f"not an expression node: {e!r}")
         self._seen[id(e)] = n
@@ -576,8 +555,9 @@ _RULES = {
     "sin": lambda u, v, c, k, w: u[k][0],       # u is the sin/cos pair
     "cos": lambda u, v, c, k, w: u[k][1],
     "exp": lambda u, v, c, k, w: np.exp(u[0]) if k == 0 else _chain(u, w, k),
-    # v is 1/u
-    "log": lambda u, v, c, k, w: np.log(u[0]) if k == 0 else _chain(u, v, k),
+    # w = log u satisfies u w' = u', so k u_0 w_k = k u_k - sum j w_j u_(k-j)
+    "log": lambda u, v, c, k, w: np.log(u[0]) if k == 0 else (
+        u[k] - sum(j * w[j] * u[k - j] for j in range(1, k)) / k) / u[0],
 }
 
 
