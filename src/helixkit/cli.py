@@ -22,7 +22,7 @@ from . import helix, hypersurf
 from .curve import arclength_reparametrize, load_curve, _load_json, _numbers
 from .errors import (
     AxisHintError, ClassificationError, CurveFormatError, HelixkitError,
-    UnreliableResultError,
+    SurfaceError, UnreliableResultError,
 )
 
 
@@ -237,7 +237,11 @@ def _scenario_geodesics(h, entries):
             if steps % 1 or steps < 1:
                 raise CurveFormatError(message)
             steps = int(steps)
-        out.append(hypersurf.geodesic(h, start, tangent, length, steps=steps))
+        try:
+            out.append(hypersurf.geodesic(h, start, tangent, length,
+                                          steps=steps))
+        except SurfaceError as exc:     # a failed check in the report
+            out.append(exc)
     return out
 
 
@@ -286,15 +290,12 @@ def main(argv=None) -> int:
     _check_config(parser, args)
     try:
         return _COMMANDS[args.subcommand](args)
-    except (CurveFormatError, AxisHintError) as exc:
+    except (CurveFormatError, AxisHintError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except HelixkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -355,8 +355,8 @@ def geodesic(h: Hypersurface, start, tangent, length: float,
 class GeodesicCheck:
     """Verification detail for one geodesic."""
     index: int
-    lambda_mean: float
-    lambda_std: float
+    lambda_mean: Optional[float] = None
+    lambda_std: Optional[float] = None
     normal_dot_mean: Optional[float] = None
     normal_dot_std: Optional[float] = None
     indicatrix_axis: Optional[np.ndarray] = None
@@ -400,7 +400,8 @@ _STRAIGHT = "degenerate: principal normal undefined (straight segment)"
 def verify_geodesic_theorems(h: Hypersurface, geodesics) -> SurfaceGeodesicReport:
     """Check the three geodesic consequences of a constant-angle surface.
 
-    For each geodesic (a GeodesicPath, classified on its own series): (a)
+    For each geodesic (a GeodesicPath, classified on its own series, or the
+    SurfaceError that `geodesic` raised for it, a failed check): (a)
     the principal normal keeps a constant inner product with the direction;
     (b) the tangent indicatrix lies on the unit sphere and is a general helix
     whose axis matches the direction within 1e-3; (c) indicatrix axes of
@@ -414,10 +415,13 @@ def verify_geodesic_theorems(h: Hypersurface, geodesics) -> SurfaceGeodesicRepor
     checks = []
     axes = []
     for i, path in enumerate(geodesics):
-        check = GeodesicCheck(index=i,
-                              lambda_mean=float(path.normal_accel.mean()),
-                              lambda_std=float(path.normal_accel.std()))
+        check = GeodesicCheck(index=i)
         checks.append(check)
+        if isinstance(path, SurfaceError):
+            check.error = f"integration failed: {path}"
+            continue
+        check.lambda_mean = float(path.normal_accel.mean())
+        check.lambda_std = float(path.normal_accel.std())
         try:
             rep = classify(path, axis_hint=h.direction, margin=0.02)
         except HelixkitError as exc:

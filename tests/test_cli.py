@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -200,6 +201,19 @@ def test_dash_reads_stdin(files, capsys, monkeypatch):
         with open(files[name]) as fh:
             monkeypatch.setattr(sys, "stdin", fh)
             assert run(capsys, sub, "-") == want
+
+
+def test_the_module_runs_as_a_script(files, capsys, monkeypatch):
+    # python -m helixkit.cli exits with main's code; runpy warns that the
+    # module it runs again is already imported
+    for path, code in ((files["wave"], 0),
+                       (str(files["root"] / "nope.json"), 1)):
+        monkeypatch.setattr(sys, "argv", ["helixkit", "analyze", path])
+        with pytest.warns(RuntimeWarning, match="found in sys.modules"), \
+                pytest.raises(SystemExit) as exc:
+            runpy.run_module("helixkit.cli", run_name="__main__")
+        assert exc.value.code == code
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("flag", [["--grid", "16"], ["--margin", "0.4"]])
@@ -459,8 +473,10 @@ def test_geodesic_scenario_validation(files, capsys, tmp_path):
         "geodesics": [{"start": [0, 0], "tangent": [0, 2, 0],
                        "length": 1.0}],
     }))
-    code, _, err = run(capsys, "geodesic", str(bad3))
-    assert code == 2 and "unit" in err
+    code, out, err = run(capsys, "geodesic", str(bad3))
+    assert (code, err) == (2, "")
+    assert json.loads(out)["geodesics"][0]["error"] == (
+        "integration failed: tangent must be a unit vector")
 
 
 @pytest.mark.parametrize("surface", [5, [1], None])
@@ -498,8 +514,10 @@ def test_geodesic_with_a_non_finite_series_exits_2(capsys, tmp_path):
         "geodesics": [{"start": [0, 0.5], "tangent": [0, 1, 0],
                        "length": 0.4, "steps": 50}],
     }))
-    assert run(capsys, "geodesic", str(path)) == (
-        2, "", "error: non-finite geodesic series at s=0\n")
+    code, out, err = run(capsys, "geodesic", str(path))
+    assert (code, err) == (2, "")
+    assert json.loads(out)["geodesics"][0]["error"] == (
+        "integration failed: non-finite geodesic series at s=0")
 
 
 @pytest.mark.parametrize("field, value", [
@@ -530,9 +548,55 @@ def test_geodesic_grid_over_the_cap_exits_2(capsys, tmp_path):
         "geodesics": [{"start": [0.0, 0.0], "tangent": [0.0, 0.6, 0.8],
                        "length": 0.5, "steps": 10**6}],
     }))
-    assert run(capsys, "geodesic", str(path)) == (
-        2, "", "error: 1000001 geodesic samples exceed the limit of "
-        "1000000\n")
+    code, out, err = run(capsys, "geodesic", str(path))
+    assert (code, err) == (2, "")
+    assert json.loads(out)["geodesics"][0]["error"] == (
+        "integration failed: 1000001 geodesic samples exceed the limit of "
+        "1000000")
+
+
+def _cylinder_scenario(tmp_path, name, lengths, tangent):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({
+        "surface": CYLINDER_SPEC,
+        "geodesics": [{"start": [0.0, 0.0], "tangent": tangent,
+                       "length": length} for length in lengths],
+    }))
+    return str(path)
+
+
+def test_a_geodesic_that_leaves_the_box_is_a_failed_check(capsys, tmp_path):
+    # the third geodesic leaves the box; the report keeps the other two
+    tangent = [0.0, math.cos(0.7), math.sin(0.7)]
+    code, out, err = run(capsys, "geodesic", _cylinder_scenario(
+        tmp_path, "two", [1.6, 1.6], tangent))
+    assert (code, err) == (0, "")
+    two = json.loads(out)
+    code, out, err = run(capsys, "geodesic", _cylinder_scenario(
+        tmp_path, "mixed", [1.6, 1.6, 12.0], tangent))
+    assert (code, err) == (2, "")
+    mixed = json.loads(out)
+    assert mixed["passed"] is False
+    assert mixed["geodesics"][:2] == two["geodesics"]
+    assert mixed["pairwise_axis_angle"] == two["pairwise_axis_angle"]
+    failed = mixed["geodesics"][2]
+    assert failed["error"] == ("integration failed: geodesic left the "
+                               "parameter box near s=9.314")
+    assert failed["index"] == 2 and failed["passed"] is False
+    assert failed["lambda_mean"] is None and failed["lambda_std"] is None
+
+
+def test_a_skew_tangent_is_a_failed_check(capsys, tmp_path):
+    code, out, err = run(capsys, "geodesic", _cylinder_scenario(
+        tmp_path, "skew", [1.6], [1.0, 0.0, 0.0]))
+    assert (code, err) == (2, "")
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["pairwise_axis_angle"] is None
+    check = payload["geodesics"][0]
+    assert check["error"] == ("integration failed: tangent is not "
+                              "orthogonal to the surface normal")
+    assert check["lambda_mean"] is None and check["passed"] is False
 
 
 def test_curve_literal_that_overflows_exits_1(capsys, tmp_path):
