@@ -134,14 +134,24 @@ def _trimmed_domain(c: Curve, margin: float):
     return a + trim, b - trim
 
 
+def _frenet(c: Curve, svals) -> FrenetGrid:
+    jets = c.jet_grid(svals, c.dim)
+    frames, curv, ranks = _frames_from_jets(jets)
+    k1_prime = None
+    if c.exact_jets and c.dim >= 3:  # d3 = k_1' V_2 + k_1 (k_2 V_3 - k_1 V_1)
+        k1_prime = np.where(ranks == 1, 0.0,
+                            np.einsum("mk,mk->m", jets[:, 2], frames[:, 1]))
+    return FrenetGrid(svals, frames, curv, ranks, k1_prime)
+
+
 def frenet_at(c: Curve, s: float) -> FrenetGrid:
     """Frame and curvatures at one parameter value, as a one-sample grid.
 
-    Read frames[0], curvatures[0] and degenerate_ranks[0] (0 where valid).
+    Read frames[0], curvatures[0], degenerate_ranks[0] (0 where valid) and,
+    for a curve with exact jets in E^3 and up, k1_prime[0].
     """
     _require_unit_speed(c)
-    svals = np.array([float(s)])
-    return FrenetGrid(svals, *_frames_from_jets(c.jet_grid(svals, c.dim)))
+    return _frenet(c, np.array([float(s)]))
 
 
 def frenet_grid(c: Curve, m: int, margin: float = 0.0) -> FrenetGrid:
@@ -155,11 +165,4 @@ def frenet_grid(c: Curve, m: int, margin: float = 0.0) -> FrenetGrid:
     _require_unit_speed(c)
     if not np.issubdtype(type(m), np.integer) or m < 16:
         raise CurveError("need an integer of at least 16 grid samples")
-    svals = np.linspace(*_trimmed_domain(c, margin), m)
-    jets = c.jet_grid(svals, c.dim)
-    frames, curv, ranks = _frames_from_jets(jets)
-    k1_prime = None
-    if c.exact_jets and c.dim >= 3:  # d3 = k_1' V_2 + k_1 (k_2 V_3 - k_1 V_1)
-        k1_prime = np.where(ranks == 1, 0.0,
-                            np.einsum("mk,mk->m", jets[:, 2], frames[:, 1]))
-    return FrenetGrid(svals, frames, curv, ranks, k1_prime)
+    return _frenet(c, np.linspace(*_trimmed_domain(c, margin), m))

@@ -68,6 +68,23 @@ def test_k1_prime_comes_from_exact_jets_in_e3_and_up(wave_grid):
     assert frenet_grid(sampled, 64).k1_prime is None
 
 
+@pytest.mark.parametrize("name", ["wave", "tilted"])
+def test_frenet_at_reads_as_the_grid_row(wave, name):
+    c = wave if name == "wave" else arclength_reparametrize(
+        AnalyticCurve(["cos(s)", "sin(s)", "s^2/2"], (0.2, 1.5)))
+    grid = frenet_grid(c, 64, margin=0.02)
+    for i, s in enumerate(grid.svals):
+        f = frenet_at(c, s)
+        for key in ("svals", "frames", "curvatures", "degenerate_ranks",
+                    "k1_prime"):
+            assert getattr(f, key)[0].tobytes() == \
+                getattr(grid, key)[i].tobytes(), (name, i, key)
+    t = np.linspace(0.0, 2 * math.pi, 2001)
+    pts = np.stack([3 * np.cos(t), 3 * np.sin(t), 4 * t], axis=1)
+    assert frenet_at(arclength_reparametrize(SampledCurve(t, pts)),
+                     5.0).k1_prime is None
+
+
 def test_wave_frames_orthonormal_oriented(wave_grid):
     _assert_orthonormal_oriented(wave_grid.frames)
 
