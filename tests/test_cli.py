@@ -473,10 +473,17 @@ def test_geodesic_scenario_validation(files, capsys, tmp_path):
         "geodesics": [{"start": [0, 0], "tangent": [0, 2, 0],
                        "length": 1.0}],
     }))
-    code, out, err = run(capsys, "geodesic", str(bad3))
-    assert (code, err) == (2, "")
-    assert json.loads(out)["geodesics"][0]["error"] == (
+    assert _first_check(capsys, bad3)["error"] == (
         "integration failed: tangent must be a unit vector")
+
+
+def _first_check(capsys, path):
+    """The first check of a geodesic job that fails with its full report."""
+    code, out, err = run(capsys, "geodesic", str(path))
+    assert (code, err) == (2, "")
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    return payload["geodesics"][0]
 
 
 @pytest.mark.parametrize("surface", [5, [1], None])
@@ -514,9 +521,7 @@ def test_geodesic_with_a_non_finite_series_exits_2(capsys, tmp_path):
         "geodesics": [{"start": [0, 0.5], "tangent": [0, 1, 0],
                        "length": 0.4, "steps": 50}],
     }))
-    code, out, err = run(capsys, "geodesic", str(path))
-    assert (code, err) == (2, "")
-    assert json.loads(out)["geodesics"][0]["error"] == (
+    assert _first_check(capsys, path)["error"] == (
         "integration failed: non-finite geodesic series at s=0")
 
 
@@ -548,9 +553,7 @@ def test_geodesic_grid_over_the_cap_exits_2(capsys, tmp_path):
         "geodesics": [{"start": [0.0, 0.0], "tangent": [0.0, 0.6, 0.8],
                        "length": 0.5, "steps": 10**6}],
     }))
-    code, out, err = run(capsys, "geodesic", str(path))
-    assert (code, err) == (2, "")
-    assert json.loads(out)["geodesics"][0]["error"] == (
+    assert _first_check(capsys, path)["error"] == (
         "integration failed: 1000001 geodesic samples exceed the limit of "
         "1000000")
 
@@ -587,13 +590,8 @@ def test_a_geodesic_that_leaves_the_box_is_a_failed_check(capsys, tmp_path):
 
 
 def test_a_skew_tangent_is_a_failed_check(capsys, tmp_path):
-    code, out, err = run(capsys, "geodesic", _cylinder_scenario(
+    check = _first_check(capsys, _cylinder_scenario(
         tmp_path, "skew", [1.6], [1.0, 0.0, 0.0]))
-    assert (code, err) == (2, "")
-    payload = json.loads(out)
-    assert payload["passed"] is False
-    assert payload["pairwise_axis_angle"] is None
-    check = payload["geodesics"][0]
     assert check["error"] == ("integration failed: tangent is not "
                               "orthogonal to the surface normal")
     assert check["lambda_mean"] is None and check["passed"] is False
