@@ -49,8 +49,10 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Helix detection and verification toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, help_text, fmt=False, hint=False, tols=False, grid=True):
+    def add(name, run, help_text, fmt=False, hint=False, tols=False,
+            grid=True):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("input", help="curve or scenario file (JSON)")
         if grid:
             p.add_argument("--grid", type=int, default=512, help=(
@@ -72,12 +74,15 @@ def build_parser() -> argparse.ArgumentParser:
                            help="max relative drift of the tested constant")
         return p
 
-    add("analyze", "classify a curve as slant/general helix",
+    add("analyze", cmd_analyze, "classify a curve as slant/general helix",
         fmt=True, hint=True, tols=True)
-    add("indicatrix", "emit tangent indicatrix samples", fmt=True)
-    add("axis", "compare curve axis with indicatrix axis", tols=True)
-    add("geodesic", "verify a surface geodesic scenario", grid=False)
-    p = add("plotdata", "emit curve trace data for plotting")
+    add("indicatrix", cmd_indicatrix, "emit tangent indicatrix samples",
+        fmt=True)
+    add("axis", cmd_axis, "compare curve axis with indicatrix axis",
+        tols=True)
+    add("geodesic", cmd_geodesic, "verify a surface geodesic scenario",
+        grid=False)
+    p = add("plotdata", cmd_plotdata, "emit curve trace data for plotting")
     p.add_argument("--both", action="store_true",
                    help="also write the indicatrix trace (needs --output)")
     return parser
@@ -128,6 +133,14 @@ def _csv_text(columns, rows):
     line = ",".join(["{:.12g}"] * rows.shape[1])
     cells = "\n".join([line] * len(rows)).format(*rows.ravel().tolist())
     return ",".join(columns) + "\n" + cells + "\n"
+
+
+def _trace(curve, m, first_column):
+    """Column names and rows of m uniform samples over the curve's domain."""
+    svals = np.linspace(curve.domain[0], curve.domain[1], m)
+    pts = curve.point_grid(svals)
+    columns = [first_column] + [f"x{i + 1}" for i in range(pts.shape[1])]
+    return columns, np.column_stack([svals, pts])
 
 
 def _check_config(parser, args):
@@ -181,10 +194,7 @@ def cmd_indicatrix(args) -> int:
     # one arc-length table for the samples and the same-axis check
     c = arclength_reparametrize(load_curve(args.input))
     beta = helix.tangent_indicatrix(c, margin=args.margin)
-    svals = np.linspace(beta.domain[0], beta.domain[1], args.grid)
-    pts = beta.point_grid(svals)
-    columns = ["s_beta"] + [f"x{i + 1}" for i in range(pts.shape[1])]
-    rows = np.column_stack([svals, pts])
+    columns, rows = _trace(beta, args.grid, "s_beta")
 
     if args.format == "csv":
         _write(_csv_text(columns, rows), args.output)
@@ -260,28 +270,14 @@ def cmd_plotdata(args) -> int:
     if args.both and not args.output:
         raise CurveFormatError("--both needs --output to name the two files")
     c = load_curve(args.input)
-    svals = np.linspace(c.domain[0], c.domain[1], args.grid)
-    pts = c.point_grid(svals)
-    columns = ["s"] + [f"x{i + 1}" for i in range(pts.shape[1])]
-    _write(_csv_text(columns, np.column_stack([svals, pts])), args.output)
+    _write(_csv_text(*_trace(c, args.grid, "s")), args.output)
 
     if args.both:
         beta = helix.tangent_indicatrix(c, margin=args.margin)
-        bvals = np.linspace(beta.domain[0], beta.domain[1], args.grid)
-        bpts = beta.point_grid(bvals)
         stem, suffix = os.path.splitext(args.output)
-        _write(_csv_text(columns, np.column_stack([bvals, bpts])),
+        _write(_csv_text(*_trace(beta, args.grid, "s")),
                f"{stem}_indicatrix{suffix}")
     return 0
-
-
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "indicatrix": cmd_indicatrix,
-    "axis": cmd_axis,
-    "geodesic": cmd_geodesic,
-    "plotdata": cmd_plotdata,
-}
 
 
 def main(argv=None) -> int:
@@ -289,7 +285,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _check_config(parser, args)
     try:
-        return _COMMANDS[args.subcommand](args)
+        return args.run(args)
     except (CurveFormatError, AxisHintError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -118,8 +118,9 @@ def _fold(node):
 # ------------------------------------------------------------------- parser
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-    r"|\d+(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<num>[0-9]+\.[0-9]*(?:[eE][+-]?[0-9]+)?"
+    r"|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
+    r"|[0-9]+(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()])"
     r"|(?P<bad>\S))"

@@ -181,14 +181,12 @@ def axis_field(funcs: HelixFunctions, grid: FrenetGrid):
 
     Any other kind raises CurveError.
     """
-    if funcs.kind in ("slant", "general"):
-        return np.einsum("mi,mij->mj", funcs.values, grid.frames)
-    if funcs.kind == "harmonic":
-        out = grid.frames[:, 0, :].copy()
-        for i in range(1, grid.dim - 1):
-            out += funcs.values[:, i, None] * grid.frames[:, i + 1, :]
-        return out
-    raise CurveError(f"no axis field for functions of kind {funcs.kind!r}")
+    values = funcs.values
+    if funcs.kind == "harmonic":    # 1, H_0..H_{n-2} are G*_1..G*_n
+        values = np.insert(values, 0, 1.0, axis=1)
+    elif funcs.kind not in ("slant", "general"):
+        raise CurveError(f"no axis field for functions of kind {funcs.kind!r}")
+    return np.einsum("mi,mij->mj", values, grid.frames)
 
 
 def _axis_statistics(field_rows, mask):

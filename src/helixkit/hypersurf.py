@@ -40,9 +40,9 @@ __all__ = [
 GEODESIC_STEP = 1e-3
 # the most samples one geodesic may be reported at
 GEODESIC_MAX_SAMPLES = 10**6
-# Jorba-Zou order for a local error of _TAYLOR_TOL: ceil(-ln(tol) / 2 + 1)
+# the local error of a Taylor step, and the Jorba-Zou order that reaches it
 _TAYLOR_TOL = 1e-16
-_TAYLOR_ORDER = 20
+_TAYLOR_ORDER = math.ceil(-math.log(_TAYLOR_TOL) / 2 + 1)
 
 HELIX_SURFACE_TOL = 1e-6
 # points of the uniform parameter grid whose normals a surface keeps
@@ -108,13 +108,7 @@ class Hypersurface:
         axes = [np.linspace(lo, hi, size) for lo, hi in self.domain]
         points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         points = points.reshape(-1, n - 1)
-        try:
-            self._normals = self._unit_normal(self.jacobian(points), points)
-        except SurfaceError as exc:
-            if str(exc).startswith("rank-deficient"):
-                raise SurfaceError(f"{exc}; shrink the parameter box away "
-                                   "from the singular set") from None
-            raise
+        self._normals = self._unit_normal(self.jacobian(points), points)
 
     def point(self, u):
         """X at a parameter point, or at each of a (..., n-1) stack; singular
@@ -147,7 +141,9 @@ class Hypersurface:
         flat = norm <= 1e-10 * np.maximum(scale, 1e-30)
         if flat.any():
             u = points[int(np.argmax(flat))]
-            raise SurfaceError(f"rank-deficient tangent map at {_fmt(u)}")
+            raise SurfaceError(f"rank-deficient tangent map at {_fmt(u)}; "
+                               "shrink the parameter box away from the "
+                               "singular set")
         return w / norm[:, np.newaxis]
 
     def contains_parameters(self, u):

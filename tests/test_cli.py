@@ -189,7 +189,7 @@ def test_any_library_error_exits_2(files, capsys, monkeypatch):
     def fail(args):
         raise HelixkitError("no verdict")
 
-    monkeypatch.setitem(cli._COMMANDS, "analyze", fail)
+    monkeypatch.setattr(cli, "cmd_analyze", fail)
     assert run(capsys, "analyze", files["wave"]) == (
         2, "", "error: no verdict\n")
 

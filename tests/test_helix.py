@@ -436,6 +436,17 @@ def test_verify_same_axis_rejects_non_slant(helix34):
     assert info.value.report.classification == "general-helix"
 
 
+def test_verify_same_axis_rejects_an_indicatrix_without_axis(wave_trimmed,
+                                                             planar_circle):
+    # every sample of a planar circle is masked, so its general path gives
+    # no axis to compare
+    with pytest.raises(ClassificationError,
+                       match="^indicatrix did not yield a general-helix axis$"
+                       ) as info:
+        verify_same_axis(wave_trimmed, indicatrix=planar_circle)
+    assert "100% of samples masked" in info.value.report.general.error
+
+
 # --- synthesized dimension-4 curve ---
 
 def test_classify_dim4_slant(slant4):

@@ -855,6 +855,13 @@ def test_rank_deficient_point_is_named():
     for box in ([-1, 6], [-1, 62]):
         with pytest.raises(SurfaceError, match=r"map at \(-1, 0\); shrink"):
             hypersurf.Hypersurface(cone, ["u", "w"], [[-1, 6], box], EZ)
+    # on [-1, 62.5] the apex falls between nodes, so the surface loads and
+    # the normal refused there carries the same advice
+    h = hypersurf.Hypersurface(cone, ["u", "w"], [[-1, 6], [-1, 62.5]], EZ)
+    with pytest.raises(SurfaceError, match=(
+            r"^rank-deficient tangent map at \(0, 0\); shrink the parameter "
+            "box away from the singular set$")):
+        h.normal([0, 0])
 
 
 def test_thin_cylinder_passes_construction_and_the_gate():

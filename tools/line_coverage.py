@@ -4,9 +4,10 @@
 
 Runs pytest in this process with the given arguments, tracing only frames of
 files in src/helixkit.  Then it prints, module by module, the first line of
-every statement (found with ast) none of whose lines ran, and exits with
-pytest's status.  A docstring is no statement; a compound statement's lines
-are those of its header, decorators included.
+every statement (found with ast) none of whose lines ran.  It exits with
+pytest's status, or with 1 when pytest passed but some statement never ran.
+A docstring is no statement; a compound statement's lines are those of its
+header, decorators included.
 """
 
 import ast
@@ -54,15 +55,17 @@ def main():
     finally:
         sys.settrace(None)
     ran = {(os.path.abspath(name), n) for name, n in ran}
+    unrun = 0
     for module in sorted(os.listdir(PACKAGE)):
         if module.endswith(".py"):
             with open(PACKAGE + module) as fh:
                 found = list(statements(ast.parse(fh.read())))
             missed = sorted(first for first, lines in found
                             if not any((PACKAGE + module, n) in ran for n in lines))
+            unrun += len(missed)
             print(f"{module}: {len(missed)} of {len(found)} statements never ran"
                   + "".join(f"\n  {first}" for first in missed))
-    sys.exit(status)
+    sys.exit(status or int(unrun > 0))
 
 
 if __name__ == "__main__":
