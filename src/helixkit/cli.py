@@ -24,6 +24,9 @@ from .errors import (
     AxisHintError, ClassificationError, CurveFormatError, HelixkitError,
     SurfaceError, UnreliableResultError,
 )
+from .frenet import MIN_GRID
+
+_CELL = "{:.12g}"       # every float leaves with 12 significant digits
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,10 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         p.add_argument("input", help="curve or scenario file (JSON)")
         if grid:
-            p.add_argument("--grid", type=int, default=512, help=(
-                "evaluation grid size (default 512, minimum 16)"))
-            p.add_argument("--margin", type=float, default=0.02, help=(
-                "fraction trimmed from each end of the domain"))
+            p.add_argument("--grid", type=int, default=helix.DEFAULT_GRID,
+                           help=f"evaluation grid size (default "
+                           f"{helix.DEFAULT_GRID}, minimum {MIN_GRID})")
+            p.add_argument("--margin", type=float, default=helix.CHECK_MARGIN,
+                           help="fraction trimmed from each end of the domain")
         p.add_argument("--output", help="write to this file instead of stdout")
         if fmt:
             p.add_argument("--format", choices=("json", "csv"),
@@ -89,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _g(x) -> str:
-    return f"{float(x):.12g}"
+    return _CELL.format(float(x))
 
 
 def _rounded(obj):
@@ -122,7 +126,7 @@ def _rows_json_text(payload):
     one json.dumps of the rounded cells, laid out as indent=2 would."""
     rows = payload["rows"]
     cells = json.dumps(list(map(
-        float, map("{:.12g}".format, rows.ravel().tolist()))))[1:-1]
+        float, map(_CELL.format, rows.ravel().tolist()))))[1:-1]
     row = "    [\n" + ",\n".join(["      {}"] * rows.shape[1]) + "\n    ]"
     block = ",\n".join([row] * len(rows)).format(*cells.split(", "))
     text = json.dumps(_rounded(dict(payload, rows=[])), indent=2)
@@ -130,7 +134,7 @@ def _rows_json_text(payload):
 
 
 def _csv_text(columns, rows):
-    line = ",".join(["{:.12g}"] * rows.shape[1])
+    line = ",".join([_CELL] * rows.shape[1])
     cells = "\n".join([line] * len(rows)).format(*rows.ravel().tolist())
     return ",".join(columns) + "\n" + cells + "\n"
 
@@ -144,8 +148,8 @@ def _trace(curve, m, first_column):
 
 
 def _check_config(parser, args):
-    if getattr(args, "grid", 16) < 16:
-        parser.error("--grid must be at least 16")
+    if getattr(args, "grid", MIN_GRID) < MIN_GRID:
+        parser.error(f"--grid must be at least {MIN_GRID}")
     if not 0.0 <= getattr(args, "margin", 0.0) < 0.5:
         parser.error("--margin must lie in [0, 0.5)")
     for name in ("tol_axis", "tol_const"):
@@ -171,11 +175,10 @@ def cmd_analyze(args) -> int:
     else:
         _emit_json(payload, args.output)
 
-    degenerate = (report.slant.error is not None
-                  and report.general.error is not None)
-    if degenerate or report.masked_fraction > 0.5:
-        print("degenerate or unreliable input: "
-              + (report.slant.error or "heavy masking"), file=sys.stderr)
+    # both paths refuse the same mask, when it leaves out over half the grid
+    if report.slant.error is not None:
+        print("degenerate or unreliable input: " + report.slant.error,
+              file=sys.stderr)
         return 2
     return 0
 

@@ -222,7 +222,7 @@ class AnalyticCurve(Curve):
 
     def length(self):
         """Total of the arc-length table; raises as the reparametrization."""
-        return float(_arc_length_table(self)[2][-1])
+        return ReparametrizedCurve(self).total_length
 
 
 def _check_order(order):
@@ -255,30 +255,6 @@ def _regular(v, t):
         i = int(np.argmin(v))
         raise NonRegularCurveError(
             f"speed {v[i]:.3e} at t={t[i]:.6g} below {EPS_REGULAR}")
-
-
-def _arc_length_table(source):
-    """[v, 1/v] numbered once for the speed v of an analytic curve; from one
-    order-2 Taylor pass of it, the table nodes t, the arc length at each and
-    1/v there.  Each panel of width h gets the two-point Hermite rule, exact
-    to degree 5 in the normalized coefficients c (Davis & Rabinowitz, 2.9):
-    h/2 (v0 + v1) + h^2/10 (c1_0 - c1_1) + h^3/60 (c2_0 + c2_1).
-    """
-    v = source.speed_expression()
-    numbering = expr.ValueNumbering([v, expr.Div(expr.Const(1.0), v)])
-    t = np.linspace(*source.domain, _PANELS + 1)
-    coeffs = numbering.taylor({source.parameter: [t, 1.0]}, 2)
-    c = coeffs[..., 0]
-    _regular(c[0], t)
-    _finite(c[1:].T, t, "t", "speed derivative", NonRegularCurveError)
-    h = np.diff(t)
-    panels = h * ((c[0, :-1] + c[0, 1:]) / 2 + h * ((c[1, :-1] - c[1, 1:]) / 10
-                  + h * (c[2, :-1] + c[2, 1:]) / 60))
-    # sums within blocks of 64, then over block totals: error ~ 64, not 4096
-    blocks = panels.reshape(-1, 64)
-    S = np.cumsum(blocks, axis=1)
-    S[1:] += np.cumsum(blocks.sum(axis=1))[:-1, None]
-    return numbering, t, np.concatenate([[0.0], S.ravel()]), coeffs[0, :, 1]
 
 
 # windows for sampled-curve stencils: 5 nodes covers d1/d2, 7 covers d3/d4
@@ -374,10 +350,14 @@ class ReparametrizedCurve(Curve):
     """Arc-length reparametrization of an analytic curve.
 
     Keeps the source curve, one numbering of its speed v and 1/v, and the
-    arc lengths S_i at nodes t_i from one Taylor pass of it.  The inverse
-    t(s) is the cubic Hermite interpolant of that table with the exact
-    slopes t'(S_i) = 1/v(t_i); jets evaluate the source along the Taylor
-    series of t(s), built order by order from t' = 1/v(t): exact to roundoff.
+    arc lengths S_i at nodes t_i from one order-2 Taylor pass of it, which
+    also gives the exact slopes t'(S_i) = 1/v(t_i).  Each table panel of
+    width h gets the two-point Hermite rule, exact to degree 5 in the
+    normalized coefficients c (Davis & Rabinowitz, 2.9):
+    h/2 (v0 + v1) + h^2/10 (c1_0 - c1_1) + h^3/60 (c2_0 + c2_1).
+    The inverse t(s) is the cubic Hermite interpolant of that table; jets
+    evaluate the source along the Taylor series of t(s), built order by
+    order from t' = 1/v(t): exact to roundoff.
     """
 
     exact_jets = True
@@ -386,8 +366,22 @@ class ReparametrizedCurve(Curve):
         self.source = source
         self.dim = source.dim
         self.parameter = source.parameter
-        (self._speed, self._t_nodes, self._s_nodes,
-         self._slopes) = _arc_length_table(source)
+        v = source.speed_expression()
+        self._speed = expr.ValueNumbering([v, expr.Div(expr.Const(1.0), v)])
+        t = np.linspace(*source.domain, _PANELS + 1)
+        coeffs = self._speed.taylor({self.parameter: [t, 1.0]}, 2)
+        c = coeffs[..., 0]
+        _regular(c[0], t)
+        _finite(c[1:].T, t, "t", "speed derivative", NonRegularCurveError)
+        h = np.diff(t)
+        panels = h * ((c[0, :-1] + c[0, 1:]) / 2 + h * ((c[1, :-1] - c[1, 1:])
+                      / 10 + h * (c[2, :-1] + c[2, 1:]) / 60))
+        # sums within blocks of 64, then over block totals: error ~ 64, not 4096
+        blocks = panels.reshape(-1, 64)
+        S = np.cumsum(blocks, axis=1)
+        S[1:] += np.cumsum(blocks.sum(axis=1))[:-1, None]
+        self._t_nodes, self._slopes = t, coeffs[0, :, 1]
+        self._s_nodes = np.concatenate([[0.0], S.ravel()])
         self.total_length = float(self._s_nodes[-1])
         self.domain = (0.0, self.total_length)
         # every jet takes t'(s) = 1/v(t) from the same [v, 1/v] numbering,

@@ -24,9 +24,11 @@ from .errors import CurveError, NotUnitSpeedError
 
 __all__ = [
     "FrenetGrid", "frenet_at", "frenet_grid", "generalized_cross", "EPS_CURV",
+    "MIN_GRID",
 ]
 
 EPS_CURV = 1e-9
+MIN_GRID = 16       # the fewest samples a frame grid takes
 
 
 def generalized_cross(vectors):
@@ -158,11 +160,11 @@ def frenet_grid(c: Curve, m: int, margin: float = 0.0) -> FrenetGrid:
     """Frames at m uniform parameter values over the curve's own domain.
 
     `margin` trims that fraction of the domain length off each end before
-    sampling; a margin outside [0, 0.5), or m not an integer of at least 16
-    (a bool is not one), raises CurveError.
+    sampling; a margin outside [0, 0.5), or m not an integer of at least
+    MIN_GRID (a bool is not one), raises CurveError.
     To analyse a sub-interval, build the curve on it.
     """
     _require_unit_speed(c)
-    if not np.issubdtype(type(m), np.integer) or m < 16:
-        raise CurveError("need an integer of at least 16 grid samples")
+    if not np.issubdtype(type(m), np.integer) or m < MIN_GRID:
+        raise CurveError(f"need an integer of at least {MIN_GRID} grid samples")
     return _frenet(c, np.linspace(*_trimmed_domain(c, margin), m))

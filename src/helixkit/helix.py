@@ -43,13 +43,15 @@ __all__ = [
     "AxisComparison", "recursion_mask", "slant_functions",
     "general_functions", "harmonic_curvatures", "axis_field", "classify",
     "tangent_indicatrix", "verify_same_axis",
-    "EPS_MASK", "TOL_AXIS", "TOL_CONST",
+    "EPS_MASK", "TOL_AXIS", "TOL_CONST", "DEFAULT_GRID", "CHECK_MARGIN",
 ]
 
 EPS_MASK = 1e-6          # |k_i| below this excludes a sample from statistics
 TOL_AXIS = 1e-3          # default max angular deviation of the unit axis field
 TOL_CONST = 1e-4         # default relative std of the tested constant
 TOL_PLANAR = 1e-4        # max angular wobble of V_n on a hyperplane curve
+DEFAULT_GRID = 512       # frame samples a classification reads by default
+CHECK_MARGIN = 0.02      # domain fraction trimmed off each end of a check
 
 
 @dataclass
@@ -359,7 +361,7 @@ def _span(grid):
     return n, None
 
 
-def classify(c: Curve, axis_hint=None, grid_size: int = 512,
+def classify(c: Curve, axis_hint=None, grid_size: int = DEFAULT_GRID,
              margin: float = 0.0, tol_axis: float = TOL_AXIS,
              tol_const: float = TOL_CONST) -> HelixReport:
     """Run both helix detection paths on a curve.
@@ -456,7 +458,8 @@ class AxisComparison:
             "axis_of_curve", "axis_of_indicatrix", "angle_between")})
 
 
-def verify_same_axis(c: Curve, grid_size: int = 512, margin: float = 0.0,
+def verify_same_axis(c: Curve, grid_size: int = DEFAULT_GRID,
+                     margin: float = 0.0,
                      tol_axis: float = TOL_AXIS, tol_const: float = TOL_CONST,
                      indicatrix: Optional[Curve] = None) -> AxisComparison:
     """Compare the slant axis of a curve with its indicatrix's general axis.
@@ -478,7 +481,7 @@ def verify_same_axis(c: Curve, grid_size: int = 512, margin: float = 0.0,
     beta = indicatrix
     if beta is None:
         beta = tangent_indicatrix(c, margin=margin)
-    beta_report = classify(beta, grid_size=grid_size, margin=0.02,
+    beta_report = classify(beta, grid_size=grid_size, margin=CHECK_MARGIN,
                            tol_axis=tol_axis, tol_const=tol_const)
     if beta_report.general.axis is None:
         raise ClassificationError(
@@ -487,5 +490,9 @@ def verify_same_axis(c: Curve, grid_size: int = 512, margin: float = 0.0,
 
     a1 = report.slant.axis
     a2 = beta_report.general.axis
-    angle = float(np.arccos(np.clip(a1 @ a2, -1.0, 1.0)))
-    return AxisComparison(a1, a2, angle, report, beta_report)
+    return AxisComparison(a1, a2, _axis_angle(a1, a2), report, beta_report)
+
+
+def _axis_angle(a, b):
+    """The angle between two axes, which are directions without orientation."""
+    return math.acos(min(1.0, abs(float(np.dot(a, b)))))

@@ -28,7 +28,8 @@ from . import expr
 from .curve import Curve, SampledCurve, _load_json, _numbers, _spec_dim, _strings
 from .errors import CurveFormatError, HelixkitError, SurfaceError
 from .frenet import generalized_cross
-from .helix import _plain, classify, tangent_indicatrix
+from .helix import (CHECK_MARGIN, DEFAULT_GRID, _axis_angle, _plain,
+                    classify, tangent_indicatrix)
 
 __all__ = [
     "Hypersurface", "GeodesicPath", "GeodesicCheck",
@@ -47,9 +48,6 @@ _TAYLOR_ORDER = math.ceil(-math.log(_TAYLOR_TOL) / 2 + 1)
 HELIX_SURFACE_TOL = 1e-6
 # points of the uniform parameter grid whose normals a surface keeps
 _NORMAL_SAMPLES = 4096
-# arc lengths at which a geodesic's series gives its unit tangent, as many as
-# classify reads by default
-_INDICATRIX_SAMPLES = 512
 
 
 def _fmt(u):
@@ -232,8 +230,8 @@ class GeodesicPath(Curve):
             self.coefficients[i, k:]) for k in orders]
 
     def _unit_tangent(self, a, b):
-        """The series' velocity at _INDICATRIX_SAMPLES arc lengths in [a, b]."""
-        svals = np.linspace(a, b, _INDICATRIX_SAMPLES)
+        """The series' velocity at DEFAULT_GRID arc lengths in [a, b]."""
+        svals = np.linspace(a, b, DEFAULT_GRID)
         return SampledCurve(svals, self.jet_grid(svals, 1)[:, 0])
 
 
@@ -381,12 +379,6 @@ class SurfaceGeodesicReport:
                        "passed": self.passed})
 
 
-def _axis_angle(a, b):
-    # axes are directions without orientation; fold the angle accordingly
-    dot = abs(float(np.dot(a, b)))
-    return math.acos(min(1.0, dot))
-
-
 NORMAL_DOT_TOL = 1e-5
 INDICATRIX_AXIS_TOL = 1e-3
 PAIRWISE_AXIS_TOL = 2e-3
@@ -419,7 +411,7 @@ def verify_geodesic_theorems(h: Hypersurface, geodesics) -> SurfaceGeodesicRepor
         check.lambda_mean = float(path.normal_accel.mean())
         check.lambda_std = float(path.normal_accel.std())
         try:
-            rep = classify(path, axis_hint=h.direction, margin=0.02)
+            rep = classify(path, axis_hint=h.direction, margin=CHECK_MARGIN)
         except HelixkitError as exc:
             check.error = f"classification failed: {exc}"
             continue
@@ -432,8 +424,8 @@ def verify_geodesic_theorems(h: Hypersurface, geodesics) -> SurfaceGeodesicRepor
         check.normal_dot_std = hint.v2_std
 
         try:
-            beta = tangent_indicatrix(path, margin=0.02)
-            rep_b = classify(beta, axis_hint=h.direction, margin=0.02)
+            beta = tangent_indicatrix(path, margin=CHECK_MARGIN)
+            rep_b = classify(beta, axis_hint=h.direction, margin=CHECK_MARGIN)
         except HelixkitError as exc:
             check.error = f"indicatrix failed: {exc}"
             continue
