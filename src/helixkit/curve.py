@@ -374,8 +374,8 @@ class ReparametrizedCurve(Curve):
         _regular(c[0], t)
         _finite(c[1:].T, t, "t", "speed derivative", NonRegularCurveError)
         h = np.diff(t)
-        panels = h * ((c[0, :-1] + c[0, 1:]) / 2 + h * ((c[1, :-1] - c[1, 1:])
-                      / 10 + h * (c[2, :-1] + c[2, 1:]) / 60))
+        panels = h * ((c[0, :-1] + c[0, 1:]) / 2 + h * (
+            (c[1, :-1] - c[1, 1:]) / 10 + h * (c[2, :-1] + c[2, 1:]) / 60))
         # sums within blocks of 64, then over block totals: error ~ 64, not 4096
         blocks = panels.reshape(-1, 64)
         S = np.cumsum(blocks, axis=1)

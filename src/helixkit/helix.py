@@ -466,8 +466,8 @@ def verify_same_axis(c: Curve, grid_size: int = DEFAULT_GRID,
 
     The curve must classify as a slant helix; its tangent indicatrix is then
     classified as a general helix and the two ambient directions are
-    compared.  A failed precondition raises with the offending report
-    attached.  `indicatrix` passes in the tangent indicatrix on the same
+    compared as axes, with no orientation.  A failed precondition raises
+    with the offending report attached.  `indicatrix` passes in the tangent indicatrix on the same
     margin when the caller has built it already.
     """
     c = curvemod.arclength_reparametrize(c)

@@ -127,12 +127,14 @@ def test_analyze_csv_layout(files, capsys):
 
 def test_analyze_csv_leaves_missing_values_empty(tmp_path, capsys):
     # every curvature of the circle past the first vanishes, so both
-    # recursions are masked and the values they would give print as empty
+    # recursions are masked and the values they would give print as empty;
+    # they read one mask and refuse together when it leaves out more than
+    # half the grid, so the slant error alone says why
+    spec = {"dim": 3, "parameter": "s",
+            "components": ["2*cos(s/2)", "2*sin(s/2)", "0"],
+            "domain": [0.0, 4 * math.pi]}
     circle = tmp_path / "circle.json"
-    circle.write_text(json.dumps({
-        "dim": 3, "parameter": "s",
-        "components": ["2*cos(s/2)", "2*sin(s/2)", "0"],
-        "domain": [0.0, 4 * math.pi]}))
+    circle.write_text(json.dumps(spec))
     code, out, err = run(capsys, "analyze", str(circle), "--format", "csv")
     assert code == 2
     assert out == ("key,value\nclassification,neither\ncos_theta,\nC,\n"
@@ -140,6 +142,17 @@ def test_analyze_csv_leaves_missing_values_empty(tmp_path, capsys):
                    "planar,true\n")
     assert err == ("degenerate or unreliable input: slant recursion: 100% of "
                    "samples masked by near-zero curvatures\n")
+    report = helix.classify(helixkit.load_curve(spec), margin=0.02)
+    assert report.masked_fraction > 0.5 and report.general.error is not None
+    assert err == f"degenerate or unreliable input: {report.slant.error}\n"
+
+
+def test_analyze_help_names_the_grid_default_and_minimum(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", "--help"])
+    assert info.value.code == 0
+    assert "(default 512, minimum 16)" in " ".join(
+        capsys.readouterr().out.split())
 
 
 def test_analyze_prints_roundoff_in_the_axis_as_zero(files, capsys):

@@ -286,6 +286,14 @@ def test_every_jet_grid_rejects_an_order_below_one(order):
                 call()
 
 
+@pytest.mark.parametrize("comps, domain", [
+    (WAVE, WAVE_DOMAIN), (["cos(s)", "sin(s)", "s^2/2"], (0.2, 1.5))])
+def test_analytic_length_is_the_reparametrization_total(comps, domain):
+    # one arc-length table serves both, so they agree to the bit
+    c = AnalyticCurve(comps, domain)
+    assert c.length() == ReparametrizedCurve(c).total_length
+
+
 def test_length_of_a_unit_speed_curve_is_its_domain():
     uc = arclength_reparametrize(
         AnalyticCurve(["3*cos(s)", "3*sin(s)", "4*s"], (0.0, 2 * math.pi)))

@@ -18,8 +18,8 @@ from helixkit.curve import (AnalyticCurve, Curve, SampledCurve,
 from helixkit.errors import (ClassificationError, CurveError,
                              DegenerateCurveError, UnreliableResultError)
 from helixkit.frenet import FrenetGrid, frenet_grid
-from helixkit.helix import (_axis_statistics, axis_field, classify,
-                            general_functions, harmonic_curvatures,
+from helixkit.helix import (_axis_angle, _axis_statistics, axis_field,
+                            classify, general_functions, harmonic_curvatures,
                             slant_functions, tangent_indicatrix,
                             verify_same_axis)
 
@@ -609,6 +609,37 @@ def test_classification_follows_isometries(name, target, q4, q3, qn, shift):
     for path, ref in ((rep.slant, want.slant), (rep.general, want.general)):
         assert abs(path.C - ref.C) <= c_tol * abs(ref.C)
         assert np.linalg.norm(path.axis - rot @ ref.axis) <= axis_tol
+
+
+@functools.lru_cache(maxsize=None)
+def _e3_same_axis():
+    return verify_same_axis(_isometric_image("wave", np.eye(3), np.zeros(3)))
+
+
+@pytest.mark.parametrize("target", ["E^3", "E^4"])
+@settings(max_examples=20)
+@given(q4=orthogonal_matrices(4), q3=orthogonal_matrices(3),
+       shift=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_same_axis_follows_isometries(target, q4, q3, shift):
+    # E^3: x -> Rx + t; E^4: x -> Q(x, 0), as for the classification.
+    # Worst of 400 draws over both: both axes 9.6e-15 from +-R axis, and
+    # angle_between 0 or 1.49e-8, acos(1 - 2^-53), the least nonzero angle
+    # that acos of a dot product can read
+    if target == "E^3":
+        rot, offset = q3, np.array(shift)
+    else:
+        rot, offset = q4[:, :3], np.zeros(4)
+    want = _e3_same_axis()
+    got = verify_same_axis(_isometric_image("wave", rot, offset))
+    assert abs(got.angle_between - want.angle_between) <= 1.5e-8
+    for axis, ref in ((got.axis_of_curve, want.axis_of_curve),
+                      (got.axis_of_indicatrix, want.axis_of_indicatrix)):
+        mapped = rot @ ref
+        assert min(np.linalg.norm(axis - mapped),
+                   np.linalg.norm(axis + mapped)) <= 1e-13
+        # an axis has no orientation
+        assert _axis_angle(axis, -axis) == _axis_angle(axis, axis)
+    assert _axis_angle(EZ, -EZ) == 0.0
 
 
 @settings(max_examples=20)

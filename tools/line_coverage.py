@@ -4,8 +4,10 @@
 
 Runs pytest in this process with the given arguments, tracing only frames of
 files in src/helixkit.  Then it prints, module by module, the first line of
-every statement (found with ast) none of whose lines ran.  It exits with
-pytest's status, or with 1 when pytest passed but some statement never ran.
+every statement (found with ast) none of whose lines ran, and last the
+total line count of src/helixkit, as `wc -l src/helixkit/*.py` gives it.
+It exits with pytest's status, or with 1 when pytest passed but some
+statement never ran.
 A docstring is no statement; a compound statement's lines are those of its
 header, decorators included.
 """
@@ -32,6 +34,16 @@ def statements(tree):
             body = getattr(node, "body", None)
             last = max(node.lineno, body[0].lineno - 1) if body else node.end_lineno
             yield node.lineno, range(first, last + 1)
+
+
+def line_count(package):
+    """Newline-terminated lines of the package's modules, its .py files."""
+    total = 0
+    for module in os.listdir(package):
+        if module.endswith(".py"):
+            with open(os.path.join(package, module), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
 
 
 def main():
@@ -65,6 +77,7 @@ def main():
             unrun += len(missed)
             print(f"{module}: {len(missed)} of {len(found)} statements never ran"
                   + "".join(f"\n  {first}" for first in missed))
+    print(f"src/helixkit: {line_count(PACKAGE)} lines")
     sys.exit(status or int(unrun > 0))
 
 
