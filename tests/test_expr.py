@@ -358,8 +358,9 @@ def _sympy_at(e, env):
                 *[mpmath.mpf(env[n]) for n in names]))
         except (ZeroDivisionError, ValueError, OverflowError):
             return None
-        return float(v) if isinstance(v, mpmath.mpf) and mpmath.isfinite(v) \
-            else None
+    if isinstance(v, mpmath.mpf) and mpmath.isfinite(v):
+        return float(v)
+    return None
 
 
 def _derivative_error(e, var, env):
@@ -395,15 +396,12 @@ def test_partial_derivatives_match_sympy_at_40_digits():
     e = parse("exp(u*w)/(1 + u^2) - sqrt(w^2 + 1)*log(2 + sin(u))"
               " + tan(u/3)*w^3", variables=("u", "w"))
     mixed = differentiate(e, "u")
-    checked = 0
     for u in (-1.3, -0.2, 0.45, 1.1):
         for w in (-0.8, 0.3, 1.6):
             env = {"u": u, "w": w}
             for tree, var in ((e, "u"), (e, "w"), (mixed, "w")):
                 err = _derivative_error(tree, var, env)
                 assert err <= 1e-12, (to_source(tree), var, env)
-                checked += 1
-    assert checked == 36
 
 
 def test_an_integer_power_is_squared_from_its_base():
